@@ -56,6 +56,19 @@ def _rational_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _read(path: str) -> str:
     return Path(path).read_text()
 
@@ -379,16 +392,18 @@ def build_parser() -> _Parser:
     p.add_argument("--rep", help="representation file (default: trivial)")
 
     p = add("delta", _cmd_delta, "d-th determinant divisor")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_int_at_least(0), required=True)
     p.add_argument("--rep", help="representation file (default: trivial)")
 
     p = add("iwasawa-delta", _cmd_iwasawa_delta, "divisor in the classical indexing")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_int_at_least(0), required=True)
 
     p = add("zeros", _cmd_zeros, "rational and p-adic zeros of a divisor")
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=_int_at_least(0), required=True)
     p.add_argument("--rep", help="representation file (default: trivial)")
-    p.add_argument("--prec", type=int, default=8, help="p-adic precision exponent")
+    p.add_argument(
+        "--prec", type=_int_at_least(1), default=8, help="p-adic precision exponent"
+    )
 
     p = add("extend", _cmd_extend, "crossed homomorphisms and a sample extension")
     p.add_argument("--at", type=_rational_arg, required=True, help="evaluation point")

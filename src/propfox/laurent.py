@@ -68,11 +68,13 @@ class LaurentPoly:
         return not self.terms
 
     def min_exp(self) -> int:
-        assert self.terms, "zero has no exponent range"
+        if not self.terms:
+            raise ValueError("zero has no exponent range")
         return min(self.terms)
 
     def max_exp(self) -> int:
-        assert self.terms, "zero has no exponent range"
+        if not self.terms:
+            raise ValueError("zero has no exponent range")
         return max(self.terms)
 
     def coeff(self, exp: int) -> Fraction:
@@ -193,9 +195,10 @@ def ring_ops():
 
 def _poly_divmod(f: LaurentPoly, d: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
     """Standard division for honest polynomials (min exponents >= 0)."""
-    assert not d.is_zero()
-    assert f.is_zero() or f.min_exp() >= 0
-    assert d.min_exp() >= 0
+    if d.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if (not f.is_zero() and f.min_exp() < 0) or d.min_exp() < 0:
+        raise ValueError("polynomial division needs nonnegative exponents")
     q = LaurentPoly.zero()
     r = f
     dd = d.max_exp()
@@ -209,17 +212,24 @@ def _poly_divmod(f: LaurentPoly, d: LaurentPoly) -> tuple[LaurentPoly, LaurentPo
     return q, r
 
 
-def div_exact(f: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
-    """f / d when d divides f in the Laurent ring; raises ValueError if not."""
+def laurent_divmod(f: LaurentPoly, d: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    """Euclidean division in the Laurent ring: f = q*d + r with the span
+    (max_exp - min_exp) of r below that of d, or r = 0."""
     if d.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if f.is_zero():
-        return LaurentPoly.zero()
+        return LaurentPoly.zero(), LaurentPoly.zero()
     sf, sd = f.min_exp(), d.min_exp()
     q, r = _poly_divmod(f.shift(-sf), d.shift(-sd))
+    return q.shift(sf - sd), r.shift(sf)
+
+
+def div_exact(f: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
+    """f / d when d divides f in the Laurent ring; raises ValueError if not."""
+    q, r = laurent_divmod(f, d)
     if not r.is_zero():
         raise ValueError("does not divide exactly")
-    return q.shift(sf - sd)
+    return q
 
 
 def laurent_divides(d: LaurentPoly, f: LaurentPoly) -> bool:

@@ -2,11 +2,15 @@
 
 import json
 import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
-from propfox import cli, fitting
+import propfox
+from propfox import cli
 
 
 def data_path(name: str) -> str:
@@ -57,22 +61,22 @@ def test_delta_json_schema(capsys):
     assert payload["results"]["minor_count"] == 18
 
 
-def test_json_deterministic_across_threads(capsys):
-    code, first, _ = run_cli(capsys, "delta", EG41, "--d", "1", "--json")
-    assert code == 0
-    old = os.environ.get("PROPFOX_THREADS")
-    os.environ["PROPFOX_THREADS"] = "3"
-    try:
-        fitting.fitting_delta.cache_clear()
-        code, second, _ = run_cli(capsys, "delta", EG41, "--d", "1", "--json")
-    finally:
-        if old is None:
-            del os.environ["PROPFOX_THREADS"]
-        else:
-            os.environ["PROPFOX_THREADS"] = old
-        fitting.fitting_delta.cache_clear()
-    assert code == 0
-    assert first == second
+def test_json_identical_under_optimize_flag():
+    """python -O strips assert statements; the output must not depend on
+    them."""
+    env = dict(os.environ)
+    src = str(Path(propfox.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["-m", "propfox.cli", "delta", EG41, "--d", "2", "--rep", EG44, "--json"]
+    plain, optimized = [
+        subprocess.run(
+            [sys.executable, *flags, *argv], env=env, capture_output=True, timeout=120
+        )
+        for flags in ([], ["-O"])
+    ]
+    assert plain.returncode == optimized.returncode == 0
+    assert plain.stdout == optimized.stdout
+    assert json.loads(plain.stdout)["results"]["d"] == 2
 
 
 def test_matrix_output(capsys):
@@ -165,6 +169,23 @@ def test_exit_codes(capsys, tmp_path):
 
     code, _, err = run_cli(capsys, "cohomology", EG41, "--at", "bad")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("delta", EG41, "--d", "-1"),
+        ("zeros", EG41, "--d", "-1"),
+        ("iwasawa-delta", EG41, "--d", "-1"),
+        ("zeros", EG41, "--d", "1", "--prec", "0"),
+    ],
+    ids=["delta-negative-d", "zeros-negative-d", "iwasawa-negative-d", "zeros-prec-0"],
+)
+def test_out_of_range_numbers_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage error: argument --")
 
 
 def test_unknown_subcommand(capsys):

@@ -1,7 +1,8 @@
 """Determinant divisors of the relation matrix and ranks at points."""
 
-import os
+import time
 from fractions import Fraction
+from math import comb, prod
 
 import pytest
 
@@ -14,11 +15,12 @@ from propfox import (
     is_zero_of_delta,
     iwasawa_delta,
     parse_laurent,
+    parse_presentation,
     rank_at,
     rank_nullspace_padic,
 )
 from propfox.fox import AlexanderMatrix
-from propfox.laurent import LaurentPoly
+from propfox.laurent import LaurentPoly, div_exact
 
 
 def L(text):
@@ -60,23 +62,6 @@ def test_fitting_eg41_values(eg41):
     assert d1.minor_count == 18
     assert fitting_delta(Q, 0).delta.is_zero()
     assert fitting_delta(Q, 2).delta == LaurentPoly.one()
-
-
-def test_fitting_threaded_matches(eg41):
-    Q = alexander_matrix(eg41)
-    base = fitting_delta(Q, 1)
-    old = os.environ.get("PROPFOX_THREADS")
-    os.environ["PROPFOX_THREADS"] = "4"
-    try:
-        fitting_delta.cache_clear()
-        threaded = fitting_delta(Q, 1)
-    finally:
-        if old is None:
-            del os.environ["PROPFOX_THREADS"]
-        else:
-            os.environ["PROPFOX_THREADS"] = old
-        fitting_delta.cache_clear()
-    assert threaded == base
 
 
 def test_rank_at(eg41):
@@ -153,3 +138,60 @@ def test_fitting_on_hand_built_matrix():
     assert res.minor_count == 3
     res0 = fitting_delta(Q, 2)
     assert res0.delta == LaurentPoly.one()
+
+
+# Roots of the planted triangular relators: 2 and 3 three times each, -2
+# twice, 4, 5 and -3 once; six distinct values among eleven.
+PLANTED_ROOTS = (2, 3, 2, -2, 4, 3, 2, 5, -2, 3, -3)
+
+
+def _planted_presentation():
+    """12 generators; with y_i = x_i*x0^-1, relator i reads
+    x0*y_i*x0^-1 = y_i^(r_i) times later y_j, so the relation matrix is
+    triangular with diagonal g - r_i. A root planted more than once is
+    coupled to nothing, which keeps each of its copies a separate summand.
+    Four conjugate products of the base relators make the matrix 15 x 12."""
+
+    def y(i):
+        return f"(x{i}*x0^-1)"
+
+    repeated = {i for i, r in enumerate(PLANTED_ROOTS, 1) if PLANTED_ROOTS.count(r) > 1}
+    base = []
+    for i, r in enumerate(PLANTED_ROOTS, 1):
+        rhs = [f"{y(i)}^{r}"]
+        if i not in repeated:
+            rhs += [y(j) for j in range(i + 1, 12) if j not in repeated]
+        base.append(f"(x0*{y(i)}*x0^-1)*({'*'.join(rhs)})^-1")
+    redundant = [
+        f"({w})*{base[a]}*({w})^-1*({base[b]})^{e}"
+        for a, b, w, e in (
+            (0, 4, "x1*x2^-1", 1),
+            (5, 7, "x3^-1*x0", -1),
+            (10, 2, "x0*x5", 1),
+            (8, 9, "x11^-1*x4^-1", -1),
+        )
+    ]
+    gens = " ".join(f"x{i}" for i in range(12))
+    return parse_presentation(
+        f"prime 7\ngenerators {gens}\n"
+        + "".join(f"relator {r}\n" for r in base + redundant)
+    )
+
+
+def test_fitting_planted_beyond_enumeration():
+    Q = alexander_matrix(_planted_presentation())
+    assert (Q.n_rows, Q.n_cols) == (15, 12)
+    start = time.perf_counter()
+    d1 = fitting_delta(Q, 1)
+    d2 = fitting_delta(Q, 2)
+    elapsed = time.perf_counter() - start
+    factors = [L("g") - LaurentPoly.const(r) for r in PLANTED_ROOTS]
+    distinct = [L("g") - LaurentPoly.const(r) for r in set(PLANTED_ROOTS)]
+    assert d1.delta == prod(factors, start=LaurentPoly.one())
+    assert d2.delta == div_exact(d1.delta, prod(distinct, start=LaurentPoly.one()))
+    assert d2.delta == L("g^5 - 8*g^4 + 17*g^3 + 14*g^2 - 84*g + 72")
+    assert d1.minor_count == comb(15, 11) * comb(12, 11) == 16380
+    assert d2.minor_count == comb(15, 10) * comb(12, 10) == 198198
+    assert is_zero_of_delta(Q, 2, Fraction(2))
+    assert not is_zero_of_delta(Q, 2, Fraction(4))
+    assert elapsed < 10.0

@@ -14,7 +14,7 @@ from propfox import (
     normalize_associate,
     parse_laurent,
 )
-from propfox.laurent import div_exact
+from propfox.laurent import div_exact, laurent_divmod
 
 g = LaurentPoly.gamma()
 
@@ -96,6 +96,17 @@ def test_div_exact():
     assert div_exact(f, shifted) * shifted == f
 
 
+def test_laurent_divmod_shrinks_span():
+    f = L("g^3 + 2*g^-1")
+    d = L("3*g^-2 - g^-4")
+    q, r = laurent_divmod(f, d)
+    assert q * d + r == f
+    assert r.max_exp() - r.min_exp() < d.max_exp() - d.min_exp()
+    assert laurent_divmod(LaurentPoly.zero(), d) == (LaurentPoly.zero(), LaurentPoly.zero())
+    with pytest.raises(ZeroDivisionError):
+        laurent_divmod(f, LaurentPoly.zero())
+
+
 def test_laurent_divides():
     assert laurent_divides(L("g - 4"), L("g^2 - 5*g + 4"))
     assert not laurent_divides(L("g - 2"), L("g^2 - 5*g + 4"))
@@ -134,3 +145,7 @@ def test_exponent_bookkeeping():
     assert f.max_exp() == 1
     assert f.coeff(0) == 0
     assert f.coeff(-1) == 9
+    with pytest.raises(ValueError):
+        LaurentPoly.zero().min_exp()
+    with pytest.raises(ValueError):
+        LaurentPoly.zero().max_exp()

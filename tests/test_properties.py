@@ -5,12 +5,14 @@ toward short words and small numbers so each example stays exact and fast.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from propfox import (
     CrossedHom,
+    FittingResult,
     LaurentPoly,
     PAdicApprox,
     Presentation,
@@ -19,6 +21,7 @@ from propfox import (
     Word,
     alexander_matrix,
     build_extension,
+    content_valuation,
     evaluate_cocycle,
     evaluate_word,
     extension_count_criterion,
@@ -46,6 +49,8 @@ from propfox import (
 )
 from propfox import corpus
 from propfox.extensions import mat_vec
+from propfox.fitting import _fold_minors, _minor
+from propfox.fox import AlexanderMatrix
 from propfox.matrices import frac_identity, freeze, mat_mul, mat_pow
 
 SUITE = settings(max_examples=500, derandomize=True, deadline=None)
@@ -302,6 +307,64 @@ def test_fitting_invariant_under_relator_conjugation(w, which):
     Q = alexander_matrix(pres)
     assert fitting_delta(Q, 1).delta == fitting_delta(Q41, 1).delta
     assert fitting_delta(Q, 2).delta == fitting_delta(Q41, 2).delta
+
+
+def _fitting_by_enumeration(Q, d):
+    """The reference route: fold every (n_cols - d)-minor in lexicographic
+    (row set, column set) order, with the early exit of the scan."""
+    r = Q.n_cols - d
+    if r <= 0:
+        return FittingResult(d, LaurentPoly.one(), 0, 0)
+    if r > Q.n_rows:
+        return FittingResult(d, LaurentPoly.zero(), None, 0)
+    integral = all(
+        f.is_zero() or content_valuation(f, Q.prime) >= 0
+        for row in Q.entries
+        for f in row
+    )
+    dets = (
+        _minor(Q, rs, cs)
+        for rs in combinations(range(Q.n_rows), r)
+        for cs in combinations(range(Q.n_cols), r)
+    )
+    return _fold_minors(d, Q.prime, integral, dets)
+
+
+@st.composite
+def small_laurent_matrices(draw):
+    """Up to 4x4, with zero entries, negative exponents, some matrices with
+    coefficients whose denominators the prime divides, and some with the
+    last row a Laurent combination of earlier rows (rank deficient)."""
+    prime = draw(st.sampled_from([2, 3, 5]))
+    coeffs = st.fractions(
+        min_value=-4, max_value=4, max_denominator=draw(st.sampled_from([1, 10]))
+    )
+    entry = st.one_of(
+        st.just(LaurentPoly.zero()),
+        st.dictionaries(st.integers(min_value=-2, max_value=2), coeffs, max_size=3).map(
+            LaurentPoly
+        ),
+    )
+    n_rows = draw(st.integers(min_value=1, max_value=4))
+    n_cols = draw(st.integers(min_value=1, max_value=4))
+    rows = [[draw(entry) for _ in range(n_cols)] for _ in range(n_rows)]
+    if n_rows >= 2 and draw(st.booleans()):
+        f, h = draw(entry), draw(entry)
+        rows[-1] = [f * a + h * b for a, b in zip(rows[0], rows[n_rows - 2])]
+    return AlexanderMatrix(
+        entries=tuple(tuple(row) for row in rows),
+        n_relators=n_rows,
+        n_generators=n_cols,
+        block_dim=1,
+        prime=prime,
+    )
+
+
+@SUITE
+@given(small_laurent_matrices())
+def test_fitting_matches_minor_enumeration(Q):
+    for d in range(-1, Q.n_cols + 2):
+        assert fitting_delta(Q, d) == _fitting_by_enumeration(Q, d), d
 
 
 # -- minors commute with evaluation ----------------------------------------------
