@@ -24,13 +24,13 @@ from .extensions import (
     CrossedHom,
     ExtensionCandidate,
     SpecializedRep,
-    cocycle_space,
+    _cocycle_space,
     mat_vec,
     specialize,
     verify_factors,
 )
 from .fitting import fitting_delta, is_zero_of_delta
-from .fox import Representation, alexander_matrix
+from .fox import AlexanderMatrix, Representation, alexander_matrix
 from .matrices import frac_rank_nullspace, frac_solve, freeze
 from .presentation import Presentation, validate_presentation
 from .scalars import Rational, unit_ball_check
@@ -76,7 +76,13 @@ def h1_report(pres: Presentation, phi: Representation, a: Rational) -> Cohomolog
             "the specialized images do not kill the relators, so they carry "
             "no action of the presented group"
         )
-    space = cocycle_space(pres, phi, a)
+    return _h1_report(alexander_matrix(pres, phi), rho)
+
+
+def _h1_report(Q: AlexanderMatrix, rho: SpecializedRep) -> CohomologyReport:
+    """h1_report on the relation matrix Q of rho's presentation and
+    representation, for a rho already known to factor through."""
+    space = _cocycle_space(Q, rho.a)
     C = coboundary_matrix(rho)
     b1, fixed_basis = frac_rank_nullspace(C)
     h1 = space.dim - b1
@@ -84,14 +90,14 @@ def h1_report(pres: Presentation, phi: Representation, a: Rational) -> Cohomolog
         raise InternalInconsistency(
             f"principal dimension {b1} exceeds the full space {space.dim}"
         )
-    delta = fitting_delta(alexander_matrix(pres, phi), phi.dim).delta
+    delta = fitting_delta(Q, rho.dim).delta
     return CohomologyReport(
         a=rho.a,
-        ell=phi.dim,
+        ell=rho.dim,
         z1_dim=space.dim,
         b1_dim=b1,
         h1_dim=h1,
-        fixed_dim=phi.dim - b1,
+        fixed_dim=rho.dim - b1,
         delta_value_at_a=delta.eval_at(rho.a),
         cocycle_basis=space.basis,
         fixed_basis=tuple(fixed_basis),
@@ -226,8 +232,8 @@ def theorem_audit(pres: Presentation, phi: Representation, a: Rational) -> Theor
             fixed_dim=None,
             delta_zero=None,
         )
-    coh = h1_report(pres, phi, a)
     Q = alexander_matrix(pres, phi)
+    coh = _h1_report(Q, rho)
     dz = is_zero_of_delta(Q, phi.dim, a)
     if dz != (coh.delta_value_at_a == 0):
         raise InternalInconsistency(

@@ -14,16 +14,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DivisionByZero, HypothesisViolated, InternalInconsistency
+from .errors import DivisionByZero, InternalInconsistency
 from .fitting import is_zero_of_delta
-from .fox import Representation, alexander_matrix, evaluate_word, geometric_sum
+from .fox import AlexanderMatrix, Representation, alexander_matrix, evaluate_word, geometric_sum
 from .matrices import frac_inverse, frac_rank_nullspace, freeze, identity, mat_mul, mat_pow
-from .presentation import Presentation, Word, validate_presentation
+from .presentation import Presentation, Word
 from .scalars import Rational
 
 
 def mat_vec(M, v):
     return tuple(sum(row[c] * v[c] for c in range(len(v))) for row in M)
+
+
+def _nonzero_point(a: Rational) -> Fraction:
+    a = Fraction(a)
+    if a == 0:
+        raise DivisionByZero("the evaluation point must be a nonzero rational")
+    return a
 
 
 @dataclass(frozen=True)
@@ -69,9 +76,7 @@ class SpecializedRep:
     """The generator images a^{alpha_i} * phi(g_i) as rational matrices."""
 
     def __init__(self, pres: Presentation, phi: Representation, a: Rational):
-        a = Fraction(a)
-        if a == 0:
-            raise DivisionByZero("the evaluation point must be a nonzero rational")
+        a = _nonzero_point(a)
         self.pres = pres
         self.phi = phi
         self.a = a
@@ -121,16 +126,14 @@ def cocycle_space(pres: Presentation, phi: Representation, a: Rational) -> Cocyc
     """Basis of the crossed homomorphisms of the presented group valued in
     the specialization at a: the nullspace of the specialized relation
     matrix, reshaped to one vector per generator."""
-    a = Fraction(a)
-    if a == 0:
-        raise DivisionByZero("the evaluation point must be a nonzero rational")
-    report = validate_presentation(pres)
-    if not report.ok:
-        raise HypothesisViolated("; ".join(report.failures))
-    Q = alexander_matrix(pres, phi)
+    a = _nonzero_point(a)
+    return _cocycle_space(alexander_matrix(pres, phi), a)
+
+
+def _cocycle_space(Q: AlexanderMatrix, a: Fraction) -> CocycleSpace:
     _, basis = frac_rank_nullspace(Q.specialize(a))
-    hom_basis = tuple(CrossedHom.from_flat(vec, phi.dim) for vec in basis)
-    return CocycleSpace(a=a, ell=phi.dim, dim=len(hom_basis), basis=hom_basis)
+    hom_basis = tuple(CrossedHom.from_flat(vec, Q.block_dim) for vec in basis)
+    return CocycleSpace(a=a, ell=Q.block_dim, dim=len(hom_basis), basis=hom_basis)
 
 
 class ExtensionCandidate:
@@ -237,9 +240,10 @@ def extension_count_criterion(
     ever disagree there is a bug, and the run stops hard."""
     if k is None:
         k = phi.dim + 1
-    space = cocycle_space(pres, phi, a)
-    meets = space.dim >= k
+    a = _nonzero_point(a)
     Q = alexander_matrix(pres, phi)
+    space = _cocycle_space(Q, a)
+    meets = space.dim >= k
     dz = is_zero_of_delta(Q, k - 1, a)
     if meets != dz:
         raise InternalInconsistency(

@@ -1,11 +1,13 @@
 """Free differential calculus and the twisted relation matrix.
 
 The derivative of a word with respect to a generator is taken through a
-representation: each syllable g^e contributes (image of the prefix so far)
-times the geometric sum of the image of g with length e. Coefficients are
-carried in a one-variable Laurent-polynomial ring whose variable records the
-exponent weighting of the presentation, tensored with a finite-dimensional
-rational representation of the generators.
+representation. Coefficients lie in a one-variable Laurent-polynomial ring
+whose variable g records the exponent weighting of the presentation, tensored
+with a finite-dimensional rational representation of the generators. Every
+generator image is g^alpha_i (x) phi(g_i), so the image of any prefix is one
+graded pair g^k (x) P with P rational: one walk over a word's letters gives
+its derivatives by every generator, with one rational matrix product per
+letter and no Laurent multiplication.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 
 from .errors import HypothesisViolated, NotInvertible, ParseError, UnknownGenerator
 from .laurent import LaurentPoly
-from .matrices import frac_inverse, freeze, identity, mat_add, mat_mul, mat_neg, mat_pow, mat_scale
+from .matrices import frac_identity, frac_inverse, freeze, mat_add, mat_mul, mat_neg, mat_pow, mat_scale
 from .presentation import Presentation, Word, validate_presentation
 from .scalars import Rational, parse_rational
 
@@ -123,16 +125,10 @@ def format_representation(rep: Representation, pres: Presentation) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _laurent_wrap(M, exp: int):
-    """Lift a rational matrix into the Laurent ring, scaled by gamma^exp."""
-    return tuple(
-        tuple(LaurentPoly({exp: c}) if c else LaurentPoly.zero() for c in row) for row in M
-    )
-
-
 class TensorRep:
-    """The generator images gamma^{alpha_i} * phi(g_i), with enough cached
-    data to take arbitrary integer syllable powers exactly."""
+    """The generator images g^{alpha_i} (x) phi(g_i), kept as graded pairs:
+    the exponent alpha_i of g and the rational matrix phi(g_i), with its
+    inverse for negative syllables."""
 
     def __init__(self, pres: Presentation, phi: Representation):
         if len(phi.images) != pres.n_generators:
@@ -142,22 +138,6 @@ class TensorRep:
         self.dim = phi.dim
         self.phi_mats = phi.images
         self.phi_invs = phi.inverses
-
-    def identity(self):
-        return identity(self.dim, LaurentPoly.one(), LaurentPoly.zero())
-
-    def image(self, i: int):
-        return _laurent_wrap(self.phi_mats[i], self.exps[i])
-
-    def image_inverse(self, i: int):
-        return _laurent_wrap(self.phi_invs[i], -self.exps[i])
-
-    def syllable_image(self, i: int, e: int):
-        if e >= 0:
-            base = mat_pow(self.phi_mats[i], e, identity(self.dim, Fraction(1), Fraction(0)))
-        else:
-            base = mat_pow(self.phi_invs[i], -e, identity(self.dim, Fraction(1), Fraction(0)))
-        return _laurent_wrap(base, self.exps[i] * e)
 
 
 def tensor_with_alpha(phi: Representation, pres: Presentation) -> TensorRep:
@@ -195,18 +175,47 @@ def geometric_sum(M, n: int, ident, inverse=None):
     return S
 
 
-def fox_derivative_matrix(rep, word: Word, gen: int):
+def _fox_pass(rep: TensorRep, word: Word) -> list:
+    """The derivatives of the word by every generator, in one walk over its
+    letters: dim rows of n_generators * dim maps exponent -> coefficient,
+    column block i holding the derivative by g_i.
+
+    The image of the prefix read so far is one graded pair g^k (x) P. A letter
+    g_j contributes +P at g^k to block j and then steps the pair to
+    g^(k + alpha_j) (x) P phi(g_j); a letter g_j^-1 first steps the pair by
+    the inverse image and then contributes -P."""
+    ell = rep.dim
+    one = frac_identity(ell)
+    rows = [[{} for _ in range(len(rep.exps) * ell)] for _ in range(ell)]
+    P = one
+    k = 0
+    for j, e in word.syllables:
+        step = rep.phi_mats[j] if e > 0 else rep.phi_invs[j]
+        shift = rep.exps[j] if e > 0 else -rep.exps[j]
+        fixed = step == one
+        block = [row[j * ell:(j + 1) * ell] for row in rows]
+        for _ in range(abs(e)):
+            if e < 0:
+                P = P if fixed else mat_mul(P, step)
+                k += shift
+            for Pr, cells in zip(P, block):
+                for x, cell in zip(Pr, cells):
+                    if x:
+                        cell[k] = cell.get(k, 0) + (x if e > 0 else -x)
+            if e > 0:
+                P = P if fixed else mat_mul(P, step)
+                k += shift
+    return rows
+
+
+def fox_derivative_matrix(rep: TensorRep, word: Word, gen: int):
     """Derivative of the word with respect to generator `gen`, pushed through
     the representation: a dim x dim matrix over the coefficient ring."""
-    ident = rep.identity()
-    acc = mat_scale(0, ident)
-    pre = ident
-    for j, e in word.syllables:
-        if j == gen:
-            inv = rep.image_inverse(j) if e < 0 else None
-            acc = mat_add(acc, mat_mul(pre, geometric_sum(rep.image(j), e, ident, inv)))
-        pre = mat_mul(pre, rep.syllable_image(j, e))
-    return acc
+    ell = rep.dim
+    return tuple(
+        tuple(LaurentPoly(cell) for cell in row[gen * ell:(gen + 1) * ell])
+        for row in _fox_pass(rep, word)
+    )
 
 
 @dataclass(frozen=True)
@@ -252,17 +261,15 @@ def alexander_matrix(
     if rep is None:
         rep = Representation.trivial(pres.n_generators)
     tensor = tensor_with_alpha(rep, pres)
-    ell = tensor.dim
-    rows: list[tuple] = []
-    for rel in pres.relators:
-        w = rel.flatten()
-        blocks = [fox_derivative_matrix(tensor, w, i) for i in range(pres.n_generators)]
-        for r in range(ell):
-            rows.append(tuple(blocks[i][r][c] for i in range(pres.n_generators) for c in range(ell)))
+    rows = [
+        tuple(LaurentPoly(cell) for cell in row)
+        for rel in pres.relators
+        for row in _fox_pass(tensor, rel.flatten())
+    ]
     return AlexanderMatrix(
         entries=tuple(rows),
         n_relators=len(pres.relators),
         n_generators=pres.n_generators,
-        block_dim=ell,
+        block_dim=tensor.dim,
         prime=pres.prime,
     )

@@ -177,19 +177,6 @@ class LaurentPoly:
         return f"LaurentPoly({format_laurent(self)!r})"
 
 
-def ring_ops():
-    """The ring bundle: the handful of closures generic matrix code needs."""
-    return {
-        "zero": LaurentPoly.zero,
-        "one": LaurentPoly.one,
-        "add": lambda a, b: a + b,
-        "sub": lambda a, b: a - b,
-        "mul": lambda a, b: a * b,
-        "neg": lambda a: -a,
-        "invert_unit": lambda a: a.invert_unit(),
-    }
-
-
 # -- polynomial division and GCD -------------------------------------------
 
 

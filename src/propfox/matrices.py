@@ -23,10 +23,6 @@ def mat_add(A: Matrix, B: Matrix) -> Matrix:
     return tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
 
 
-def mat_sub(A: Matrix, B: Matrix) -> Matrix:
-    return tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
 def mat_neg(A: Matrix) -> Matrix:
     return tuple(tuple(-a for a in r) for r in A)
 
@@ -37,10 +33,11 @@ def mat_scale(c, A: Matrix) -> Matrix:
 
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     n = len(B)
-    assert all(len(r) == n for r in A), "inner dimensions disagree"
     Bt = tuple(zip(*B))
     out = []
     for ra in A:
+        if len(ra) != n:
+            raise ValueError("inner dimensions disagree")
         row = []
         for cb in Bt:
             acc = ra[0] * cb[0]
@@ -61,7 +58,8 @@ def frac_identity(n: int) -> Matrix:
 
 def mat_pow(A: Matrix, n: int, ident: Matrix) -> Matrix:
     """A^n for n >= 0 by repeated squaring."""
-    assert n >= 0
+    if n < 0:
+        raise ValueError(f"matrix power needs n >= 0, got {n}")
     result = ident
     base = A
     while n:

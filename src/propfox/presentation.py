@@ -61,24 +61,22 @@ class Word:
         return Word(tuple((g, -e) for g, e in reversed(self.syllables)))
 
     def __pow__(self, n: int) -> "Word":
+        """w^n in time linear in the length of the result. Split
+        w = u * c * u^-1 with the core c cyclically reduced; then
+        w^n = u * c^n * u^-1, where c^n is one syllable when c is, and n
+        copies of c otherwise."""
         if n == 0:
             return Word()
-        base = self if n > 0 else self.inverse()
-        out = base
-        for _ in range(abs(n) - 1):
-            out = out * base
-        return out
+        s = (self if n > 0 else self.inverse()).syllables
+        t = 0
+        while len(s) - 2 * t > 1 and s[t] == (s[-1 - t][0], -s[-1 - t][1]):
+            t += 1
+        core = s[t:len(s) - t]
+        body = ((core[0][0], core[0][1] * abs(n)),) if len(core) == 1 else core * abs(n)
+        return Word(reduce_syllables(s[:t] + body + s[len(s) - t:]))
 
     def letter_length(self) -> int:
         return sum(abs(e) for _, e in self.syllables)
-
-
-def word_mul(u: Word, v: Word) -> Word:
-    return u * v
-
-
-def word_inv(u: Word) -> Word:
-    return u.inverse()
 
 
 @dataclass(frozen=True)
@@ -99,7 +97,8 @@ class Presentation:
     alpha: tuple[int, ...]
 
     def __post_init__(self):
-        assert len(self.alpha) == len(self.generators)
+        if len(self.alpha) != len(self.generators):
+            raise ValueError("alpha needs one weight per generator")
 
     @property
     def n_generators(self) -> int:

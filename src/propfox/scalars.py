@@ -64,6 +64,11 @@ def _inv_mod(a: int, m: int) -> int:
     return pow(a, -1, m)
 
 
+def _same_prime(x: "PAdicApprox", y: "PAdicApprox") -> None:
+    if x.prime != y.prime:
+        raise ValueError(f"p-adic values for different primes {x.prime} and {y.prime}")
+
+
 @dataclass(frozen=True)
 class PAdicApprox:
     """A p-adic number known to finite precision: unit * p^val, with the unit
@@ -81,12 +86,15 @@ class PAdicApprox:
     prec: int
 
     def __post_init__(self):
-        assert self.prec >= 1
+        if self.prec < 1:
+            raise ValueError(f"precision must be at least 1, got {self.prec}")
         if self.val is None:
-            assert self.unit == 0
-        else:
-            assert 0 < self.unit < self.prime ** self.prec
-            assert self.unit % self.prime != 0
+            if self.unit != 0:
+                raise ValueError("the zero state carries unit 0")
+        elif not 0 < self.unit < self.prime ** self.prec or self.unit % self.prime == 0:
+            raise ValueError(
+                f"unit {self.unit} is not a unit modulo {self.prime}^{self.prec}"
+            )
 
     @staticmethod
     def zero(p: int, absprec: int) -> "PAdicApprox":
@@ -98,7 +106,6 @@ class PAdicApprox:
         if q == 0:
             return PAdicApprox.zero(p, prec)
         v = valuation(q, p)
-        assert v is not None
         n, d = q.numerator, q.denominator
         if v > 0:
             n //= p ** v
@@ -118,7 +125,8 @@ class PAdicApprox:
 
     def residue(self, k: int) -> int:
         """The value modulo p^k; only valid for k <= absprec."""
-        assert k <= self.absprec, "asking below precision"
+        if k > self.absprec:
+            raise ValueError(f"residue mod p^{k} asked of a value known mod p^{self.absprec}")
         if self.val is None or self.val >= k:
             return 0
         return self.unit * self.prime ** self.val % self.prime ** k
@@ -126,7 +134,7 @@ class PAdicApprox:
     def agrees_with(self, other: "PAdicApprox") -> bool:
         """Congruent at the weaker of the two precisions. Never a claim of
         true equality."""
-        assert self.prime == other.prime
+        _same_prime(self, other)
         k = min(self.absprec, other.absprec)
         return self.residue(k) == other.residue(k)
 
@@ -145,7 +153,7 @@ class PAdicApprox:
 
     def _coerced(self, other) -> "PAdicApprox":
         if isinstance(other, PAdicApprox):
-            assert other.prime == self.prime
+            _same_prime(self, other)
             return other
         if isinstance(other, (int, Fraction)):
             q = Fraction(other)

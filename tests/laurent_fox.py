@@ -1,0 +1,69 @@
+"""The Fox calculus over Laurent-valued matrices: the reference route the
+graded one-pass relation matrix is checked against.
+
+Each syllable g^e contributes (image of the prefix so far) times the geometric
+sum of the image of g with length e, every product taken over Laurent
+polynomials, one walk per generator.
+"""
+
+from propfox.fox import AlexanderMatrix, Representation, TensorRep, geometric_sum
+from propfox.laurent import LaurentPoly
+from propfox.matrices import frac_identity, identity, mat_add, mat_mul, mat_pow, mat_scale
+
+
+def _laurent_wrap(M, exp: int):
+    """Lift a rational matrix into the Laurent ring, scaled by g^exp."""
+    return tuple(
+        tuple(LaurentPoly({exp: c}) if c else LaurentPoly.zero() for c in row) for row in M
+    )
+
+
+class LaurentTensorRep(TensorRep):
+    """The generator images as Laurent-valued matrices, with the protocol
+    evaluate_word and geometric_sum expect."""
+
+    def identity(self):
+        return identity(self.dim, LaurentPoly.one(), LaurentPoly.zero())
+
+    def image(self, i: int):
+        return _laurent_wrap(self.phi_mats[i], self.exps[i])
+
+    def image_inverse(self, i: int):
+        return _laurent_wrap(self.phi_invs[i], -self.exps[i])
+
+    def syllable_image(self, i: int, e: int):
+        base = self.phi_mats[i] if e >= 0 else self.phi_invs[i]
+        return _laurent_wrap(mat_pow(base, abs(e), frac_identity(self.dim)), self.exps[i] * e)
+
+
+def laurent_fox_derivative(rep: LaurentTensorRep, word, gen: int):
+    ident = rep.identity()
+    acc = mat_scale(0, ident)
+    pre = ident
+    for j, e in word.syllables:
+        if j == gen:
+            inv = rep.image_inverse(j) if e < 0 else None
+            acc = mat_add(acc, mat_mul(pre, geometric_sum(rep.image(j), e, ident, inv)))
+        pre = mat_mul(pre, rep.syllable_image(j, e))
+    return acc
+
+
+def laurent_alexander_matrix(pres, rep: Representation | None = None) -> AlexanderMatrix:
+    """The relation matrix by the reference route, hypotheses unchecked."""
+    if rep is None:
+        rep = Representation.trivial(pres.n_generators)
+    tensor = LaurentTensorRep(pres, rep)
+    ell = tensor.dim
+    rows = []
+    for rel in pres.relators:
+        w = rel.flatten()
+        blocks = [laurent_fox_derivative(tensor, w, i) for i in range(pres.n_generators)]
+        for r in range(ell):
+            rows.append(tuple(blocks[i][r][c] for i in range(pres.n_generators) for c in range(ell)))
+    return AlexanderMatrix(
+        entries=tuple(rows),
+        n_relators=len(pres.relators),
+        n_generators=pres.n_generators,
+        block_dim=ell,
+        prime=pres.prime,
+    )

@@ -11,6 +11,8 @@ from propfox import (
     Representation,
     build_extension,
     coboundary_matrix,
+    cocycle_space,
+    extension_count_criterion,
     fixed_space,
     h1_report,
     is_coboundary,
@@ -156,3 +158,35 @@ def test_theorem_audit_unit_ball_gate(eg41):
     audit = theorem_audit(eg41, Representation.trivial(3), Fraction(2))
     assert not audit.forward_applicable
     assert any("unit ball" in f or "congruent" in f for f in audit.hypothesis_failures)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [cocycle_space, h1_report, theorem_audit, extension_count_criterion],
+    ids=lambda f: f.__name__,
+)
+def test_public_calls_build_the_relation_matrix_once(monkeypatch, eg41, call):
+    import propfox.cohomology
+    import propfox.extensions
+    from propfox.extensions import SpecializedRep
+
+    builds = []
+    build = propfox.extensions.alexander_matrix
+
+    def counted_build(*args, **kwargs):
+        builds.append(args)
+        return build(*args, **kwargs)
+
+    checks = []
+    check = SpecializedRep.factors_through
+
+    def counted_check(self):
+        checks.append(self)
+        return check(self)
+
+    for module in (propfox.extensions, propfox.cohomology):
+        monkeypatch.setattr(module, "alexander_matrix", counted_build)
+    monkeypatch.setattr(SpecializedRep, "factors_through", counted_check)
+    call(eg41, Representation.trivial(3), Fraction(4))
+    assert len(builds) <= 1
+    assert len(checks) <= 1

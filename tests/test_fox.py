@@ -19,8 +19,10 @@ from propfox import (
     parse_word,
     tensor_with_alpha,
 )
-from propfox import LaurentPoly, alexander_matrix
+from propfox import LaurentPoly, alexander_matrix, corpus
 from propfox.matrices import frac_identity, freeze, mat_mul, mat_pow
+
+from laurent_fox import LaurentTensorRep, laurent_alexander_matrix
 
 
 def L(text):
@@ -106,7 +108,7 @@ def test_fox_derivative_generator_rules(eg41):
 
 
 def test_fox_product_rule_spot(eg41):
-    rep = tensor_with_alpha(Representation.trivial(3), eg41)
+    rep = LaurentTensorRep(eg41, Representation.trivial(3))
     gens = eg41.generators
     u = parse_word("g1*g2^-2", gens)
     v = parse_word("g3^2*g1", gens)
@@ -122,7 +124,7 @@ def test_fox_product_rule_spot(eg41):
 
 
 def test_evaluate_word_commutator_is_identity(eg41):
-    rep = tensor_with_alpha(Representation.trivial(3), eg41)
+    rep = LaurentTensorRep(eg41, Representation.trivial(3))
     w = parse_word("[g1,g2]", eg41.generators)
     assert evaluate_word(rep, w) == rep.identity()
 
@@ -155,3 +157,24 @@ def test_specialize_matrix(eg41):
     Q = alexander_matrix(eg41)
     Qa = Q.specialize(Fraction(4))
     assert Qa[3] == (Fraction(3), Fraction(-3), Fraction(0))
+
+
+def test_alexander_matrix_matches_laurent_route_on_corpus():
+    pairs = 0
+    for name in ("eg41.pres", "eg42.pres", "eg43.pres", "eg43split.pres"):
+        pres = corpus.load_presentation(name)
+        reps = [Representation.trivial(pres.n_generators)]
+        if pres.n_generators == 3:
+            reps += [corpus.load_representation(r, pres) for r in ("eg44.rep", "eg45.rep", "eg55.rep")]
+        for rep in reps:
+            assert alexander_matrix(pres, rep) == laurent_alexander_matrix(pres, rep)
+            pairs += 1
+    assert pairs == 10
+
+
+def test_fox_derivative_matrix_is_a_block_of_the_relation_matrix(eg41, eg44rep):
+    Q = alexander_matrix(eg41, eg44rep)
+    rep = tensor_with_alpha(eg44rep, eg41)
+    for j, rel in enumerate(eg41.relators):
+        for i in range(eg41.n_generators):
+            assert fox_derivative_matrix(rep, rel.flatten(), i) == Q.block(j, i)

@@ -66,3 +66,13 @@ def test_solve():
     assert frac_solve(F([[1, 1], [1, 1]]), (Fraction(0), Fraction(1))) is None
     underdetermined = frac_solve(F([[1, 1]]), (Fraction(5),))
     assert underdetermined == (Fraction(5), Fraction(0))
+
+
+def test_mat_mul_rejects_mismatched_inner_dimensions():
+    with pytest.raises(ValueError, match="inner dimensions"):
+        mat_mul(F([[1, 2]]), F([[1, 2]]))
+
+
+def test_mat_pow_rejects_negative_exponent():
+    with pytest.raises(ValueError, match="n >= 0"):
+        mat_pow(F([[2]]), -1, frac_identity(1))

@@ -1,5 +1,7 @@
 """Word algebra, presentation files, and the weight/degree hypotheses."""
 
+import time
+
 import pytest
 
 from propfox import (
@@ -134,3 +136,23 @@ def test_relator_flatten():
 def test_presentation_is_hashable(eg41):
     assert isinstance(eg41, Presentation)
     assert hash(eg41) == hash(eg41)
+
+
+def test_long_power_parses_in_linear_time():
+    start = time.perf_counter()
+    w = parse_word("(a*b^-1)^20000", ("a", "b"))
+    assert time.perf_counter() - start < 2.0
+    assert w.letter_length() == 40000
+    assert w.syllables[:3] == ((0, 1), (1, -1), (0, 1))
+
+
+def test_power_of_a_conjugate_keeps_the_conjugator():
+    huge = 10**15
+    assert W("(a*b*c^2*a^-1)^2") == Word.of([(0, 1), (1, 1), (2, 2), (1, 1), (2, 2), (0, -1)])
+    assert W(f"(a*b^3*a^-1)^{huge}") == Word.of([(0, 1), (1, 3 * huge), (0, -1)])
+    assert W("(a^2*b*a^3)^-2") == Word.of([(0, -3), (1, -1), (0, -5), (1, -1), (0, -2)])
+
+
+def test_presentation_rejects_alpha_of_wrong_length():
+    with pytest.raises(ValueError, match="one weight per generator"):
+        Presentation(3, ("a", "b"), (), (1,))

@@ -43,7 +43,6 @@ from propfox import (
     parse_word,
     rational_roots,
     specialize,
-    tensor_with_alpha,
     valuation,
     verify_factors,
 )
@@ -53,11 +52,13 @@ from propfox.fitting import _fold_minors, _minor
 from propfox.fox import AlexanderMatrix
 from propfox.matrices import frac_identity, freeze, mat_mul, mat_pow
 
+from laurent_fox import LaurentTensorRep, laurent_alexander_matrix
+
 SUITE = settings(max_examples=500, derandomize=True, deadline=None)
 
 EG41 = corpus.load_presentation("eg41.pres")
 TRIVIAL3 = Representation.trivial(3)
-REP41 = tensor_with_alpha(TRIVIAL3, EG41)
+REP41 = LaurentTensorRep(EG41, TRIVIAL3)
 Q41 = alexander_matrix(EG41)
 
 # -- strategies -------------------------------------------------------------
@@ -103,6 +104,16 @@ def test_word_inverse_cancels(w):
 @SUITE
 @given(words, st.integers(min_value=-4, max_value=4))
 def test_word_power_consistency(w, n):
+    direct = Word.of([])
+    for _ in range(abs(n)):
+        direct = direct * (w if n >= 0 else w.inverse())
+    assert w**n == direct
+
+
+@SUITE
+@given(words, words, st.integers(min_value=-6, max_value=6))
+def test_power_of_conjugate_matches_iterated_product(u, c, n):
+    w = u * c * u.inverse()
     direct = Word.of([])
     for _ in range(abs(n)):
         direct = direct * (w if n >= 0 else w.inverse())
@@ -241,6 +252,42 @@ def test_fundamental_identity(w):
         evaluate_word(REP41, w), tuple(tuple(-x for x in row) for row in ident)
     )
     assert total == rw_minus_one
+
+
+long_syllables = st.tuples(
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=-6, max_value=6).filter(lambda e: e != 0),
+)
+long_words = st.lists(long_syllables, max_size=6).map(Word.of)
+
+
+@st.composite
+def weighted_presentations(draw):
+    """Three generators with weights 1 or any in -2..2, one to three relators
+    of any degree, and invertible rational images of size one or two."""
+    ell = draw(st.sampled_from([1, 2]))
+    entries = st.lists(small_fractions, min_size=ell * ell, max_size=ell * ell)
+    images = []
+    for _ in range(3):
+        M = draw(
+            entries.map(lambda xs: freeze([xs[r * ell:(r + 1) * ell] for r in range(ell)]))
+            .filter(lambda M: (M[0][0] if ell == 1 else M[0][0] * M[1][1] - M[0][1] * M[1][0]) != 0)
+        )
+        images.append(M)
+    weights = st.lists(st.integers(min_value=-2, max_value=2), min_size=3, max_size=3)
+    alpha = tuple(draw(st.one_of(st.just([1, 1, 1]), weights)))
+    n_relators = draw(st.integers(min_value=1, max_value=3))
+    relators = tuple(Relator(draw(long_words), draw(long_words)) for _ in range(n_relators))
+    return Presentation(3, ("a", "b", "c"), relators, alpha), Representation(ell, tuple(images))
+
+
+@SUITE
+@given(weighted_presentations())
+def test_one_pass_matrix_matches_laurent_route(case):
+    pres, rep = case
+    Q = alexander_matrix(pres, rep, allow_invalid=True)
+    assert Q.entries == laurent_alexander_matrix(pres, rep).entries
+    assert (Q.n_rows, Q.n_cols) == (len(pres.relators) * rep.dim, 3 * rep.dim)
 
 
 @SUITE

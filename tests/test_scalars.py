@@ -98,3 +98,29 @@ def test_padic_mixed_operands():
     assert (x + 3).residue(4) == 10
     assert (2 * x).residue(4) == 14
     assert (x - Fraction(2)).residue(4) == 5
+
+
+@pytest.mark.parametrize(
+    "prime, val, unit, prec",
+    [
+        (3, 0, 1, 0),  # precision below 1
+        (3, None, 2, 4),  # zero state with a nonzero unit
+        (3, 0, 0, 4),  # unit 0 outside the zero state
+        (3, 0, 81, 4),  # unit not reduced modulo p^prec
+        (3, 1, 6, 4),  # unit divisible by p
+    ],
+)
+def test_padic_rejects_broken_invariants(prime, val, unit, prec):
+    with pytest.raises(ValueError):
+        PAdicApprox(prime, val, unit, prec)
+
+
+def test_padic_rejects_residue_below_precision_and_mixed_primes():
+    x = PAdicApprox.from_rational(Fraction(4), 3, 2)
+    with pytest.raises(ValueError, match="known mod p"):
+        x.residue(3)
+    y = PAdicApprox.from_rational(Fraction(4), 5, 2)
+    with pytest.raises(ValueError, match="different primes"):
+        x.agrees_with(y)
+    with pytest.raises(ValueError, match="different primes"):
+        x + y
