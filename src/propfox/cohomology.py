@@ -22,7 +22,6 @@ from .errors import (
 )
 from .extensions import (
     CrossedHom,
-    ExtensionCandidate,
     SpecializedRep,
     _cocycle_space,
     mat_vec,
@@ -30,8 +29,8 @@ from .extensions import (
     verify_factors,
 )
 from .fitting import fitting_delta, is_zero_of_delta
-from .fox import AlexanderMatrix, Representation, alexander_matrix
-from .matrices import frac_rank_nullspace, frac_solve, freeze
+from .fox import AlexanderMatrix, Representation, _fox_pass, alexander_matrix
+from .matrices import frac_inverse, frac_rank_nullspace, frac_solve, freeze
 from .presentation import Presentation, validate_presentation
 from .scalars import Rational, unit_ball_check
 
@@ -104,11 +103,26 @@ def _h1_report(Q: AlexanderMatrix, rho: SpecializedRep) -> CohomologyReport:
     )
 
 
+def _specialized_matrix(rho: SpecializedRep):
+    """The relation matrix through rho's own images: the Fox pass at grading
+    zero over the rational matrices rho(g_i), which equals the Laurent
+    relation matrix evaluated at rho.a."""
+    zero = (0,) * rho.pres.n_generators
+    return tuple(
+        tuple(cell.get(0, Fraction(0)) for cell in row)
+        for rel in rho.pres.relators
+        for row in _fox_pass(zero, rho.mats, rho.invs, rel.flatten())
+    )
+
+
 def is_coboundary(beta: CrossedHom, rho: SpecializedRep):
     """A witness vector v with beta(g_i) = rho(g_i) v - v for every i, or
     None when beta is not principal. Rejects assignments that are not
     crossed homomorphisms in the first place."""
-    Q = alexander_matrix(rho.pres, rho.phi).specialize(rho.a)
+    report = validate_presentation(rho.pres)
+    if not report.ok:
+        raise HypothesisViolated("; ".join(report.failures))
+    Q = _specialized_matrix(rho)
     target = beta.stacked()
     residual = mat_vec(Q, target)
     if any(x != 0 for x in residual):
@@ -141,7 +155,7 @@ class SymSquareReport:
     witness: tuple | None
 
 
-def symmetric_square_cocycle(ext2: ExtensionCandidate) -> SymSquareReport:
+def symmetric_square_cocycle(ext2: SpecializedRep) -> SymSquareReport:
     """Push a verified two-dimensional block-triangular candidate through
     the squares construction. The result is again block triangular, one
     dimension up, and its corner column is a crossed homomorphism for the
@@ -152,14 +166,8 @@ def symmetric_square_cocycle(ext2: ExtensionCandidate) -> SymSquareReport:
         raise HypothesisViolated("the candidate does not kill the relators")
     images = tuple(_sym_square_2x2(M) for M in ext2.mats)
     a = ext2.a
-    coeff_phi = Representation(
-        2,
-        tuple(
-            freeze([[x / a ** e for x in row[:2]] for row in S[:2]])
-            for e, S in zip(ext2.pres.alpha, images)
-        ),
-    )
-    rho1 = specialize(ext2.pres, coeff_phi, a)
+    coeff = tuple(freeze([row[:2] for row in S[:2]]) for S in images)
+    rho1 = SpecializedRep(ext2.pres, a, coeff, tuple(frac_inverse(M) for M in coeff))
     beta = CrossedHom(2, tuple((S[0][2], S[1][2]) for S in images))
     try:
         witness = is_coboundary(beta, rho1)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import DivisionByZero, InternalInconsistency
 from .fitting import is_zero_of_delta
-from .fox import AlexanderMatrix, Representation, alexander_matrix, evaluate_word, geometric_sum
+from .fox import AlexanderMatrix, Representation, _check_shape, alexander_matrix, evaluate_word, geometric_sum
 from .matrices import frac_inverse, frac_rank_nullspace, freeze, identity, mat_mul, mat_pow
 from .presentation import Presentation, Word
 from .scalars import Rational
@@ -73,19 +73,17 @@ class CrossedHom:
 
 
 class SpecializedRep:
-    """The generator images a^{alpha_i} * phi(g_i) as rational matrices."""
+    """Generator images at a rational point a, as rational matrices with
+    their inverses: a^{alpha_i} phi(g_i) from specialize, or the
+    block-triangular [[a^{alpha_i} phi(g_i), beta_i], [0, 1]] from
+    build_extension."""
 
-    def __init__(self, pres: Presentation, phi: Representation, a: Rational):
-        a = _nonzero_point(a)
+    def __init__(self, pres: Presentation, a: Fraction, mats: tuple, invs: tuple):
         self.pres = pres
-        self.phi = phi
         self.a = a
-        self.dim = phi.dim
-        self.mats = tuple(
-            freeze([[a ** e * x for x in row] for row in M])
-            for e, M in zip(pres.alpha, phi.images)
-        )
-        self.invs = tuple(frac_inverse(M) for M in self.mats)
+        self.mats = mats
+        self.invs = invs
+        self.dim = len(mats[0]) if mats else 1
 
     def identity(self):
         return identity(self.dim, Fraction(1), Fraction(0))
@@ -104,14 +102,17 @@ class SpecializedRep:
         """Whether every relator maps to the identity, i.e. the images define
         a representation of the presented group and not just of the free
         group."""
-        ident = self.identity()
-        return all(
-            evaluate_word(self, rel.flatten()) == ident for rel in self.pres.relators
-        )
+        return verify_factors(self, self.pres).ok
 
 
 def specialize(pres: Presentation, phi: Representation, a: Rational) -> SpecializedRep:
-    return SpecializedRep(pres, phi, a)
+    a = _nonzero_point(a)
+    _check_shape(pres, phi)
+    mats = tuple(
+        freeze([[a ** e * x for x in row] for row in M])
+        for e, M in zip(pres.alpha, phi.images)
+    )
+    return SpecializedRep(pres, a, mats, tuple(frac_inverse(M) for M in mats))
 
 
 @dataclass(frozen=True)
@@ -136,53 +137,28 @@ def _cocycle_space(Q: AlexanderMatrix, a: Fraction) -> CocycleSpace:
     return CocycleSpace(a=a, ell=Q.block_dim, dim=len(hom_basis), basis=hom_basis)
 
 
-class ExtensionCandidate:
-    """Generator images [[a^{alpha_i} phi(g_i), beta_i], [0, 1]], one
-    dimension up from phi. Nothing is verified at construction time; run
-    verify_factors to test the relators."""
-
-    def __init__(self, pres: Presentation, phi: Representation, a: Rational, beta: CrossedHom):
-        if beta.ell != phi.dim or len(beta.vectors) != pres.n_generators:
-            raise ValueError("crossed homomorphism shape does not match")
-        base = SpecializedRep(pres, phi, a)
-        self.pres = pres
-        self.phi = phi
-        self.a = base.a
-        self.beta = beta
-        self.dim = phi.dim + 1
-        mats = []
-        invs = []
-        for M, Minv, b in zip(base.mats, base.invs, beta.vectors):
-            mats.append(self._corner(M, b))
-            invs.append(self._corner(Minv, tuple(-x for x in mat_vec(Minv, b))))
-        self.mats = tuple(mats)
-        self.invs = tuple(invs)
-
-    @staticmethod
-    def _corner(M, b):
-        ell = len(M)
-        rows = [tuple(M[r]) + (b[r],) for r in range(ell)]
-        rows.append(tuple(Fraction(0) for _ in range(ell)) + (Fraction(1),))
-        return freeze(rows)
-
-    def identity(self):
-        return identity(self.dim, Fraction(1), Fraction(0))
-
-    def image(self, i: int):
-        return self.mats[i]
-
-    def image_inverse(self, i: int):
-        return self.invs[i]
-
-    def syllable_image(self, i: int, e: int):
-        base = self.mats[i] if e >= 0 else self.invs[i]
-        return mat_pow(base, abs(e), self.identity())
+def _corner(M, b):
+    ell = len(M)
+    rows = [tuple(M[r]) + (b[r],) for r in range(ell)]
+    rows.append(tuple(Fraction(0) for _ in range(ell)) + (Fraction(1),))
+    return freeze(rows)
 
 
 def build_extension(
     pres: Presentation, phi: Representation, a: Rational, beta: CrossedHom
-) -> ExtensionCandidate:
-    return ExtensionCandidate(pres, phi, a, beta)
+) -> SpecializedRep:
+    """Generator images [[a^{alpha_i} phi(g_i), beta_i], [0, 1]], one
+    dimension up from phi. Nothing is verified here; run verify_factors to
+    test the relators."""
+    if beta.ell != phi.dim or len(beta.vectors) != pres.n_generators:
+        raise ValueError("crossed homomorphism shape does not match")
+    base = specialize(pres, phi, a)
+    mats = tuple(_corner(M, b) for M, b in zip(base.mats, beta.vectors))
+    invs = tuple(
+        _corner(Minv, tuple(-x for x in mat_vec(Minv, b)))
+        for Minv, b in zip(base.invs, beta.vectors)
+    )
+    return SpecializedRep(pres, base.a, mats, invs)
 
 
 @dataclass(frozen=True)
@@ -197,7 +173,7 @@ class VerificationReport:
     relators: tuple
 
 
-def verify_factors(candidate: ExtensionCandidate, pres: Presentation) -> VerificationReport:
+def verify_factors(candidate: SpecializedRep, pres: Presentation) -> VerificationReport:
     """Evaluate every flattened relator through the candidate; each must come
     out as the identity matrix."""
     ident = candidate.identity()

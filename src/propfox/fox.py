@@ -125,25 +125,6 @@ def format_representation(rep: Representation, pres: Presentation) -> str:
     return "\n".join(lines) + "\n"
 
 
-class TensorRep:
-    """The generator images g^{alpha_i} (x) phi(g_i), kept as graded pairs:
-    the exponent alpha_i of g and the rational matrix phi(g_i), with its
-    inverse for negative syllables."""
-
-    def __init__(self, pres: Presentation, phi: Representation):
-        if len(phi.images) != pres.n_generators:
-            raise ValueError("representation does not match the generator count")
-        self.prime = pres.prime
-        self.exps = pres.alpha
-        self.dim = phi.dim
-        self.phi_mats = phi.images
-        self.phi_invs = phi.inverses
-
-
-def tensor_with_alpha(phi: Representation, pres: Presentation) -> TensorRep:
-    return TensorRep(pres, phi)
-
-
 def evaluate_word(rep, word: Word):
     """Image of a word under any object exposing dim / identity /
     syllable_image."""
@@ -175,23 +156,25 @@ def geometric_sum(M, n: int, ident, inverse=None):
     return S
 
 
-def _fox_pass(rep: TensorRep, word: Word) -> list:
+def _fox_pass(exps, mats, invs, word: Word) -> list:
     """The derivatives of the word by every generator, in one walk over its
     letters: dim rows of n_generators * dim maps exponent -> coefficient,
-    column block i holding the derivative by g_i.
+    column block i holding the derivative by g_i. Generator g_i maps to
+    g^exps[i] (x) mats[i], and invs[i] is the inverse of mats[i].
 
     The image of the prefix read so far is one graded pair g^k (x) P. A letter
     g_j contributes +P at g^k to block j and then steps the pair to
-    g^(k + alpha_j) (x) P phi(g_j); a letter g_j^-1 first steps the pair by
-    the inverse image and then contributes -P."""
-    ell = rep.dim
+    g^(k + exps[j]) (x) P mats[j]; a letter g_j^-1 first steps the pair by
+    the inverse image and then contributes -P. With every exps[i] zero the
+    maps hold only exponent 0, and the pass runs over rational images alone."""
+    ell = len(mats[0]) if mats else 1
     one = frac_identity(ell)
-    rows = [[{} for _ in range(len(rep.exps) * ell)] for _ in range(ell)]
+    rows = [[{} for _ in range(len(exps) * ell)] for _ in range(ell)]
     P = one
     k = 0
     for j, e in word.syllables:
-        step = rep.phi_mats[j] if e > 0 else rep.phi_invs[j]
-        shift = rep.exps[j] if e > 0 else -rep.exps[j]
+        step = mats[j] if e > 0 else invs[j]
+        shift = exps[j] if e > 0 else -exps[j]
         fixed = step == one
         block = [row[j * ell:(j + 1) * ell] for row in rows]
         for _ in range(abs(e)):
@@ -208,13 +191,19 @@ def _fox_pass(rep: TensorRep, word: Word) -> list:
     return rows
 
 
-def fox_derivative_matrix(rep: TensorRep, word: Word, gen: int):
+def _check_shape(pres: Presentation, phi: Representation) -> None:
+    if len(phi.images) != pres.n_generators:
+        raise ValueError("representation does not match the generator count")
+
+
+def fox_derivative_matrix(pres: Presentation, phi: Representation, word: Word, gen: int):
     """Derivative of the word with respect to generator `gen`, pushed through
-    the representation: a dim x dim matrix over the coefficient ring."""
-    ell = rep.dim
+    g^alpha (x) phi: a dim x dim matrix over the Laurent ring."""
+    _check_shape(pres, phi)
+    ell = phi.dim
     return tuple(
         tuple(LaurentPoly(cell) for cell in row[gen * ell:(gen + 1) * ell])
-        for row in _fox_pass(rep, word)
+        for row in _fox_pass(pres.alpha, phi.images, phi.inverses, word)
     )
 
 
@@ -260,16 +249,17 @@ def alexander_matrix(
         raise HypothesisViolated("; ".join(report.failures))
     if rep is None:
         rep = Representation.trivial(pres.n_generators)
-    tensor = tensor_with_alpha(rep, pres)
+    _check_shape(pres, rep)
+    invs = rep.inverses
     rows = [
         tuple(LaurentPoly(cell) for cell in row)
         for rel in pres.relators
-        for row in _fox_pass(tensor, rel.flatten())
+        for row in _fox_pass(pres.alpha, rep.images, invs, rel.flatten())
     ]
     return AlexanderMatrix(
         entries=tuple(rows),
         n_relators=len(pres.relators),
         n_generators=pres.n_generators,
-        block_dim=tensor.dim,
+        block_dim=rep.dim,
         prime=pres.prime,
     )

@@ -169,8 +169,15 @@ class LaurentPoly:
                 raise DivisionByZero("negative powers evaluated at 0")
             return self.coeff(0)
         total = Fraction(0)
-        for k, c in self.terms.items():
-            total += c * a ** k
+        power = None
+        for k in sorted(self.terms):
+            # step a^prev up to a^k instead of raising a afresh per term
+            if power is None:
+                power = a ** k
+            else:
+                power *= a if k - prev == 1 else a ** (k - prev)
+            prev = k
+            total += self.terms[k] * power
         return total
 
     def __repr__(self):

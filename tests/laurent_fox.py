@@ -6,7 +6,7 @@ sum of the image of g with length e, every product taken over Laurent
 polynomials, one walk per generator.
 """
 
-from propfox.fox import AlexanderMatrix, Representation, TensorRep, geometric_sum
+from propfox.fox import AlexanderMatrix, Representation, geometric_sum
 from propfox.laurent import LaurentPoly
 from propfox.matrices import frac_identity, identity, mat_add, mat_mul, mat_pow, mat_scale
 
@@ -18,9 +18,17 @@ def _laurent_wrap(M, exp: int):
     )
 
 
-class LaurentTensorRep(TensorRep):
-    """The generator images as Laurent-valued matrices, with the protocol
-    evaluate_word and geometric_sum expect."""
+class LaurentTensorRep:
+    """The generator images g^{alpha_i} (x) phi(g_i) as Laurent-valued
+    matrices, with the protocol evaluate_word and geometric_sum expect."""
+
+    def __init__(self, pres, phi: Representation):
+        if len(phi.images) != pres.n_generators:
+            raise ValueError("representation does not match the generator count")
+        self.exps = pres.alpha
+        self.dim = phi.dim
+        self.phi_mats = phi.images
+        self.phi_invs = phi.inverses
 
     def identity(self):
         return identity(self.dim, LaurentPoly.one(), LaurentPoly.zero())

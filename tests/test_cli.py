@@ -171,6 +171,18 @@ def test_exit_codes(capsys, tmp_path):
     assert code == 1
 
 
+def test_corpus_mismatch_exit_code(capsys, monkeypatch):
+    tampered = propfox.corpus.CheckResult(
+        entry="eg-4.1-p3", name="delta_1", source="stated", ok=False,
+        expected="g - 4", actual="g - 5",
+    )
+    monkeypatch.setattr(propfox.corpus, "run", lambda entry_id=None: [tampered])
+    code, out, err = run_cli(capsys, "corpus", "run")
+    assert code == 5
+    assert "0/1 checks passed" in out
+    assert err.startswith("corpus mismatch:")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

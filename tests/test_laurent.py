@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from propfox import (
+    DivisionByZero,
     LaurentPoly,
     NotAUnit,
     content_valuation,
@@ -73,6 +74,16 @@ def test_eval_at():
     assert f.eval_at(Fraction(1)) == 0
     assert f.eval_at(Fraction(1, 4)) == Fraction(45, 16)
     assert L("3*g^-1").eval_at(Fraction(1, 2)) == 6
+
+
+def test_eval_at_matches_term_by_term_sum():
+    f = LaurentPoly({-9: Fraction(2, 3), -1: 5, 0: -7, 1: Fraction(-1, 2), 2: 3, 40: 1, 41: -4})
+    for a in (Fraction(4), Fraction(-3, 7), Fraction(1), Fraction(-1), Fraction(5, 2)):
+        assert f.eval_at(a) == sum(c * a ** k for k, c in f.terms.items())
+    assert LaurentPoly.monomial(-6, 3).eval_at(Fraction(1, 2)) == 192
+    assert LaurentPoly.zero().eval_at(Fraction(2)) == 0
+    with pytest.raises(DivisionByZero):
+        f.eval_at(0)
 
 
 def test_units_and_inversion():

@@ -47,6 +47,7 @@ from propfox import (
     verify_factors,
 )
 from propfox import corpus
+from propfox.cohomology import _specialized_matrix
 from propfox.extensions import mat_vec
 from propfox.fitting import _fold_minors, _minor
 from propfox.fox import AlexanderMatrix
@@ -217,10 +218,10 @@ def test_padic_mirrors_fractions(a, b):
 def test_fox_product_rule(u, v):
     ru = evaluate_word(REP41, u)
     for i in range(3):
-        lhs = fox_derivative_matrix(REP41, u * v, i)
+        lhs = fox_derivative_matrix(EG41, TRIVIAL3, u * v, i)
         rhs = _mat_add(
-            fox_derivative_matrix(REP41, u, i),
-            mat_mul(ru, fox_derivative_matrix(REP41, v, i)),
+            fox_derivative_matrix(EG41, TRIVIAL3, u, i),
+            mat_mul(ru, fox_derivative_matrix(EG41, TRIVIAL3, v, i)),
         )
         assert lhs == rhs
 
@@ -230,8 +231,8 @@ def test_fox_product_rule(u, v):
 def test_fox_inverse_rule(w):
     rw_inv = evaluate_word(REP41, w.inverse())
     for i in range(3):
-        lhs = fox_derivative_matrix(REP41, w.inverse(), i)
-        neg = tuple(tuple(-x for x in row) for row in fox_derivative_matrix(REP41, w, i))
+        lhs = fox_derivative_matrix(EG41, TRIVIAL3, w.inverse(), i)
+        neg = tuple(tuple(-x for x in row) for row in fox_derivative_matrix(EG41, TRIVIAL3, w, i))
         assert lhs == mat_mul(rw_inv, neg)
 
 
@@ -242,7 +243,7 @@ def test_fundamental_identity(w):
     ident = REP41.identity()
     total = None
     for i in range(3):
-        D = fox_derivative_matrix(REP41, w, i)
+        D = fox_derivative_matrix(EG41, TRIVIAL3, w, i)
         gi_minus_one = _mat_add(
             REP41.image(i), tuple(tuple(-x for x in row) for row in ident)
         )
@@ -282,12 +283,15 @@ def weighted_presentations(draw):
 
 
 @SUITE
-@given(weighted_presentations())
-def test_one_pass_matrix_matches_laurent_route(case):
+@given(weighted_presentations(), nonzero_fractions)
+def test_one_pass_matrix_matches_laurent_route(case, a):
     pres, rep = case
     Q = alexander_matrix(pres, rep, allow_invalid=True)
     assert Q.entries == laurent_alexander_matrix(pres, rep).entries
     assert (Q.n_rows, Q.n_cols) == (len(pres.relators) * rep.dim, 3 * rep.dim)
+    rho = specialize(pres, rep, a)
+    assert _specialized_matrix(rho) == Q.specialize(a)
+    assert rho.factors_through() == verify_factors(rho, pres).ok
 
 
 @SUITE
