@@ -17,7 +17,7 @@ from fractions import Fraction
 from .errors import DivisionByZero, InternalInconsistency
 from .fitting import is_zero_of_delta
 from .fox import AlexanderMatrix, Representation, _check_shape, alexander_matrix, evaluate_word, geometric_sum
-from .matrices import frac_inverse, frac_rank_nullspace, freeze, identity, mat_mul, mat_pow
+from .matrices import frac_rank_nullspace, freeze, identity, mat_mul, mat_pow
 from .presentation import Presentation, Word
 from .scalars import Rational
 
@@ -108,11 +108,15 @@ class SpecializedRep:
 def specialize(pres: Presentation, phi: Representation, a: Rational) -> SpecializedRep:
     a = _nonzero_point(a)
     _check_shape(pres, phi)
-    mats = tuple(
-        freeze([[a ** e * x for x in row] for row in M])
-        for e, M in zip(pres.alpha, phi.images)
-    )
-    return SpecializedRep(pres, a, mats, tuple(frac_inverse(M) for M in mats))
+
+    def scaled(images, sign):
+        return tuple(
+            freeze([[a ** (sign * e) * x for x in row] for row in M])
+            for e, M in zip(pres.alpha, images)
+        )
+
+    # (a^e M)^-1 = a^-e M^-1, with M^-1 computed once per representation
+    return SpecializedRep(pres, a, scaled(phi.images, 1), scaled(phi.inverses, -1))
 
 
 @dataclass(frozen=True)

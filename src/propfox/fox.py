@@ -14,10 +14,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import HypothesisViolated, NotInvertible, ParseError, UnknownGenerator
 from .laurent import LaurentPoly
-from .matrices import frac_identity, frac_inverse, freeze, mat_add, mat_mul, mat_neg, mat_pow, mat_scale
+from .matrices import (
+    frac_identity,
+    frac_inverse,
+    freeze,
+    from_scaled,
+    mat_add,
+    mat_mul,
+    mat_neg,
+    mat_pow,
+    mat_scale,
+    scaled_mul,
+    scaled_pow,
+    to_scaled,
+)
 from .presentation import Presentation, Word, validate_presentation
 from .scalars import Rational, parse_rational
 
@@ -39,7 +53,7 @@ class Representation:
         one = ((Fraction(1),),)
         return Representation(1, tuple(one for _ in range(n_generators)))
 
-    @property
+    @cached_property
     def inverses(self) -> tuple:
         return tuple(frac_inverse(M) for M in self.images)
 
@@ -126,12 +140,23 @@ def format_representation(rep: Representation, pres: Presentation) -> str:
 
 
 def evaluate_word(rep, word: Word):
-    """Image of a word under any object exposing dim / identity /
-    syllable_image."""
-    acc = rep.identity()
+    """Image of a word under a SpecializedRep, as exact Fractions: the
+    explicit product of its syllable images rep.mats[g]^e, with rep.invs[g]
+    for e < 0. The product runs on scaled-integer matrices; each generator
+    image is converted once and each distinct syllable power computed once
+    per call."""
+    scaled = {}
+    powers = {}
+    acc = None
     for g, e in word.syllables:
-        acc = mat_mul(acc, rep.syllable_image(g, e))
-    return acc
+        power = powers.get((g, e))
+        if power is None:
+            key = (g, e > 0)
+            if key not in scaled:
+                scaled[key] = to_scaled(rep.mats[g] if e > 0 else rep.invs[g])
+            power = powers[g, e] = scaled_pow(scaled[key], abs(e))
+        acc = power if acc is None else scaled_mul(acc, power)
+    return frac_identity(rep.dim) if acc is None else from_scaled(acc)
 
 
 def geometric_sum(M, n: int, ident, inverse=None):

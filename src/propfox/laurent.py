@@ -168,17 +168,23 @@ class LaurentPoly:
             if self.terms and self.min_exp() < 0:
                 raise DivisionByZero("negative powers evaluated at 0")
             return self.coeff(0)
-        total = Fraction(0)
-        power = None
-        for k in sorted(self.terms):
-            # step a^prev up to a^k instead of raising a afresh per term
-            if power is None:
-                power = a ** k
-            else:
-                power *= a if k - prev == 1 else a ** (k - prev)
+        if not self.terms:
+            return Fraction(0)
+        # Homogeneous Horner at a = n/d over integers: with the coefficients
+        # C_k / L on one denominator L, the sum is
+        # a^lo * (sum of C_k n^(k-lo) d^(hi-k)) / (L d^(hi-lo)).
+        n, d = a.numerator, a.denominator
+        den = math.lcm(*(c.denominator for c in self.terms.values()))
+        prev = max(self.terms)
+        acc = 0
+        d_pow = 1
+        for k in sorted(self.terms, reverse=True):
+            gap = prev - k
+            c = self.terms[k]
+            d_pow *= d ** gap
+            acc = acc * n ** gap + c.numerator * (den // c.denominator) * d_pow
             prev = k
-            total += self.terms[k] * power
-        return total
+        return a ** prev * Fraction(acc, den * d_pow)
 
     def __repr__(self):
         return f"LaurentPoly({format_laurent(self)!r})"

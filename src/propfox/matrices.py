@@ -3,12 +3,16 @@
 Matrices are tuples of tuples (immutable, hashable when the scalars are).
 Nothing here knows about Laurent polynomials specifically; the generic
 routines only use +, -, *. The field-specific routines (inverse, RREF,
-rank, nullspace) work over Fraction.
+rank, nullspace) work over Fraction. Products of many rational matrices run
+in scaled form, integer rows over one common denominator, with one gcd per
+product in place of one per scalar operation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 from .errors import NotInvertible
 
@@ -68,6 +72,51 @@ def mat_pow(A: Matrix, n: int, ident: Matrix) -> Matrix:
         base = mat_mul(base, base) if n > 1 else base
         n >>= 1
     return result
+
+
+def to_scaled(A: Matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """A rational matrix as (integer rows, one positive denominator): the
+    least common denominator of the entries, so the entries and the
+    denominator share no factor."""
+    den = lcm(*(x.denominator for row in A for x in row))
+    return tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in A), den
+
+
+def scaled_mul(A, B):
+    """Product of two scaled matrices, with the gcd of the entries and the
+    denominator divided out, which keeps the integers from growing past the
+    size of the exact value."""
+    rows_a, den_a = A
+    rows_b, den_b = B
+    cols = tuple(zip(*rows_b))
+    rows = [[sum(map(mul, ra, cb)) for cb in cols] for ra in rows_a]
+    den = den_a * den_b
+    g = gcd(den, *(x for row in rows for x in row))
+    if g > 1:
+        rows = [[x // g for x in row] for row in rows]
+        den //= g
+    return rows, den
+
+
+def scaled_pow(A, n: int):
+    """A^n for n >= 1 by repeated squaring, never multiplying by the
+    identity."""
+    if n < 1:
+        raise ValueError(f"scaled matrix power needs n >= 1, got {n}")
+    result = None
+    while True:
+        if n & 1:
+            result = A if result is None else scaled_mul(result, A)
+        n >>= 1
+        if not n:
+            return result
+        A = scaled_mul(A, A)
+
+
+def from_scaled(A) -> Matrix:
+    """The Fraction matrix of a scaled matrix."""
+    rows, den = A
+    return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
 
 
 def frac_inverse(A: Matrix) -> Matrix:

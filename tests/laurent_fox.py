@@ -20,7 +20,8 @@ def _laurent_wrap(M, exp: int):
 
 class LaurentTensorRep:
     """The generator images g^{alpha_i} (x) phi(g_i) as Laurent-valued
-    matrices, with the protocol evaluate_word and geometric_sum expect."""
+    matrices, with the protocol laurent_evaluate_word and geometric_sum
+    expect."""
 
     def __init__(self, pres, phi: Representation):
         if len(phi.images) != pres.n_generators:
@@ -42,6 +43,14 @@ class LaurentTensorRep:
     def syllable_image(self, i: int, e: int):
         base = self.phi_mats[i] if e >= 0 else self.phi_invs[i]
         return _laurent_wrap(mat_pow(base, abs(e), frac_identity(self.dim)), self.exps[i] * e)
+
+
+def laurent_evaluate_word(rep: LaurentTensorRep, word):
+    """Image of a word as the product of its Laurent syllable images."""
+    acc = rep.identity()
+    for g, e in word.syllables:
+        acc = mat_mul(acc, rep.syllable_image(g, e))
+    return acc
 
 
 def laurent_fox_derivative(rep: LaurentTensorRep, word, gen: int):

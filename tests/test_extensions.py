@@ -1,5 +1,6 @@
 """Crossed homomorphisms, block-triangular extensions, and the count criterion."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -162,3 +163,22 @@ def test_nullspace_membership_matches_verification(eg41):
         )
         cand = build_extension(eg41, Representation.trivial(3), Fraction(4), beta)
         assert verify_factors(cand, eg41).ok == in_null == expect
+
+
+def test_verify_factors_on_long_powers_is_fast():
+    """Relators with syllables of 46 and 92 letters and a 1600-fold power,
+    as in the long-word benchmark family: the explicit relator products
+    stay well inside the bound."""
+    pres = parse_presentation(
+        "prime 101\ngenerators x0 x1\n"
+        "relator x0^46*x1^-46\nrelator x0^92*x1^-92\n"
+        "relator [x0^46,(x1*x0^-1)^1600]\n"
+    )
+    phi = Representation.trivial(2)
+    a = Fraction(-1)
+    cand = build_extension(pres, phi, a, cocycle_space(pres, phi, a).basis[0])
+    start = time.perf_counter()
+    report = verify_factors(cand, pres)
+    elapsed = time.perf_counter() - start
+    assert report.ok
+    assert elapsed < 2.0

@@ -9,7 +9,6 @@ from propfox import (
     NotInvertible,
     ParseError,
     Representation,
-    evaluate_word,
     fox_derivative_matrix,
     format_representation,
     geometric_sum,
@@ -21,7 +20,7 @@ from propfox import (
 from propfox import LaurentPoly, alexander_matrix, corpus
 from propfox.matrices import frac_identity, freeze, mat_mul, mat_pow
 
-from laurent_fox import LaurentTensorRep, laurent_alexander_matrix
+from laurent_fox import LaurentTensorRep, laurent_alexander_matrix, laurent_evaluate_word
 
 
 def L(text):
@@ -114,7 +113,7 @@ def test_fox_product_rule_spot(eg41):
     v = parse_word("g3^2*g1", gens)
     for i in range(3):
         lhs = fox_derivative_matrix(eg41, phi, u * v, i)
-        ru = evaluate_word(rep, u)
+        ru = laurent_evaluate_word(rep, u)
         rhs = fox_derivative_matrix(eg41, phi, u, i)
         rhs = tuple(
             tuple(a + b for a, b in zip(ra, rb))
@@ -126,7 +125,7 @@ def test_fox_product_rule_spot(eg41):
 def test_evaluate_word_commutator_is_identity(eg41):
     rep = LaurentTensorRep(eg41, Representation.trivial(3))
     w = parse_word("[g1,g2]", eg41.generators)
-    assert evaluate_word(rep, w) == rep.identity()
+    assert laurent_evaluate_word(rep, w) == rep.identity()
 
 
 def test_alexander_matrix_eg41(eg41):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from propfox import NotInvertible, frac_identity, frac_inverse, frac_rank_nullspace, frac_rref, frac_solve
-from propfox.matrices import freeze, mat_mul, mat_pow
+from propfox.matrices import freeze, from_scaled, mat_mul, mat_pow, scaled_mul, scaled_pow, to_scaled
 
 
 def F(rows):
@@ -29,6 +29,19 @@ def test_mat_pow():
     A = F([[4, 1], [0, 1]])
     assert mat_pow(A, 0, frac_identity(2)) == frac_identity(2)
     assert mat_pow(A, 3, frac_identity(2)) == mat_mul(A, mat_mul(A, A))
+
+
+def test_scaled_form():
+    A = F([[Fraction(1, 2), Fraction(-2, 3)], [3, Fraction(5, 6)]])
+    S = to_scaled(A)
+    assert S == (((3, -4), (18, 5)), 6)
+    assert from_scaled(S) == A
+    for n in (1, 2, 5, 8):
+        assert from_scaled(scaled_pow(S, n)) == mat_pow(A, n, frac_identity(2))
+    half = to_scaled(F([[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 2)]]))
+    assert scaled_mul(half, half) == ([[1, 1], [1, 1]], 2)
+    with pytest.raises(ValueError, match="n >= 1"):
+        scaled_pow(S, 0)
 
 
 def test_rref_and_pivots():

@@ -7,7 +7,7 @@ toward short words and small numbers so each example stays exact and fast.
 from fractions import Fraction
 from itertools import combinations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from propfox import (
@@ -53,12 +53,13 @@ from propfox.fitting import _fold_minors, _minor
 from propfox.fox import AlexanderMatrix
 from propfox.matrices import frac_identity, freeze, mat_mul, mat_pow
 
-from laurent_fox import LaurentTensorRep, laurent_alexander_matrix
+from laurent_fox import LaurentTensorRep, laurent_alexander_matrix, laurent_evaluate_word
 
 SUITE = settings(max_examples=500, derandomize=True, deadline=None)
 
 EG41 = corpus.load_presentation("eg41.pres")
 TRIVIAL3 = Representation.trivial(3)
+EG44 = corpus.load_representation("eg44.rep", EG41)
 REP41 = LaurentTensorRep(EG41, TRIVIAL3)
 Q41 = alexander_matrix(EG41)
 
@@ -185,6 +186,21 @@ def test_eval_at_is_ring_map(f, h, a):
     assert (f * h).eval_at(a) == f.eval_at(a) * h.eval_at(a)
 
 
+@SUITE
+@given(
+    st.dictionaries(
+        st.integers(min_value=-60, max_value=60),
+        st.fractions(min_value=-50, max_value=50, max_denominator=30),
+        max_size=6,
+    ).map(LaurentPoly),
+    st.integers(min_value=-12, max_value=12).filter(lambda n: n != 0),
+    st.integers(min_value=1, max_value=12),
+)
+def test_eval_at_matches_term_by_term(f, n, d):
+    a = Fraction(n, d)
+    assert f.eval_at(a) == sum((c * a ** k for k, c in f.terms.items()), Fraction(0))
+
+
 # -- p-adic arithmetic mirrors the rationals ----------------------------------
 
 
@@ -216,7 +232,7 @@ def test_padic_mirrors_fractions(a, b):
 @SUITE
 @given(words, words)
 def test_fox_product_rule(u, v):
-    ru = evaluate_word(REP41, u)
+    ru = laurent_evaluate_word(REP41, u)
     for i in range(3):
         lhs = fox_derivative_matrix(EG41, TRIVIAL3, u * v, i)
         rhs = _mat_add(
@@ -229,7 +245,7 @@ def test_fox_product_rule(u, v):
 @SUITE
 @given(words)
 def test_fox_inverse_rule(w):
-    rw_inv = evaluate_word(REP41, w.inverse())
+    rw_inv = laurent_evaluate_word(REP41, w.inverse())
     for i in range(3):
         lhs = fox_derivative_matrix(EG41, TRIVIAL3, w.inverse(), i)
         neg = tuple(tuple(-x for x in row) for row in fox_derivative_matrix(EG41, TRIVIAL3, w, i))
@@ -250,7 +266,7 @@ def test_fundamental_identity(w):
         term = mat_mul(D, gi_minus_one)
         total = term if total is None else _mat_add(total, term)
     rw_minus_one = _mat_add(
-        evaluate_word(REP41, w), tuple(tuple(-x for x in row) for row in ident)
+        laurent_evaluate_word(REP41, w), tuple(tuple(-x for x in row) for row in ident)
     )
     assert total == rw_minus_one
 
@@ -545,3 +561,44 @@ def test_principal_cocycles_evaluate_as_differences(c1, c2, w):
     rw = evaluate_word(rho, w)
     expected = tuple(x - y for x, y in zip(mat_vec(rw, v), v))
     assert value == expected
+
+
+@st.composite
+def point_reps(draw):
+    """specialize or build_extension images of EG41, under the trivial
+    representation or eg44, at a nonzero rational point of either sign."""
+    phi = draw(st.sampled_from([TRIVIAL3, EG44]))
+    a = draw(st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(lambda q: q != 0))
+    if draw(st.booleans()):
+        return specialize(EG41, phi, a)
+    flat = draw(st.lists(small_fractions, min_size=3 * phi.dim, max_size=3 * phi.dim))
+    return build_extension(EG41, phi, a, CrossedHom.from_flat(flat, phi.dim))
+
+
+@st.composite
+def words_with_repeats(draw):
+    """Words of one to ten syllables drawn from a pool of two to four, with
+    exponents up to 40, so one syllable often recurs."""
+    pool = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=2),
+                st.integers(min_value=-40, max_value=40).filter(lambda e: e != 0),
+            ),
+            min_size=2,
+            max_size=4,
+        )
+    )
+    return Word.of(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10)))
+
+
+@SUITE
+@given(point_reps(), words_with_repeats())
+@example(specialize(EG41, EG44, Fraction(-3, 2)), Word())
+@example(build_extension(EG41, TRIVIAL3, Fraction(1, 4), CrossedHom.from_flat((1, 2, 3), 1)), Word())
+def test_evaluate_word_matches_fraction_syllable_product(rho, w):
+    ident = frac_identity(rho.dim)
+    expected = ident
+    for g, e in w.syllables:
+        expected = mat_mul(expected, mat_pow(rho.mats[g] if e > 0 else rho.invs[g], abs(e), ident))
+    assert evaluate_word(rho, w) == expected
