@@ -99,6 +99,8 @@ def _laurent_matrix_json(M) -> list:
 
 
 def _inputs(args) -> dict:
+    if not hasattr(args, "file"):
+        return {"id": args.id}
     inputs = {"presentation": args.file}
     if getattr(args, "rep", None):
         inputs["representation"] = args.rep
@@ -110,7 +112,7 @@ def _emit(args, command: str, results: dict, text_lines: list[str]) -> None:
         payload = {
             "schema_version": SCHEMA_VERSION,
             "command": command,
-            "inputs": _inputs(args) if hasattr(args, "file") else {},
+            "inputs": _inputs(args),
             "results": results,
         }
         print(json.dumps(payload, indent=2))
@@ -335,7 +337,7 @@ def _cmd_corpus(args) -> int:
         results = corpus.run(args.id)
     except KeyError:
         raise UsageError(f"unknown corpus entry: {args.id}")
-    check_dicts = [
+    checks = [
         {
             "entry": r.entry,
             "name": r.name,
@@ -347,22 +349,9 @@ def _cmd_corpus(args) -> int:
         for r in results
     ]
     ok_count = sum(1 for r in results if r.ok)
-    lines = []
-    for r in results:
-        mark = "ok" if r.ok else "FAIL"
-        lines.append(f"{r.entry}: {r.name} [{r.source}]: {mark}")
+    lines = [f"{r.entry}: {r.name} [{r.source}]: {'ok' if r.ok else 'FAIL'}" for r in results]
     lines.append(f"{ok_count}/{len(results)} checks passed")
-    if args.json:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "corpus",
-            "inputs": {"id": args.id},
-            "results": {"checks": check_dicts, "passed": ok_count, "total": len(results)},
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in lines:
-            print(line)
+    _emit(args, "corpus", {"checks": checks, "passed": ok_count, "total": len(results)}, lines)
     corpus.ensure(results)
     return 0
 

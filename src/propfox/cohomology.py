@@ -23,13 +23,13 @@ from .errors import (
 from .extensions import (
     CrossedHom,
     SpecializedRep,
-    _cocycle_space,
+    cocycle_space,
     mat_vec,
     specialize,
     verify_factors,
 )
 from .fitting import fitting_delta, is_zero_of_delta
-from .fox import AlexanderMatrix, Representation, _fox_pass, alexander_matrix
+from .fox import Representation, _fox_pass, alexander_matrix
 from .matrices import frac_inverse, frac_rank_nullspace, frac_solve, freeze
 from .presentation import Presentation, validate_presentation
 from .scalars import Rational, unit_ball_check
@@ -49,7 +49,7 @@ def coboundary_matrix(rho: SpecializedRep):
 def fixed_space(rho: SpecializedRep):
     """Basis of the common eigenvalue-one eigenspace of the generator
     images."""
-    _, basis = frac_rank_nullspace(coboundary_matrix(rho))
+    _, basis = frac_rank_nullspace(coboundary_matrix(rho), rho.dim)
     return basis
 
 
@@ -75,21 +75,14 @@ def h1_report(pres: Presentation, phi: Representation, a: Rational) -> Cohomolog
             "the specialized images do not kill the relators, so they carry "
             "no action of the presented group"
         )
-    return _h1_report(alexander_matrix(pres, phi), rho)
-
-
-def _h1_report(Q: AlexanderMatrix, rho: SpecializedRep) -> CohomologyReport:
-    """h1_report on the relation matrix Q of rho's presentation and
-    representation, for a rho already known to factor through."""
-    space = _cocycle_space(Q, rho.a)
-    C = coboundary_matrix(rho)
-    b1, fixed_basis = frac_rank_nullspace(C)
+    space = cocycle_space(pres, phi, rho.a)
+    b1, fixed_basis = frac_rank_nullspace(coboundary_matrix(rho), rho.dim)
     h1 = space.dim - b1
     if h1 < 0:
         raise InternalInconsistency(
             f"principal dimension {b1} exceeds the full space {space.dim}"
         )
-    delta = fitting_delta(Q, rho.dim).delta
+    delta = fitting_delta(alexander_matrix(pres, phi), rho.dim).delta
     return CohomologyReport(
         a=rho.a,
         ell=rho.dim,
@@ -221,8 +214,9 @@ def theorem_audit(pres: Presentation, phi: Representation, a: Rational) -> Theor
     if a == 0:
         failures.append("the evaluation point is zero")
     elif report.ok:
-        rho = specialize(pres, phi, a)
-        if not rho.factors_through():
+        try:
+            coh = h1_report(pres, phi, a)
+        except HypothesisViolated:
             failures.append("the specialized images do not kill the relators")
     if a != 0 and not unit_ball_check(a, pres.prime):
         failures.append(
@@ -240,9 +234,7 @@ def theorem_audit(pres: Presentation, phi: Representation, a: Rational) -> Theor
             fixed_dim=None,
             delta_zero=None,
         )
-    Q = alexander_matrix(pres, phi)
-    coh = _h1_report(Q, rho)
-    dz = is_zero_of_delta(Q, phi.dim, a)
+    dz = is_zero_of_delta(alexander_matrix(pres, phi), phi.dim, a)
     if dz != (coh.delta_value_at_a == 0):
         raise InternalInconsistency(
             "divisor vanishing and the reported divisor value disagree at "

@@ -15,6 +15,7 @@ from fractions import Fraction as F
 from importlib import resources
 
 from .cohomology import (
+    _NOT_APPLICABLE,
     coboundary_matrix,
     h1_report,
     is_coboundary,
@@ -36,8 +37,6 @@ from .fox import Representation, alexander_matrix, parse_representation
 from .laurent import parse_laurent
 from .presentation import Presentation, parse_presentation
 from .zeros import filter_unit_ball, hensel_roots, rational_roots, zero_report
-
-_NOT_APPLICABLE = "hypothesis violated, not applicable"
 
 
 def _data_text(name: str) -> str:

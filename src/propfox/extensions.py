@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import DivisionByZero, InternalInconsistency
 from .fitting import is_zero_of_delta
-from .fox import AlexanderMatrix, Representation, _check_shape, alexander_matrix, evaluate_word, geometric_sum
+from .fox import Representation, _check_shape, alexander_matrix, evaluate_word, geometric_sum
 from .matrices import frac_rank_nullspace, freeze, identity, mat_mul, mat_pow
 from .presentation import Presentation, Word
 from .scalars import Rational
@@ -132,11 +132,8 @@ def cocycle_space(pres: Presentation, phi: Representation, a: Rational) -> Cocyc
     the specialization at a: the nullspace of the specialized relation
     matrix, reshaped to one vector per generator."""
     a = _nonzero_point(a)
-    return _cocycle_space(alexander_matrix(pres, phi), a)
-
-
-def _cocycle_space(Q: AlexanderMatrix, a: Fraction) -> CocycleSpace:
-    _, basis = frac_rank_nullspace(Q.specialize(a))
+    Q = alexander_matrix(pres, phi)
+    _, basis = frac_rank_nullspace(Q.specialize(a), Q.n_cols)
     hom_basis = tuple(CrossedHom.from_flat(vec, Q.block_dim) for vec in basis)
     return CocycleSpace(a=a, ell=Q.block_dim, dim=len(hom_basis), basis=hom_basis)
 
@@ -220,14 +217,12 @@ def extension_count_criterion(
     ever disagree there is a bug, and the run stops hard."""
     if k is None:
         k = phi.dim + 1
-    a = _nonzero_point(a)
-    Q = alexander_matrix(pres, phi)
-    space = _cocycle_space(Q, a)
+    space = cocycle_space(pres, phi, a)
     meets = space.dim >= k
-    dz = is_zero_of_delta(Q, k - 1, a)
+    dz = is_zero_of_delta(alexander_matrix(pres, phi), k - 1, space.a)
     if meets != dz:
         raise InternalInconsistency(
             f"dimension count ({space.dim} vs k={k}) and divisor vanishing at "
-            f"a={a} disagree"
+            f"a={space.a} disagree"
         )
     return ExtensionCount(dim=space.dim, k=k, meets_k=meets, delta_zero=dz)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import HypothesisViolated, NotInvertible, ParseError, UnknownGenerator
 from .laurent import LaurentPoly
@@ -264,16 +264,23 @@ class AlexanderMatrix:
         return tuple(tuple(f.eval_at(a) for f in row) for row in self.entries)
 
 
-def alexander_matrix(
-    pres: Presentation, rep: Representation | None = None, allow_invalid: bool = False
-) -> AlexanderMatrix:
+def alexander_matrix(pres: Presentation, rep: Representation | None = None) -> AlexanderMatrix:
     """Differentiate every relator (flattened to left * right^-1) by every
-    generator under the weighted tensor representation."""
+    generator under the weighted tensor representation. The hypotheses are
+    checked on every call; the matrix itself is built once per equal
+    (presentation, representation) pair and shared by every later call."""
     report = validate_presentation(pres)
-    if not report.ok and not allow_invalid:
+    if not report.ok:
         raise HypothesisViolated("; ".join(report.failures))
     if rep is None:
         rep = Representation.trivial(pres.n_generators)
+    return _relation_matrix(pres, rep)
+
+
+@lru_cache(maxsize=None)
+def _relation_matrix(pres: Presentation, rep: Representation) -> AlexanderMatrix:
+    """alexander_matrix without the hypothesis check. Like fitting_delta,
+    the memo keeps every matrix it builds for the life of the process."""
     _check_shape(pres, rep)
     invs = rep.inverses
     rows = [

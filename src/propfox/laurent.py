@@ -14,7 +14,7 @@ import re
 from fractions import Fraction
 
 from .errors import DivisionByZero, NotAUnit
-from .scalars import format_rational, parse_rational
+from .scalars import format_rational, parse_rational, valuation
 
 SYMBOL = "g"
 
@@ -288,14 +288,7 @@ def content_valuation(f: LaurentPoly, p: int) -> int | None:
     for c in f.terms.values():
         num = math.gcd(num, abs(c.numerator))
         den = den * c.denominator // math.gcd(den, c.denominator)
-    v = 0
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    return valuation(Fraction(num, den), p)
 
 
 # -- text form ---------------------------------------------------------------

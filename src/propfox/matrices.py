@@ -163,16 +163,14 @@ def frac_rref(A) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...]]:
     return freeze(rows), tuple(pivots)
 
 
-def frac_rank_nullspace(A) -> tuple[int, tuple[tuple[Fraction, ...], ...]]:
+def frac_rank_nullspace(A, ncols: int | None = None) -> tuple[int, tuple[tuple[Fraction, ...], ...]]:
     """Rank and a nullspace basis (free variable set to 1, others 0, pivot
-    entries solved; the conventional RREF parametrization)."""
+    entries solved; the conventional RREF parametrization). A matrix with no
+    rows does not show its column count, so pass ncols for one."""
     rows = [list(r) for r in A]
-    if not rows or not rows[0]:
+    if ncols is None:
         ncols = len(rows[0]) if rows else 0
-        basis = [tuple(Fraction(int(i == j)) for j in range(ncols)) for i in range(ncols)]
-        return 0, tuple(basis)
     rref, pivots = frac_rref(rows)
-    ncols = len(rows[0])
     rank = len(pivots)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []

@@ -37,20 +37,34 @@ def format_rational(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+def _int_valuation(n: int, p: int) -> int:
+    """v_p of a nonzero integer in O(log v) divisions: divide by p, p^2,
+    p^4, ... while they divide, then step back down the same powers. The
+    powers that still divide on the way down give the binary digits of the
+    remaining valuation, which is below the last power's exponent."""
+    powers = []
+    q = p
+    while True:
+        n2, r = divmod(n, q)
+        if r:
+            break
+        powers.append(q)
+        n = n2
+        q = q * q
+    v = (1 << len(powers)) - 1
+    for k in reversed(range(len(powers))):
+        n2, r = divmod(n, powers[k])
+        if not r:
+            n = n2
+            v += 1 << k
+    return v
+
+
 def valuation(q: Fraction, p: int) -> int | None:
     """p-adic valuation of a rational; None stands for +infinity (q = 0)."""
     if q == 0:
         return None
-    v = 0
-    n = abs(q.numerator)
-    while n % p == 0:
-        n //= p
-        v += 1
-    d = q.denominator
-    while d % p == 0:
-        d //= p
-        v -= 1
-    return v
+    return _int_valuation(q.numerator, p) - _int_valuation(q.denominator, p)
 
 
 def unit_ball_check(a: Fraction, p: int) -> bool:

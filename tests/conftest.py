@@ -1,8 +1,11 @@
-"""Shared fixtures: the bundled example presentations and representations."""
+"""Shared fixtures: the bundled example presentations and representations,
+and a fresh relation-matrix memo that counts real builds."""
+
+from functools import lru_cache
 
 import pytest
 
-from propfox import corpus
+from propfox import corpus, fox
 
 
 @pytest.fixture(scope="session")
@@ -38,3 +41,12 @@ def eg45rep(eg41):
 @pytest.fixture(scope="session")
 def eg55rep(eg41):
     return corpus.load_representation("eg55.rep", eg41)
+
+
+@pytest.fixture
+def relation_memo(monkeypatch):
+    """An empty memo in place of the relation-matrix builder's for one test;
+    its cache_info().misses counts the matrices really built."""
+    memo = lru_cache(maxsize=None)(fox._relation_matrix.__wrapped__)
+    monkeypatch.setattr(fox, "_relation_matrix", memo)
+    return memo

@@ -127,6 +127,31 @@ def test_cohomology_output(capsys):
     assert "audit forward: consistent" in out
 
 
+@pytest.fixture
+def free_pres(tmp_path):
+    path = tmp_path / "free.pres"
+    path.write_text("prime 3\ngenerators a b\n")
+    return str(path)
+
+
+def test_extend_without_relators(capsys, free_pres):
+    code, out, _ = run_cli(capsys, "extend", free_pres, "--at", "4", "--json")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["dim"] == 2
+    assert results["sample"]["verified"] is True
+
+
+def test_cohomology_without_relators(capsys, free_pres):
+    code, out, _ = run_cli(capsys, "cohomology", free_pres, "--at", "4", "--json")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert (results["z1_dim"], results["b1_dim"], results["h1_dim"]) == (2, 1, 1)
+    assert results["audit"]["forward_verdict"] == "consistent"
+    assert results["audit"]["converse_verdict"] == "consistent"
+    assert results["audit"]["hypothesis_failures"] == []
+
+
 def test_iwasawa_delta(capsys):
     code, out, _ = run_cli(capsys, "iwasawa-delta", EG41, "--d", "0")
     assert code == 0

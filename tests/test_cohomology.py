@@ -1,9 +1,11 @@
 """Coboundaries, quotient dimensions, symmetric squares, and the audit."""
 
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
+from propfox import cli, corpus
 from propfox import (
     CrossedHom,
     HypothesisViolated,
@@ -165,17 +167,8 @@ def test_theorem_audit_unit_ball_gate(eg41):
     [cocycle_space, h1_report, theorem_audit, extension_count_criterion],
     ids=lambda f: f.__name__,
 )
-def test_public_calls_build_the_relation_matrix_once(monkeypatch, eg41, call):
-    import propfox.cohomology
-    import propfox.extensions
+def test_public_calls_build_the_relation_matrix_once(monkeypatch, relation_memo, eg41, call):
     from propfox.extensions import SpecializedRep
-
-    builds = []
-    build = propfox.extensions.alexander_matrix
-
-    def counted_build(*args, **kwargs):
-        builds.append(args)
-        return build(*args, **kwargs)
 
     checks = []
     check = SpecializedRep.factors_through
@@ -184,9 +177,18 @@ def test_public_calls_build_the_relation_matrix_once(monkeypatch, eg41, call):
         checks.append(self)
         return check(self)
 
-    for module in (propfox.extensions, propfox.cohomology):
-        monkeypatch.setattr(module, "alexander_matrix", counted_build)
     monkeypatch.setattr(SpecializedRep, "factors_through", counted_check)
     call(eg41, Representation.trivial(3), Fraction(4))
-    assert len(builds) <= 1
+    assert relation_memo.cache_info().misses == 1
     assert len(checks) <= 1
+
+
+def test_equal_inputs_share_one_build(relation_memo, capsys):
+    for call in (cocycle_space, h1_report, theorem_audit, extension_count_criterion):
+        call(corpus.load_presentation("eg41.pres"), Representation.trivial(3), Fraction(4))
+    path = str(resources.files("propfox") / "corpus_data" / "eg41.pres")
+    assert cli.main(["cohomology", path, "--at", "4"]) == 0
+    assert "audit forward: consistent" in capsys.readouterr().out
+    info = relation_memo.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    assert info.hits >= 5

@@ -18,6 +18,7 @@ from propfox import (
     parse_word,
 )
 from propfox import LaurentPoly, alexander_matrix, corpus
+from propfox.fox import _relation_matrix
 from propfox.matrices import frac_identity, freeze, mat_mul, mat_pow
 
 from laurent_fox import LaurentTensorRep, laurent_alexander_matrix, laurent_evaluate_word
@@ -148,8 +149,20 @@ def test_alexander_matrix_rejects_invalid():
     with pytest.raises(HypothesisViolated) as exc:
         alexander_matrix(bad)
     assert "relator 1 has total degree 3" in str(exc.value)
-    Q = alexander_matrix(bad, allow_invalid=True)
+    Q = _relation_matrix(bad, Representation.trivial(2))
     assert Q.n_rows == 1
+
+
+def test_alexander_matrix_raises_on_every_call(relation_memo):
+    bad = parse_presentation("prime 3\ngenerators a b\nrelator a^3")
+    for _ in range(2):
+        with pytest.raises(HypothesisViolated):
+            alexander_matrix(bad)
+    assert relation_memo.cache_info().misses == 0
+
+
+def test_alexander_matrix_default_rep_is_the_trivial_one(eg41):
+    assert alexander_matrix(eg41) is alexander_matrix(eg41, Representation.trivial(3))
 
 
 def test_specialize_matrix(eg41):

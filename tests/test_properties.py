@@ -50,7 +50,7 @@ from propfox import corpus
 from propfox.cohomology import _specialized_matrix
 from propfox.extensions import mat_vec
 from propfox.fitting import _fold_minors, _minor
-from propfox.fox import AlexanderMatrix
+from propfox.fox import AlexanderMatrix, _relation_matrix
 from propfox.matrices import frac_identity, freeze, mat_mul, mat_pow
 
 from laurent_fox import LaurentTensorRep, laurent_alexander_matrix, laurent_evaluate_word
@@ -278,6 +278,48 @@ long_syllables = st.tuples(
 long_words = st.lists(long_syllables, max_size=6).map(Word.of)
 
 
+def naive_valuation(q, p):
+    """v_p by dividing out one factor of p at a time: the oracle for
+    scalars.valuation."""
+    if q == 0:
+        return None
+    v = 0
+    n = abs(q.numerator)
+    while n % p == 0:
+        n //= p
+        v += 1
+    d = q.denominator
+    while d % p == 0:
+        d //= p
+        v -= 1
+    return v
+
+
+@st.composite
+def valued_rationals(draw):
+    """(q, p, v_p(q)): a unit times p^v, or zero with v None. |v| goes up
+    to 3000 for small p and to 300 for large p, which keeps the oracle's
+    one-factor-at-a-time division fast."""
+    p = draw(st.sampled_from([2, 3, 7, 10007, 2 ** 61 - 1]))
+    if draw(st.integers(min_value=0, max_value=19)) == 0:
+        return Fraction(0), p, None
+    bound = 3000 if p < 100 else 300
+    v = draw(st.integers(min_value=-bound, max_value=bound))
+    num = draw(st.integers(min_value=-(10 ** 30), max_value=10 ** 30).filter(lambda n: n % p))
+    den = draw(st.integers(min_value=1, max_value=10 ** 30).filter(lambda n: n % p))
+    return Fraction(num, den) * Fraction(p) ** v, p, v
+
+
+@SUITE
+@given(valued_rationals())
+@example((Fraction(0), 3, None))
+@example((Fraction(-1, 3 ** 2000), 3, -2000))
+@example((Fraction(2 ** 1023), 2, 1023))
+def test_valuation_matches_naive_division(case):
+    q, p, v = case
+    assert valuation(q, p) == naive_valuation(q, p) == v
+
+
 @st.composite
 def weighted_presentations(draw):
     """Three generators with weights 1 or any in -2..2, one to three relators
@@ -302,7 +344,7 @@ def weighted_presentations(draw):
 @given(weighted_presentations(), nonzero_fractions)
 def test_one_pass_matrix_matches_laurent_route(case, a):
     pres, rep = case
-    Q = alexander_matrix(pres, rep, allow_invalid=True)
+    Q = _relation_matrix(pres, rep)
     assert Q.entries == laurent_alexander_matrix(pres, rep).entries
     assert (Q.n_rows, Q.n_cols) == (len(pres.relators) * rep.dim, 3 * rep.dim)
     rho = specialize(pres, rep, a)
@@ -339,7 +381,7 @@ def test_geometric_sum_matches_direct(n):
     )
 )
 def test_delta_chain_divides(rows):
-    from propfox.fox import AlexanderMatrix
+    from propfox.fox import AlexanderMatrix, _relation_matrix
 
     Q = AlexanderMatrix(
         entries=tuple(tuple(r) for r in rows),
