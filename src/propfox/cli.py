@@ -295,8 +295,10 @@ def _cmd_extend(args) -> int:
 def _cmd_cohomology(args) -> int:
     pres = _load_pres(args)
     rep = _load_rep(args, pres)
-    coh = h1_report(pres, rep, args.at)
     audit = theorem_audit(pres, rep, args.at)
+    # The audit carries no report exactly when h1_report raises, so the call
+    # here only ever raises that error.
+    coh = audit.cohomology or h1_report(pres, rep, args.at)
     results = {
         "at": format_rational(coh.a),
         "z1_dim": coh.z1_dim,

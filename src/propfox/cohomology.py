@@ -28,7 +28,7 @@ from .extensions import (
     specialize,
     verify_factors,
 )
-from .fitting import fitting_delta, is_zero_of_delta
+from .fitting import fitting_delta, zero_by_both_routes
 from .fox import Representation, _fox_pass, alexander_matrix
 from .matrices import frac_inverse, frac_rank_nullspace, frac_solve, freeze
 from .presentation import Presentation, validate_presentation
@@ -76,7 +76,8 @@ def h1_report(pres: Presentation, phi: Representation, a: Rational) -> Cohomolog
             "no action of the presented group"
         )
     space = cocycle_space(pres, phi, rho.a)
-    b1, fixed_basis = frac_rank_nullspace(coboundary_matrix(rho), rho.dim)
+    fixed_basis = fixed_space(rho)
+    b1 = rho.dim - len(fixed_basis)
     h1 = space.dim - b1
     if h1 < 0:
         raise InternalInconsistency(
@@ -89,7 +90,7 @@ def h1_report(pres: Presentation, phi: Representation, a: Rational) -> Cohomolog
         z1_dim=space.dim,
         b1_dim=b1,
         h1_dim=h1,
-        fixed_dim=rho.dim - b1,
+        fixed_dim=len(fixed_basis),
         delta_value_at_a=delta.eval_at(rho.a),
         cocycle_basis=space.basis,
         fixed_basis=tuple(fixed_basis),
@@ -193,6 +194,7 @@ class TheoremAudit:
     h1_dim: int | None
     fixed_dim: int | None
     delta_zero: bool | None
+    cohomology: CohomologyReport | None
 
     @property
     def verdict(self) -> str:
@@ -205,9 +207,11 @@ def theorem_audit(pres: Presentation, phi: Representation, a: Rational) -> Theor
     """Check both implications between divisor vanishing and nonzero
     quotient cohomology, each only when its hypotheses hold. A failure of an
     applicable implication is a bug in this library or a counterexample, and
-    either way it must crash, not report."""
+    either way it must crash, not report. The audit carries the cohomology
+    report it computed, also when a later hypothesis fails, or None."""
     a = Fraction(a)
     failures: list[str] = []
+    coh = None
     report = validate_presentation(pres)
     if not report.ok:
         failures.extend(report.failures)
@@ -233,13 +237,9 @@ def theorem_audit(pres: Presentation, phi: Representation, a: Rational) -> Theor
             h1_dim=None,
             fixed_dim=None,
             delta_zero=None,
+            cohomology=coh,
         )
-    dz = is_zero_of_delta(alexander_matrix(pres, phi), phi.dim, a)
-    if dz != (coh.delta_value_at_a == 0):
-        raise InternalInconsistency(
-            "divisor vanishing and the reported divisor value disagree at "
-            f"a={a}"
-        )
+    dz = zero_by_both_routes(coh.delta_value_at_a, coh.z1_dim, coh.ell, a)
     if dz and coh.h1_dim == 0:
         raise TheoremViolation(
             f"the divisor vanishes at a={a} but the quotient cohomology is "
@@ -261,4 +261,5 @@ def theorem_audit(pres: Presentation, phi: Representation, a: Rational) -> Theor
         h1_dim=coh.h1_dim,
         fixed_dim=coh.fixed_dim,
         delta_zero=dz,
+        cohomology=coh,
     )

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DivisionByZero, InternalInconsistency
-from .fitting import is_zero_of_delta
+from .errors import DivisionByZero
+from .fitting import fitting_delta, zero_by_both_routes
 from .fox import Representation, _check_shape, alexander_matrix, evaluate_word, geometric_sum
 from .matrices import frac_rank_nullspace, freeze, identity, mat_mul, mat_pow
 from .presentation import Presentation, Word
@@ -213,16 +213,12 @@ def extension_count_criterion(
 ) -> ExtensionCount:
     """Compare the crossed-homomorphism dimension against the threshold k,
     and cross-check against the vanishing of the (k-1)-st determinant
-    divisor at a. The two tests are equivalent by rank counting; if they
-    ever disagree there is a bug, and the run stops hard."""
+    divisor at a. The dimension is the nullity of the specialized relation
+    matrix, so the two tests are equivalent by rank counting; if they ever
+    disagree there is a bug, and the run stops hard."""
     if k is None:
         k = phi.dim + 1
     space = cocycle_space(pres, phi, a)
-    meets = space.dim >= k
-    dz = is_zero_of_delta(alexander_matrix(pres, phi), k - 1, space.a)
-    if meets != dz:
-        raise InternalInconsistency(
-            f"dimension count ({space.dim} vs k={k}) and divisor vanishing at "
-            f"a={space.a} disagree"
-        )
-    return ExtensionCount(dim=space.dim, k=k, meets_k=meets, delta_zero=dz)
+    delta = fitting_delta(alexander_matrix(pres, phi), k - 1).delta
+    dz = zero_by_both_routes(delta.eval_at(space.a), space.dim, k - 1, space.a)
+    return ExtensionCount(dim=space.dim, k=k, meets_k=space.dim >= k, delta_zero=dz)

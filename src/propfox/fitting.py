@@ -45,7 +45,7 @@ from .laurent import (
 )
 from .matrices import frac_rank_nullspace
 from .presentation import Presentation
-from .scalars import PAdicApprox, Rational
+from .scalars import Rational
 
 
 def det_laurent(rows) -> LaurentPoly:
@@ -269,16 +269,13 @@ def rank_at(Q: AlexanderMatrix, a: Rational) -> int:
     return rank
 
 
-def is_zero_of_delta(Q: AlexanderMatrix, d: int, a: Rational) -> bool:
-    """Whether a kills the d-th divisor, checked two independent ways: by
-    evaluating the gcd and by the rank of the specialized matrix. The two
-    must agree; disagreement would mean a computation bug."""
-    a = Fraction(a)
-    if a == 0:
-        raise DivisionByZero("the divisor zeros live in the nonzero rationals")
-    delta = fitting_delta(Q, d).delta
-    by_eval = delta.is_zero() or delta.eval_at(a) == 0
-    by_rank = rank_at(Q, a) < Q.n_cols - d
+def zero_by_both_routes(delta_value: Fraction, nullity: int, d: int, a: Fraction) -> bool:
+    """Whether the d-th divisor vanishes at a, by two independent routes
+    that must agree: its value at a, and the nullity of the relation matrix
+    specialized at a, whose rank n_cols - nullity falls below n_cols - d
+    exactly when nullity > d. Disagreement would mean a computation bug."""
+    by_eval = delta_value == 0
+    by_rank = nullity > d
     if by_eval != by_rank:
         raise InternalInconsistency(
             f"divisor evaluation and rank drop disagree at a={a} for d={d}: "
@@ -287,60 +284,18 @@ def is_zero_of_delta(Q: AlexanderMatrix, d: int, a: Rational) -> bool:
     return by_eval
 
 
+def is_zero_of_delta(Q: AlexanderMatrix, d: int, a: Rational) -> bool:
+    """Whether a kills the d-th divisor, checked by evaluating the gcd and by
+    the rank of the specialized matrix (see zero_by_both_routes)."""
+    a = Fraction(a)
+    if a == 0:
+        raise DivisionByZero("the divisor zeros live in the nonzero rationals")
+    value = fitting_delta(Q, d).delta.eval_at(a)
+    return zero_by_both_routes(value, Q.n_cols - rank_at(Q, a), d, a)
+
+
 def iwasawa_delta(pres: Presentation, d: int) -> LaurentPoly:
     """The d-th divisor in the classical indexing for the rank-one quotient
     module: drop one column's worth of rank before taking minors."""
     Q = alexander_matrix(pres, None)
     return fitting_delta(Q, d + 1).delta
-
-
-def rank_nullspace_padic(rows, prime: int):
-    """Gaussian elimination over p-adic approximations. Pivots are chosen
-    with minimal valuation; entries indistinguishable from zero at their
-    precision are never pivoted on, and the flag reports when such an entry
-    had to be treated as zero (so more precision could raise the rank)."""
-    work = [list(r) for r in rows]
-    if not work or not work[0]:
-        return 0, [], False
-    n_rows, n_cols = len(work), len(work[0])
-    limited = False
-    pivots: list[int] = []
-    row = 0
-    for col in range(n_cols):
-        if row >= n_rows:
-            break
-        candidates = [
-            (r, work[r][col]) for r in range(row, n_rows) if not work[r][col].is_zero_state()
-        ]
-        if not candidates:
-            limited = True
-            continue
-        piv_row, piv = min(candidates, key=lambda rc: rc[1].val)
-        work[row], work[piv_row] = work[piv_row], work[row]
-        for r in range(n_rows):
-            if r == row:
-                continue
-            entry = work[r][col]
-            if entry.is_zero_state():
-                continue
-            factor = entry / piv
-            work[r] = [x - factor * y for x, y in zip(work[r], work[row])]
-        pivots.append(col)
-        row += 1
-    rank = len(pivots)
-    free = [c for c in range(n_cols) if c not in pivots]
-    basis = []
-    prec = max(
-        (e.prec for r in work for e in r if not e.is_zero_state()), default=8
-    )
-    one = PAdicApprox.from_rational(Fraction(1), prime, prec)
-    for fc in free:
-        vec = [PAdicApprox.zero(prime, prec)] * n_cols
-        vec[fc] = one
-        for r, pc in enumerate(pivots):
-            entry = work[r][fc]
-            if entry.is_zero_state():
-                continue
-            vec[pc] = -(entry / work[r][pc])
-        basis.append(tuple(vec))
-    return rank, basis, limited

@@ -1,16 +1,21 @@
 """Coboundaries, quotient dimensions, symmetric squares, and the audit."""
 
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from importlib import resources
 
 import pytest
 
-from propfox import cli, corpus
+from propfox import cli, cohomology, corpus, extensions, fitting, matrices
 from propfox import (
     CrossedHom,
+    DivisionByZero,
     HypothesisViolated,
+    InternalInconsistency,
     NotACocycle,
     Representation,
+    alexander_matrix,
     build_extension,
     coboundary_matrix,
     cocycle_space,
@@ -18,11 +23,15 @@ from propfox import (
     fixed_space,
     h1_report,
     is_coboundary,
+    is_zero_of_delta,
+    parse_laurent,
+    parse_presentation,
     specialize,
     symmetric_square_cocycle,
     theorem_audit,
 )
-from propfox.extensions import mat_vec
+from propfox.extensions import SpecializedRep, mat_vec
+from propfox.fox import AlexanderMatrix
 
 
 def F(*xs):
@@ -162,25 +171,98 @@ def test_theorem_audit_unit_ball_gate(eg41):
     assert any("unit ball" in f or "congruent" in f for f in audit.hypothesis_failures)
 
 
+@pytest.fixture
+def point_counts(monkeypatch):
+    """Counts of relator verifications, specializations of the relation
+    matrix and nullspace eliminations, wherever the library looks them up."""
+    counts = Counter()
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        SpecializedRep, "factors_through", counted("verify", SpecializedRep.factors_through)
+    )
+    monkeypatch.setattr(
+        AlexanderMatrix, "specialize", counted("specialize", AlexanderMatrix.specialize)
+    )
+    nullspace = counted("nullspace", matrices.frac_rank_nullspace)
+    for module in (cohomology, extensions, fitting):
+        monkeypatch.setattr(module, "frac_rank_nullspace", nullspace)
+    return counts
+
+
 @pytest.mark.parametrize(
-    "call",
-    [cocycle_space, h1_report, theorem_audit, extension_count_criterion],
-    ids=lambda f: f.__name__,
+    "call, specialize_count, nullspace_count",
+    [
+        pytest.param(cocycle_space, 1, 1, id="cocycle_space"),
+        pytest.param(h1_report, 1, 2, id="h1_report"),
+        pytest.param(theorem_audit, 1, 2, id="theorem_audit"),
+        pytest.param(extension_count_criterion, 1, 1, id="extension_count_criterion"),
+    ],
 )
-def test_public_calls_build_the_relation_matrix_once(monkeypatch, relation_memo, eg41, call):
-    from propfox.extensions import SpecializedRep
-
-    checks = []
-    check = SpecializedRep.factors_through
-
-    def counted_check(self):
-        checks.append(self)
-        return check(self)
-
-    monkeypatch.setattr(SpecializedRep, "factors_through", counted_check)
+def test_public_calls_build_the_relation_matrix_once(
+    relation_memo, point_counts, eg41, call, specialize_count, nullspace_count
+):
     call(eg41, Representation.trivial(3), Fraction(4))
     assert relation_memo.cache_info().misses == 1
-    assert len(checks) <= 1
+    assert point_counts["verify"] <= 1
+    assert (point_counts["specialize"], point_counts["nullspace"]) == (
+        specialize_count,
+        nullspace_count,
+    )
+
+
+def test_cli_cohomology_runs_each_point_step_once(point_counts, capsys):
+    path = str(resources.files("propfox") / "corpus_data" / "eg41.pres")
+    assert cli.main(["cohomology", path, "--at", "4"]) == 0
+    assert "audit forward: consistent" in capsys.readouterr().out
+    assert dict(point_counts) == {"verify": 1, "specialize": 1, "nullspace": 2}
+
+
+def test_audit_carries_the_report_exactly_when_h1_report_succeeds(eg41):
+    trivial = Representation.trivial(3)
+    non_factoring = Representation(
+        1, (((Fraction(2),),), ((Fraction(1),),), ((Fraction(1),),))
+    )
+    degree_one = parse_presentation("prime 3\ngenerators a b\nrelator a*b\n")
+    for pres, phi, a, error in [
+        (eg41, trivial, Fraction(0), DivisionByZero),
+        (eg41, non_factoring, Fraction(1), HypothesisViolated),
+        (degree_one, Representation.trivial(2), Fraction(4), HypothesisViolated),
+    ]:
+        assert theorem_audit(pres, phi, a).cohomology is None
+        with pytest.raises(error):
+            h1_report(pres, phi, a)
+    for a in (Fraction(2), Fraction(4)):
+        audit = theorem_audit(eg41, trivial, a)
+        assert audit.cohomology == h1_report(eg41, trivial, a)
+    assert theorem_audit(eg41, trivial, Fraction(2)).hypothesis_failures != ()
+
+
+def test_rank_and_divisor_routes_stay_independent(monkeypatch, eg41):
+    """With the divisor at d = 1 replaced by g - 5, which does not vanish at
+    4 where the rank still drops, every comparison of the two routes
+    raises."""
+    real = fitting.fitting_delta
+
+    def planted(Q, d):
+        result = real(Q, d)
+        return replace(result, delta=parse_laurent("g - 5")) if d == 1 else result
+
+    for module in (fitting, extensions, cohomology):
+        monkeypatch.setattr(module, "fitting_delta", planted)
+    trivial = Representation.trivial(3)
+    with pytest.raises(InternalInconsistency):
+        is_zero_of_delta(alexander_matrix(eg41, trivial), 1, Fraction(4))
+    with pytest.raises(InternalInconsistency):
+        extension_count_criterion(eg41, trivial, Fraction(4), k=2)
+    with pytest.raises(InternalInconsistency):
+        theorem_audit(eg41, trivial, Fraction(4))
 
 
 def test_equal_inputs_share_one_build(relation_memo, capsys):

@@ -8,7 +8,6 @@ import pytest
 
 from propfox import (
     DivisionByZero,
-    PAdicApprox,
     alexander_matrix,
     det_laurent,
     fitting_delta,
@@ -17,7 +16,6 @@ from propfox import (
     parse_laurent,
     parse_presentation,
     rank_at,
-    rank_nullspace_padic,
 )
 from propfox.fox import AlexanderMatrix
 from propfox.laurent import LaurentPoly, div_exact
@@ -83,47 +81,6 @@ def test_is_zero_of_delta(eg41):
 def test_iwasawa_indexing(eg41):
     assert iwasawa_delta(eg41, 0) == L("g - 4")
     assert iwasawa_delta(eg41, 1) == LaurentPoly.one()
-
-
-def test_rank_nullspace_padic_full_rank():
-    p, n = 3, 6
-
-    def A(q):
-        return PAdicApprox.from_rational(Fraction(q), p, n)
-
-    rank, basis, limited = rank_nullspace_padic(((A(1), A(2)), (A(2), A(1))), p)
-    assert rank == 2
-    assert not limited
-    assert basis == []
-
-
-def test_rank_nullspace_padic_dependent_rows():
-    # Exact dependence cannot be distinguished from dependence-to-precision,
-    # so the rank drop must come flagged as precision limited.
-    p, n = 3, 6
-
-    def A(q):
-        return PAdicApprox.from_rational(Fraction(q), p, n)
-
-    rows = ((A(1), A(2)), (A(2), A(4)))
-    rank, basis, limited = rank_nullspace_padic(rows, p)
-    assert rank == 1
-    assert limited
-    assert len(basis) == 1
-    v = basis[0]
-    for row in rows:
-        s = row[0] * v[0] + row[1] * v[1]
-        assert s.is_zero_state()
-
-
-def test_rank_nullspace_padic_limited():
-    p, n = 3, 4
-    z = PAdicApprox.zero(p, n)
-    one = PAdicApprox.from_rational(Fraction(1), p, n)
-    rows = ((one, z), (z, z))
-    rank, basis, limited = rank_nullspace_padic(rows, p)
-    assert rank == 1
-    assert limited
 
 
 def test_fitting_on_hand_built_matrix():

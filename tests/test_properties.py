@@ -14,7 +14,6 @@ from propfox import (
     CrossedHom,
     FittingResult,
     LaurentPoly,
-    PAdicApprox,
     Presentation,
     Relator,
     Representation,
@@ -199,31 +198,6 @@ def test_eval_at_is_ring_map(f, h, a):
 def test_eval_at_matches_term_by_term(f, n, d):
     a = Fraction(n, d)
     assert f.eval_at(a) == sum((c * a ** k for k, c in f.terms.items()), Fraction(0))
-
-
-# -- p-adic arithmetic mirrors the rationals ----------------------------------
-
-
-@SUITE
-@given(
-    st.fractions(min_value=-20, max_value=20, max_denominator=20).filter(
-        lambda q: q.denominator % 3 != 0
-    ),
-    st.fractions(min_value=-20, max_value=20, max_denominator=20).filter(
-        lambda q: q.denominator % 3 != 0
-    ),
-)
-def test_padic_mirrors_fractions(a, b):
-    p, n = 3, 6
-    x = PAdicApprox.from_rational(a, p, n)
-    y = PAdicApprox.from_rational(b, p, n)
-    for op, res in [
-        (x + y, a + b),
-        (x * y, a * b),
-        (x - y, a - b),
-    ]:
-        exact = PAdicApprox.from_rational(res, p, n)
-        assert op.agrees_with(exact)
 
 
 # -- free derivative identities ------------------------------------------------
