@@ -15,6 +15,7 @@ caught: they are bugs and should produce a traceback.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -339,17 +340,7 @@ def _cmd_corpus(args) -> int:
         results = corpus.run(args.id)
     except KeyError:
         raise UsageError(f"unknown corpus entry: {args.id}")
-    checks = [
-        {
-            "entry": r.entry,
-            "name": r.name,
-            "source": r.source,
-            "ok": r.ok,
-            "expected": r.expected,
-            "actual": r.actual,
-        }
-        for r in results
-    ]
+    checks = [dataclasses.asdict(r) for r in results]
     ok_count = sum(1 for r in results if r.ok)
     lines = [f"{r.entry}: {r.name} [{r.source}]: {'ok' if r.ok else 'FAIL'}" for r in results]
     lines.append(f"{ok_count}/{len(results)} checks passed")

@@ -191,8 +191,6 @@ class TheoremAudit:
     forward_verdict: str
     converse_applicable: bool
     converse_verdict: str
-    h1_dim: int | None
-    fixed_dim: int | None
     delta_zero: bool | None
     cohomology: CohomologyReport | None
 
@@ -234,8 +232,6 @@ def theorem_audit(pres: Presentation, phi: Representation, a: Rational) -> Theor
             forward_verdict=_NOT_APPLICABLE,
             converse_applicable=False,
             converse_verdict=_NOT_APPLICABLE,
-            h1_dim=None,
-            fixed_dim=None,
             delta_zero=None,
             cohomology=coh,
         )
@@ -258,8 +254,6 @@ def theorem_audit(pres: Presentation, phi: Representation, a: Rational) -> Theor
         forward_verdict=_CONSISTENT,
         converse_applicable=converse_applicable,
         converse_verdict=_CONSISTENT if converse_applicable else _NOT_APPLICABLE,
-        h1_dim=coh.h1_dim,
-        fixed_dim=coh.fixed_dim,
         delta_zero=dz,
         cohomology=coh,
     )

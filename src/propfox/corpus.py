@@ -1,7 +1,10 @@
 """Bundled worked examples with pinned expected values.
 
-Each entry names a presentation (and possibly a representation) from the
-package data directory and a list of checks. A check carries a source tag:
+Each entry in ENTRIES names a presentation (and possibly a representation)
+from the package data directory and the generator of its checks, which
+run() calls with the loaded presentation and representation (the trivial
+one when the entry names none). A check is a tuple (name, source, expected,
+actual), and its source tag says where the expected value comes from:
 "stated" values are part of the contract of this library, "derived" values
 were computed independently and frozen here as regression anchors. The
 checks recompute everything from scratch and compare exactly; no tolerances
@@ -10,6 +13,7 @@ anywhere.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction as F
 from importlib import resources
@@ -17,7 +21,6 @@ from importlib import resources
 from .cohomology import (
     _NOT_APPLICABLE,
     coboundary_matrix,
-    h1_report,
     is_coboundary,
     symmetric_square_cocycle,
     theorem_audit,
@@ -67,91 +70,7 @@ class CorpusEntry:
     presentation: str
     representation: str | None
     description: str
-
-
-ENTRIES: tuple[CorpusEntry, ...] = (
-    CorpusEntry(
-        "eg-4.1-p3",
-        "eg41.pres",
-        None,
-        "three generators at p=3, trivial coefficients: matrix, divisor, "
-        "zero, crossed homomorphisms, extensions",
-    ),
-    CorpusEntry(
-        "eg-4.2-p2",
-        "eg42.pres",
-        None,
-        "five relators at p=2: quadratic divisor with two rational zeros",
-    ),
-    CorpusEntry(
-        "eg-4.3-p5",
-        "eg43.pres",
-        None,
-        "two generators at p=5: irreducible divisor, obstructed residue",
-    ),
-    CorpusEntry(
-        "eg-4.3-p5-split",
-        "eg43split.pres",
-        None,
-        "two-generator companion whose divisor splits over the integers",
-    ),
-    CorpusEntry(
-        "eg-4.4-p3",
-        "eg41.pres",
-        "eg44.rep",
-        "two-dimensional coefficients: block matrix, quadratic divisor, "
-        "constrained crossed homomorphisms at both zeros",
-    ),
-    CorpusEntry(
-        "eg-4.5-p3",
-        "eg41.pres",
-        "eg45.rep",
-        "two-dimensional coefficients with one corner dropped: linear "
-        "divisor and a shifted constraint",
-    ),
-    CorpusEntry(
-        "eg-5.1-p3",
-        "eg41.pres",
-        None,
-        "scalar coefficients at the zero: quotient dimensions and witness",
-    ),
-    CorpusEntry(
-        "eg-5.2-p3",
-        "eg41.pres",
-        "eg44.rep",
-        "two-dimensional coefficients at 1: two independent classes",
-    ),
-    CorpusEntry(
-        "eg-5.3-p3",
-        "eg41.pres",
-        "eg44.rep",
-        "two-dimensional coefficients at the zero: one class, two witnesses",
-    ),
-    CorpusEntry(
-        "eg-5.4-p3",
-        "eg41.pres",
-        "eg45.rep",
-        "asymmetric two-dimensional coefficients at the zero",
-    ),
-    CorpusEntry(
-        "eg-5.5-p3",
-        "eg41.pres",
-        "eg55.rep",
-        "diagonal coefficients at 1/4: nonzero divisor value, one class, "
-        "converse hypotheses fail",
-    ),
-)
-
-
-def _chk(entry: str, name: str, source: str, expected, actual) -> CheckResult:
-    return CheckResult(
-        entry=entry,
-        name=name,
-        source=source,
-        ok=expected == actual,
-        expected=str(expected),
-        actual=str(actual),
-    )
+    checks: Callable[[Presentation, Representation], Iterator[tuple]]
 
 
 def _lmat(rows):
@@ -166,299 +85,223 @@ def _in_nullspace(Qa, flat) -> bool:
     return all(x == 0 for x in mat_vec(Qa, flat))
 
 
-def _checks_eg41(out: list[CheckResult]):
-    e = "eg-4.1-p3"
-    pres = load_presentation("eg41.pres")
-    Q = alexander_matrix(pres)
-    out.append(
-        _chk(
-            e,
-            "relation matrix entries",
-            "stated",
-            _lmat(
-                [
-                    ["-9", "9", "0"],
-                    ["3", "-3", "0"],
-                    ["g - 1", "1 - g", "0"],
-                    ["7 - g", "-3", "g - 4"],
-                ]
-            ),
-            Q.entries,
-        )
-    )
-    fit1 = fitting_delta(Q, 1)
-    out.append(_chk(e, "divisor at d=1", "stated", parse_laurent("g - 4"), fit1.delta))
-    out.append(_chk(e, "divisor at d=0", "derived", parse_laurent("0"), fitting_delta(Q, 0).delta))
-    out.append(_chk(e, "divisor at d=2", "derived", parse_laurent("1"), fitting_delta(Q, 2).delta))
-    out.append(_chk(e, "content minimum at d=1", "derived", 0, fit1.mu_content))
-    out.append(_chk(e, "minor count at d=1", "derived", 18, fit1.minor_count))
-    zr = zero_report(fit1.delta, pres.prime, 8)
-    out.append(_chk(e, "rational zeros of the divisor", "derived", ((F(4), 1),), zr.rational))
-    kept = filter_unit_ball(zr)
-    out.append(_chk(e, "unit ball keeps the zero", "stated", ((F(4), 1),), kept.rational))
-    space = cocycle_space(pres, Representation.trivial(3), 4)
-    out.append(_chk(e, "crossed homomorphism dimension at 4", "stated", 2, space.dim))
-    out.append(
-        _chk(
-            e,
-            "crossed homomorphism basis at 4",
-            "derived",
-            (_hom(1, (1,), (1,), (0,)), _hom(1, (0,), (0,), (1,))),
-            space.basis,
-        )
-    )
-    out.append(
-        _chk(
-            e,
-            "first two values agree across the basis",
-            "stated",
-            True,
-            all(h.vectors[0] == h.vectors[1] for h in space.basis),
-        )
-    )
-    good = build_extension(pres, Representation.trivial(3), 4, _hom(1, (1,), (1,), (0,)))
-    out.append(_chk(e, "extension from (1,1,0) verifies", "stated", True, verify_factors(good, pres).ok))
-    bad = build_extension(pres, Representation.trivial(3), 4, _hom(1, (1,), (0,), (0,)))
-    bad_report = verify_factors(bad, pres)
-    out.append(
-        _chk(
-            e,
-            "assignment (1,0,0) fails every relator",
-            "derived",
-            (False, False, False, False),
-            tuple(c.ok for c in bad_report.relators),
-        )
-    )
-    out.append(
-        _chk(
-            e,
-            "first relator image of the failing assignment",
-            "derived",
-            ((F(1), F(-9)), (F(0), F(1))),
-            bad_report.relators[0].image,
-        )
-    )
-    count = extension_count_criterion(pres, Representation.trivial(3), 4)
-    out.append(_chk(e, "count criterion at the zero", "derived", (2, 2, True, True),
-                    (count.dim, count.k, count.meets_k, count.delta_zero)))
-    out.append(
-        _chk(
-            e,
-            "rank away from the zero",
-            "derived",
-            (2, 2, 2),
-            (rank_at(Q, 1), rank_at(Q, 2), rank_at(Q, 7)),
-        )
-    )
-    out.append(
-        _chk(
-            e,
-            "classical-indexing divisor at d=0",
-            "stated",
-            parse_laurent("g - 4"),
-            iwasawa_delta(pres, 0),
-        )
-    )
-
-
-def _checks_eg42(out: list[CheckResult]):
-    e = "eg-4.2-p2"
-    pres = load_presentation("eg42.pres")
-    Q = alexander_matrix(pres)
-    out.append(
-        _chk(
-            e,
-            "relation matrix entries",
-            "derived",
-            _lmat(
-                [
-                    ["-2*g^-1", "2*g^-1", "0"],
-                    ["2*g^-1", "-2*g^-1", "0"],
-                    ["0", "0", "0"],
-                    ["-1 + g^-1", "1 - g^-1", "0"],
-                    ["g - 11*g^-1", "2*g^-1", "-g + 9*g^-1"],
-                ]
-            ),
-            Q.entries,
-        )
-    )
-    fit1 = fitting_delta(Q, 1)
-    out.append(_chk(e, "divisor at d=1", "stated", parse_laurent("g^2 - 9"), fit1.delta))
-    out.append(_chk(e, "content minimum at d=1", "derived", 0, fit1.mu_content))
-    zr = zero_report(fit1.delta, pres.prime, 8)
-    out.append(
-        _chk(e, "rational zeros", "derived", ((F(-3), 1), (F(3), 1)), zr.rational)
-    )
-    kept = filter_unit_ball(zr)
-    out.append(
-        _chk(e, "unit ball keeps both zeros", "derived", ((F(-3), 1), (F(3), 1)), kept.rational)
-    )
-    out.append(
-        _chk(e, "2-adic zeros mod 2^8", "derived", ((3, 8), (253, 8)), zr.padic)
-    )
-    space = cocycle_space(pres, Representation.trivial(3), 3)
-    out.append(_chk(e, "crossed homomorphism dimension at 3", "stated", 2, space.dim))
-    out.append(
-        _chk(
-            e,
-            "crossed homomorphism basis at 3",
-            "derived",
-            (_hom(1, (1,), (1,), (0,)), _hom(1, (0,), (0,), (1,))),
-            space.basis,
-        )
-    )
-    out.append(
-        _chk(
-            e,
-            "first two values agree across the basis",
-            "stated",
-            True,
-            all(h.vectors[0] == h.vectors[1] for h in space.basis),
-        )
-    )
-    out.append(_chk(e, "rank at 3", "derived", 1, rank_at(Q, 3)))
-    coh = h1_report(pres, Representation.trivial(3), 3)
-    out.append(
-        _chk(
-            e,
-            "quotient dimensions at 3",
-            "derived",
-            (2, 1, 1, 0),
-            (coh.z1_dim, coh.b1_dim, coh.h1_dim, coh.fixed_dim),
-        )
-    )
-    audit3 = theorem_audit(pres, Representation.trivial(3), 3)
-    audit_m3 = theorem_audit(pres, Representation.trivial(3), -3)
-    out.append(
-        _chk(
-            e,
-            "audits at both zeros are consistent",
-            "derived",
-            ("consistent", "consistent", "consistent", "consistent"),
-            (
-                audit3.forward_verdict,
-                audit3.converse_verdict,
-                audit_m3.forward_verdict,
-                audit_m3.converse_verdict,
-            ),
-        )
-    )
-
-
-def _checks_eg43(out: list[CheckResult]):
-    e = "eg-4.3-p5"
-    pres = load_presentation("eg43.pres")
-    Q = alexander_matrix(pres)
-    out.append(
-        _chk(
-            e,
-            "relation matrix entries",
-            "stated",
-            _lmat([["-g - 3 - g^-1", "g + 3 + g^-1"]]),
-            Q.entries,
-        )
-    )
-    delta = fitting_delta(Q, 1).delta
-    out.append(_chk(e, "divisor at d=1", "stated", parse_laurent("g^2 + 3*g + 1"), delta))
-    shifted = delta.shift(-1)
-    out.append(
-        _chk(
-            e,
-            "entries are the divisor times a unit",
-            "derived",
-            (-shifted, shifted),
-            (Q.entries[0][0], Q.entries[0][1]),
-        )
-    )
-    out.append(_chk(e, "rational zeros", "derived", (), tuple(rational_roots(delta))))
-    roots, obstructions = hensel_roots(delta, 5, 8)
-    out.append(_chk(e, "5-adic zeros", "derived", [], roots))
-    out.append(_chk(e, "obstructed residue", "derived", [1], obstructions))
-    kept = filter_unit_ball(zero_report(delta, 5, 8))
-    out.append(_chk(e, "obstruction sits in the unit ball", "derived", (1,), kept.obstructions))
-
-
-def _checks_eg43split(out: list[CheckResult]):
-    e = "eg-4.3-p5-split"
-    pres = load_presentation("eg43split.pres")
-    Q = alexander_matrix(pres)
-    delta = fitting_delta(Q, 1).delta
-    out.append(_chk(e, "divisor at d=1", "derived", parse_laurent("g^2 - 17*g + 66"), delta))
-    out.append(
-        _chk(e, "rational zeros", "derived", [(F(6), 1), (F(11), 1)], rational_roots(delta))
-    )
-    out.append(
-        _chk(
-            e,
-            "specialization vanishes at 6",
-            "derived",
-            ((F(0), F(0)),),
-            Q.specialize(6),
-        )
-    )
-    out.append(
-        _chk(
-            e,
-            "specialization vanishes at 11",
-            "derived",
-            ((F(0), F(0)),),
-            Q.specialize(11),
-        )
-    )
-    trivial = Representation.trivial(2)
-    out.append(
-        _chk(e, "every assignment extends at 6", "derived", 2, cocycle_space(pres, trivial, 6).dim)
-    )
-    ext = build_extension(pres, trivial, 6, _hom(1, (5,), (7,)))
-    out.append(_chk(e, "an arbitrary pair verifies at 6", "derived", True, verify_factors(ext, pres).ok))
-    roots, obstructions = hensel_roots(delta, 5, 4)
-    out.append(_chk(e, "5-adic zeros mod 5^4", "derived", [6, 11], roots))
-    out.append(_chk(e, "no obstruction", "derived", [], obstructions))
-
-
-def _checks_eg44(out: list[CheckResult]):
-    e = "eg-4.4-p3"
-    pres = load_presentation("eg41.pres")
-    phi = load_representation("eg44.rep", pres)
+def _checks_eg41(pres: Presentation, phi: Representation):
     Q = alexander_matrix(pres, phi)
-    out.append(
-        _chk(
-            e,
-            "relation matrix entries",
-            "stated",
-            _lmat(
-                [
-                    ["-9", "0", "9", "0", "0", "0"],
-                    ["0", "-9", "0", "9", "0", "0"],
-                    ["3", "0", "-3", "0", "0", "0"],
-                    ["0", "3", "0", "-3", "0", "0"],
-                    ["4*g - 1", "g", "1 - 4*g", "-g", "0", "0"],
-                    ["0", "g - 1", "0", "1 - g", "0", "0"],
-                    ["7 - 4*g", "-g", "-3", "0", "4*g - 4", "g"],
-                    ["0", "7 - g", "0", "-3", "0", "g - 4"],
-                ]
-            ),
-            Q.entries,
-        )
+    yield (
+        "relation matrix entries",
+        "stated",
+        _lmat(
+            [
+                ["-9", "9", "0"],
+                ["3", "-3", "0"],
+                ["g - 1", "1 - g", "0"],
+                ["7 - g", "-3", "g - 4"],
+            ]
+        ),
+        Q.entries,
+    )
+    fit1 = fitting_delta(Q, 1)
+    yield "divisor at d=1", "stated", parse_laurent("g - 4"), fit1.delta
+    yield "divisor at d=0", "derived", parse_laurent("0"), fitting_delta(Q, 0).delta
+    yield "divisor at d=2", "derived", parse_laurent("1"), fitting_delta(Q, 2).delta
+    yield "content minimum at d=1", "derived", 0, fit1.mu_content
+    yield "minor count at d=1", "derived", 18, fit1.minor_count
+    zr = zero_report(fit1.delta, pres.prime, 8)
+    yield "rational zeros of the divisor", "derived", ((F(4), 1),), zr.rational
+    kept = filter_unit_ball(zr)
+    yield "unit ball keeps the zero", "stated", ((F(4), 1),), kept.rational
+    space = cocycle_space(pres, phi, 4)
+    yield "crossed homomorphism dimension at 4", "stated", 2, space.dim
+    yield (
+        "crossed homomorphism basis at 4",
+        "derived",
+        (_hom(1, (1,), (1,), (0,)), _hom(1, (0,), (0,), (1,))),
+        space.basis,
+    )
+    yield (
+        "first two values agree across the basis",
+        "stated",
+        True,
+        all(h.vectors[0] == h.vectors[1] for h in space.basis),
+    )
+    good = build_extension(pres, phi, 4, _hom(1, (1,), (1,), (0,)))
+    yield "extension from (1,1,0) verifies", "stated", True, verify_factors(good, pres).ok
+    bad = build_extension(pres, phi, 4, _hom(1, (1,), (0,), (0,)))
+    bad_report = verify_factors(bad, pres)
+    yield (
+        "assignment (1,0,0) fails every relator",
+        "derived",
+        (False, False, False, False),
+        tuple(c.ok for c in bad_report.relators),
+    )
+    yield (
+        "first relator image of the failing assignment",
+        "derived",
+        ((F(1), F(-9)), (F(0), F(1))),
+        bad_report.relators[0].image,
+    )
+    count = extension_count_criterion(pres, phi, 4)
+    yield ("count criterion at the zero", "derived", (2, 2, True, True),
+           (count.dim, count.k, count.meets_k, count.delta_zero))
+    yield (
+        "rank away from the zero",
+        "derived",
+        (2, 2, 2),
+        (rank_at(Q, 1), rank_at(Q, 2), rank_at(Q, 7)),
+    )
+    yield (
+        "classical-indexing divisor at d=0",
+        "stated",
+        parse_laurent("g - 4"),
+        iwasawa_delta(pres, 0),
+    )
+
+
+def _checks_eg42(pres: Presentation, phi: Representation):
+    Q = alexander_matrix(pres, phi)
+    yield (
+        "relation matrix entries",
+        "derived",
+        _lmat(
+            [
+                ["-2*g^-1", "2*g^-1", "0"],
+                ["2*g^-1", "-2*g^-1", "0"],
+                ["0", "0", "0"],
+                ["-1 + g^-1", "1 - g^-1", "0"],
+                ["g - 11*g^-1", "2*g^-1", "-g + 9*g^-1"],
+            ]
+        ),
+        Q.entries,
+    )
+    fit1 = fitting_delta(Q, 1)
+    yield "divisor at d=1", "stated", parse_laurent("g^2 - 9"), fit1.delta
+    yield "content minimum at d=1", "derived", 0, fit1.mu_content
+    zr = zero_report(fit1.delta, pres.prime, 8)
+    yield "rational zeros", "derived", ((F(-3), 1), (F(3), 1)), zr.rational
+    kept = filter_unit_ball(zr)
+    yield "unit ball keeps both zeros", "derived", ((F(-3), 1), (F(3), 1)), kept.rational
+    yield "2-adic zeros mod 2^8", "derived", ((3, 8), (253, 8)), zr.padic
+    space = cocycle_space(pres, phi, 3)
+    yield "crossed homomorphism dimension at 3", "stated", 2, space.dim
+    yield (
+        "crossed homomorphism basis at 3",
+        "derived",
+        (_hom(1, (1,), (1,), (0,)), _hom(1, (0,), (0,), (1,))),
+        space.basis,
+    )
+    yield (
+        "first two values agree across the basis",
+        "stated",
+        True,
+        all(h.vectors[0] == h.vectors[1] for h in space.basis),
+    )
+    yield "rank at 3", "derived", 1, rank_at(Q, 3)
+    audit3 = theorem_audit(pres, phi, 3)
+    coh = audit3.cohomology
+    yield (
+        "quotient dimensions at 3",
+        "derived",
+        (2, 1, 1, 0),
+        (coh.z1_dim, coh.b1_dim, coh.h1_dim, coh.fixed_dim),
+    )
+    audit_m3 = theorem_audit(pres, phi, -3)
+    yield (
+        "audits at both zeros are consistent",
+        "derived",
+        ("consistent", "consistent", "consistent", "consistent"),
+        (
+            audit3.forward_verdict,
+            audit3.converse_verdict,
+            audit_m3.forward_verdict,
+            audit_m3.converse_verdict,
+        ),
+    )
+
+
+def _checks_eg43(pres: Presentation, phi: Representation):
+    Q = alexander_matrix(pres, phi)
+    yield (
+        "relation matrix entries",
+        "stated",
+        _lmat([["-g - 3 - g^-1", "g + 3 + g^-1"]]),
+        Q.entries,
+    )
+    delta = fitting_delta(Q, 1).delta
+    yield "divisor at d=1", "stated", parse_laurent("g^2 + 3*g + 1"), delta
+    shifted = delta.shift(-1)
+    yield (
+        "entries are the divisor times a unit",
+        "derived",
+        (-shifted, shifted),
+        (Q.entries[0][0], Q.entries[0][1]),
+    )
+    yield "rational zeros", "derived", (), tuple(rational_roots(delta))
+    roots, obstructions = hensel_roots(delta, 5, 8)
+    yield "5-adic zeros", "derived", [], roots
+    yield "obstructed residue", "derived", [1], obstructions
+    kept = filter_unit_ball(zero_report(delta, 5, 8))
+    yield "obstruction sits in the unit ball", "derived", (1,), kept.obstructions
+
+
+def _checks_eg43split(pres: Presentation, phi: Representation):
+    Q = alexander_matrix(pres, phi)
+    delta = fitting_delta(Q, 1).delta
+    yield "divisor at d=1", "derived", parse_laurent("g^2 - 17*g + 66"), delta
+    yield "rational zeros", "derived", [(F(6), 1), (F(11), 1)], rational_roots(delta)
+    yield (
+        "specialization vanishes at 6",
+        "derived",
+        ((F(0), F(0)),),
+        Q.specialize(6),
+    )
+    yield (
+        "specialization vanishes at 11",
+        "derived",
+        ((F(0), F(0)),),
+        Q.specialize(11),
+    )
+    yield "every assignment extends at 6", "derived", 2, cocycle_space(pres, phi, 6).dim
+    ext = build_extension(pres, phi, 6, _hom(1, (5,), (7,)))
+    yield "an arbitrary pair verifies at 6", "derived", True, verify_factors(ext, pres).ok
+    roots, obstructions = hensel_roots(delta, 5, 4)
+    yield "5-adic zeros mod 5^4", "derived", [6, 11], roots
+    yield "no obstruction", "derived", [], obstructions
+
+
+def _checks_eg44(pres: Presentation, phi: Representation):
+    Q = alexander_matrix(pres, phi)
+    yield (
+        "relation matrix entries",
+        "stated",
+        _lmat(
+            [
+                ["-9", "0", "9", "0", "0", "0"],
+                ["0", "-9", "0", "9", "0", "0"],
+                ["3", "0", "-3", "0", "0", "0"],
+                ["0", "3", "0", "-3", "0", "0"],
+                ["4*g - 1", "g", "1 - 4*g", "-g", "0", "0"],
+                ["0", "g - 1", "0", "1 - g", "0", "0"],
+                ["7 - 4*g", "-g", "-3", "0", "4*g - 4", "g"],
+                ["0", "7 - g", "0", "-3", "0", "g - 4"],
+            ]
+        ),
+        Q.entries,
     )
     fit2 = fitting_delta(Q, 2)
-    out.append(_chk(e, "divisor at d=2", "stated", parse_laurent("g^2 - 5*g + 4"), fit2.delta))
-    out.append(_chk(e, "content minimum at d=2", "derived", 0, fit2.mu_content))
-    out.append(_chk(e, "minor count at d=2", "derived", 1050, fit2.minor_count))
+    yield "divisor at d=2", "stated", parse_laurent("g^2 - 5*g + 4"), fit2.delta
+    yield "content minimum at d=2", "derived", 0, fit2.mu_content
+    yield "minor count at d=2", "derived", 1050, fit2.minor_count
     space1 = cocycle_space(pres, phi, 1)
-    out.append(_chk(e, "dimension at 1", "stated", 3, space1.dim))
-    out.append(
-        _chk(
-            e,
-            "basis at 1",
-            "derived",
-            (
-                _hom(2, (1, 0), (1, 0), (0, 0)),
-                _hom(2, (0, 0), (0, 0), (1, 0)),
-                _hom(2, (0, 1), (0, 1), (0, 1)),
-            ),
-            space1.basis,
-        )
+    yield "dimension at 1", "stated", 3, space1.dim
+    yield (
+        "basis at 1",
+        "derived",
+        (
+            _hom(2, (1, 0), (1, 0), (0, 0)),
+            _hom(2, (0, 0), (0, 0), (1, 0)),
+            _hom(2, (0, 1), (0, 1), (0, 1)),
+        ),
+        space1.basis,
     )
     Q1 = Q.specialize(1)
     displayed = (
@@ -466,443 +309,408 @@ def _checks_eg44(out: list[CheckResult]):
         (0, 1, 0, 1, 0, 1),
         (0, 0, 0, 0, 1, 0),
     )
-    out.append(
-        _chk(
-            e,
-            "displayed vectors at 1 satisfy the constraints",
-            "stated",
-            (True, True, True),
-            tuple(_in_nullspace(Q1, v) for v in displayed),
-        )
+    yield (
+        "displayed vectors at 1 satisfy the constraints",
+        "stated",
+        (True, True, True),
+        tuple(_in_nullspace(Q1, v) for v in displayed),
     )
-    out.append(
-        _chk(
-            e,
-            "constraints at 1",
-            "stated",
-            True,
-            all(
-                h.vectors[0][0] == h.vectors[1][0]
-                and h.vectors[0][1] == h.vectors[1][1] == h.vectors[2][1]
-                for h in space1.basis
-            ),
-        )
+    yield (
+        "constraints at 1",
+        "stated",
+        True,
+        all(
+            h.vectors[0][0] == h.vectors[1][0]
+            and h.vectors[0][1] == h.vectors[1][1] == h.vectors[2][1]
+            for h in space1.basis
+        ),
     )
     space4 = cocycle_space(pres, phi, 4)
-    out.append(_chk(e, "dimension at 4", "stated", 3, space4.dim))
-    out.append(
-        _chk(
-            e,
-            "basis at 4",
-            "derived",
-            (
-                _hom(2, (F(-1, 3), 1), (F(-1, 3), 1), (0, 0)),
-                _hom(2, (1, 0), (1, 0), (1, 0)),
-                _hom(2, (F(1, 3), 0), (F(1, 3), 0), (0, 1)),
-            ),
-            space4.basis,
-        )
+    yield "dimension at 4", "stated", 3, space4.dim
+    yield (
+        "basis at 4",
+        "derived",
+        (
+            _hom(2, (F(-1, 3), 1), (F(-1, 3), 1), (0, 0)),
+            _hom(2, (1, 0), (1, 0), (1, 0)),
+            _hom(2, (F(1, 3), 0), (F(1, 3), 0), (0, 1)),
+        ),
+        space4.basis,
     )
-    out.append(
-        _chk(
-            e,
-            "constraints at 4",
-            "stated",
-            True,
-            all(
-                h.vectors[0][0] == h.vectors[1][0]
-                and h.vectors[0][1] == h.vectors[1][1]
-                and h.vectors[2][0]
-                == h.vectors[0][0] + F(1, 3) * h.vectors[0][1] - F(1, 3) * h.vectors[2][1]
-                for h in space4.basis
-            ),
-        )
+    yield (
+        "constraints at 4",
+        "stated",
+        True,
+        all(
+            h.vectors[0][0] == h.vectors[1][0]
+            and h.vectors[0][1] == h.vectors[1][1]
+            and h.vectors[2][0]
+            == h.vectors[0][0] + F(1, 3) * h.vectors[0][1] - F(1, 3) * h.vectors[2][1]
+            for h in space4.basis
+        ),
     )
-    out.append(
-        _chk(
-            e,
-            "extensions from the basis at 4 all verify",
-            "derived",
-            (True, True, True),
-            tuple(
-                verify_factors(build_extension(pres, phi, 4, h), pres).ok
-                for h in space4.basis
-            ),
-        )
+    yield (
+        "extensions from the basis at 4 all verify",
+        "derived",
+        (True, True, True),
+        tuple(
+            verify_factors(build_extension(pres, phi, 4, h), pres).ok
+            for h in space4.basis
+        ),
     )
     count = extension_count_criterion(pres, phi, 4)
-    out.append(
-        _chk(
-            e,
-            "count criterion at 4",
-            "derived",
-            (3, 3, True, True),
-            (count.dim, count.k, count.meets_k, count.delta_zero),
-        )
+    yield (
+        "count criterion at 4",
+        "derived",
+        (3, 3, True, True),
+        (count.dim, count.k, count.meets_k, count.delta_zero),
     )
 
 
-def _checks_eg45(out: list[CheckResult]):
-    e = "eg-4.5-p3"
-    pres = load_presentation("eg41.pres")
-    phi = load_representation("eg45.rep", pres)
+def _checks_eg45(pres: Presentation, phi: Representation):
     Q = alexander_matrix(pres, phi)
-    out.append(
-        _chk(e, "divisor at d=2", "stated", parse_laurent("g - 4"), fitting_delta(Q, 2).delta)
-    )
+    yield "divisor at d=2", "stated", parse_laurent("g - 4"), fitting_delta(Q, 2).delta
     space = cocycle_space(pres, phi, 4)
-    out.append(_chk(e, "dimension at 4", "stated", 3, space.dim))
-    out.append(
-        _chk(
-            e,
-            "basis at 4",
-            "derived",
-            (
-                _hom(2, (F(1, 2), 1), (F(1, 2), 1), (0, 0)),
-                _hom(2, (1, 0), (1, 0), (1, 0)),
-                _hom(2, (F(5, 6), 0), (F(5, 6), 0), (0, 1)),
-            ),
-            space.basis,
-        )
+    yield "dimension at 4", "stated", 3, space.dim
+    yield (
+        "basis at 4",
+        "derived",
+        (
+            _hom(2, (F(1, 2), 1), (F(1, 2), 1), (0, 0)),
+            _hom(2, (1, 0), (1, 0), (1, 0)),
+            _hom(2, (F(5, 6), 0), (F(5, 6), 0), (0, 1)),
+        ),
+        space.basis,
     )
-    out.append(
-        _chk(
-            e,
-            "constraints at 4",
-            "stated",
-            True,
-            all(
-                h.vectors[0][0] == h.vectors[1][0]
-                and h.vectors[0][1] == h.vectors[1][1]
-                and h.vectors[2][0]
-                == h.vectors[0][0] - F(1, 2) * h.vectors[0][1] - F(5, 6) * h.vectors[2][1]
-                for h in space.basis
-            ),
-        )
+    yield (
+        "constraints at 4",
+        "stated",
+        True,
+        all(
+            h.vectors[0][0] == h.vectors[1][0]
+            and h.vectors[0][1] == h.vectors[1][1]
+            and h.vectors[2][0]
+            == h.vectors[0][0] - F(1, 2) * h.vectors[0][1] - F(5, 6) * h.vectors[2][1]
+            for h in space.basis
+        ),
     )
-    out.append(
-        _chk(
-            e,
-            "extensions from the basis at 4 all verify",
-            "derived",
-            (True, True, True),
-            tuple(
-                verify_factors(build_extension(pres, phi, 4, h), pres).ok
-                for h in space.basis
-            ),
-        )
+    yield (
+        "extensions from the basis at 4 all verify",
+        "derived",
+        (True, True, True),
+        tuple(
+            verify_factors(build_extension(pres, phi, 4, h), pres).ok
+            for h in space.basis
+        ),
     )
 
 
-def _checks_eg51(out: list[CheckResult]):
-    e = "eg-5.1-p3"
-    pres = load_presentation("eg41.pres")
-    phi = Representation.trivial(3)
-    coh = h1_report(pres, phi, 4)
-    out.append(
-        _chk(
-            e,
-            "quotient dimensions",
-            "stated",
-            (2, 1, 1),
-            (coh.z1_dim, coh.b1_dim, coh.h1_dim),
-        )
+def _checks_eg51(pres: Presentation, phi: Representation):
+    audit = theorem_audit(pres, phi, 4)
+    coh = audit.cohomology
+    yield (
+        "quotient dimensions",
+        "stated",
+        (2, 1, 1),
+        (coh.z1_dim, coh.b1_dim, coh.h1_dim),
     )
-    out.append(_chk(e, "fixed space dimension", "derived", 0, coh.fixed_dim))
+    yield "fixed space dimension", "derived", 0, coh.fixed_dim
     rho = specialize(pres, phi, 4)
     witness = is_coboundary(_hom(1, (1,), (1,), (1,)), rho)
-    out.append(_chk(e, "witness for the constant assignment", "stated", (F(1, 3),), witness))
-    out.append(
-        _chk(
-            e,
-            "the third-slot class is not principal",
-            "derived",
-            None,
-            is_coboundary(_hom(1, (0,), (0,), (1,)), rho),
-        )
+    yield "witness for the constant assignment", "stated", (F(1, 3),), witness
+    yield (
+        "the third-slot class is not principal",
+        "derived",
+        None,
+        is_coboundary(_hom(1, (0,), (0,), (1,)), rho),
     )
-    audit = theorem_audit(pres, phi, 4)
-    out.append(
-        _chk(
-            e,
-            "audit verdicts",
-            "derived",
-            ("consistent", "consistent", True, True),
-            (
-                audit.forward_verdict,
-                audit.converse_verdict,
-                audit.forward_applicable,
-                audit.converse_applicable,
-            ),
-        )
+    yield (
+        "audit verdicts",
+        "derived",
+        ("consistent", "consistent", True, True),
+        (
+            audit.forward_verdict,
+            audit.converse_verdict,
+            audit.forward_applicable,
+            audit.converse_applicable,
+        ),
     )
 
 
-def _checks_eg52(out: list[CheckResult]):
-    e = "eg-5.2-p3"
-    pres = load_presentation("eg41.pres")
-    phi = load_representation("eg44.rep", pres)
-    coh = h1_report(pres, phi, 1)
-    out.append(
-        _chk(
-            e,
-            "quotient dimensions",
-            "stated",
-            (3, 1, 2),
-            (coh.z1_dim, coh.b1_dim, coh.h1_dim),
-        )
-    )
-    out.append(_chk(e, "fixed space dimension", "derived", 1, coh.fixed_dim))
-    rho = specialize(pres, phi, 1)
-    out.append(
-        _chk(
-            e,
-            "witness for the repeated first column",
-            "stated",
-            (F(1, 3), F(0)),
-            is_coboundary(_hom(2, (1, 0), (1, 0), (1, 0)), rho),
-        )
-    )
-    out.append(
-        _chk(
-            e,
-            "second-coordinate class is not principal",
-            "derived",
-            None,
-            is_coboundary(_hom(2, (0, 1), (0, 1), (0, 1)), rho),
-        )
-    )
-    out.append(
-        _chk(
-            e,
-            "third-generator class is not principal",
-            "derived",
-            None,
-            is_coboundary(_hom(2, (0, 0), (0, 0), (1, 0)), rho),
-        )
-    )
+def _checks_eg52(pres: Presentation, phi: Representation):
     audit = theorem_audit(pres, phi, 1)
-    out.append(
-        _chk(
-            e,
-            "forward consistent, converse not applicable",
-            "stated",
-            ("consistent", _NOT_APPLICABLE, False),
-            (audit.forward_verdict, audit.converse_verdict, audit.converse_applicable),
-        )
+    coh = audit.cohomology
+    yield (
+        "quotient dimensions",
+        "stated",
+        (3, 1, 2),
+        (coh.z1_dim, coh.b1_dim, coh.h1_dim),
+    )
+    yield "fixed space dimension", "derived", 1, coh.fixed_dim
+    rho = specialize(pres, phi, 1)
+    yield (
+        "witness for the repeated first column",
+        "stated",
+        (F(1, 3), F(0)),
+        is_coboundary(_hom(2, (1, 0), (1, 0), (1, 0)), rho),
+    )
+    yield (
+        "second-coordinate class is not principal",
+        "derived",
+        None,
+        is_coboundary(_hom(2, (0, 1), (0, 1), (0, 1)), rho),
+    )
+    yield (
+        "third-generator class is not principal",
+        "derived",
+        None,
+        is_coboundary(_hom(2, (0, 0), (0, 0), (1, 0)), rho),
+    )
+    yield (
+        "forward consistent, converse not applicable",
+        "stated",
+        ("consistent", _NOT_APPLICABLE, False),
+        (audit.forward_verdict, audit.converse_verdict, audit.converse_applicable),
     )
 
 
-def _checks_eg53(out: list[CheckResult]):
-    e = "eg-5.3-p3"
-    pres = load_presentation("eg41.pres")
-    phi = load_representation("eg44.rep", pres)
-    coh = h1_report(pres, phi, 4)
-    out.append(
-        _chk(
-            e,
-            "quotient dimensions",
-            "stated",
-            (3, 2, 1),
-            (coh.z1_dim, coh.b1_dim, coh.h1_dim),
-        )
+def _checks_eg53(pres: Presentation, phi: Representation):
+    audit = theorem_audit(pres, phi, 4)
+    coh = audit.cohomology
+    yield (
+        "quotient dimensions",
+        "stated",
+        (3, 2, 1),
+        (coh.z1_dim, coh.b1_dim, coh.h1_dim),
     )
-    out.append(_chk(e, "fixed space dimension", "derived", 0, coh.fixed_dim))
+    yield "fixed space dimension", "derived", 0, coh.fixed_dim
     rho = specialize(pres, phi, 4)
-    out.append(
-        _chk(
-            e,
-            "witness for the repeated first column",
-            "stated",
-            (F(1, 15), F(0)),
-            is_coboundary(_hom(2, (1, 0), (1, 0), (1, 0)), rho),
-        )
+    yield (
+        "witness for the repeated first column",
+        "stated",
+        (F(1, 15), F(0)),
+        is_coboundary(_hom(2, (1, 0), (1, 0), (1, 0)), rho),
     )
-    out.append(
-        _chk(
-            e,
-            "witness for the repeated second column",
-            "stated",
-            (F(-4, 45), F(1, 3)),
-            is_coboundary(_hom(2, (0, 1), (0, 1), (0, 1)), rho),
-        )
+    yield (
+        "witness for the repeated second column",
+        "stated",
+        (F(-4, 45), F(1, 3)),
+        is_coboundary(_hom(2, (0, 1), (0, 1), (0, 1)), rho),
     )
-    out.append(
-        _chk(
-            e,
-            "third-generator class is not principal",
-            "derived",
-            None,
-            is_coboundary(_hom(2, (0, 0), (0, 0), (F(-1, 3), 1)), rho),
-        )
+    yield (
+        "third-generator class is not principal",
+        "derived",
+        None,
+        is_coboundary(_hom(2, (0, 0), (0, 0), (F(-1, 3), 1)), rho),
     )
     ext = build_extension(pres, Representation.trivial(3), 4, _hom(1, (1,), (1,), (1,)))
     sym = symmetric_square_cocycle(ext)
-    out.append(_chk(e, "squared corner class is principal", "stated", True, sym.trivial))
+    yield "squared corner class is principal", "stated", True, sym.trivial
+    yield (
+        "audit verdicts",
+        "derived",
+        ("consistent", "consistent", True),
+        (audit.forward_verdict, audit.converse_verdict, audit.converse_applicable),
+    )
+
+
+def _checks_eg54(pres: Presentation, phi: Representation):
     audit = theorem_audit(pres, phi, 4)
-    out.append(
-        _chk(
-            e,
-            "audit verdicts",
-            "derived",
-            ("consistent", "consistent", True),
-            (audit.forward_verdict, audit.converse_verdict, audit.converse_applicable),
-        )
+    coh = audit.cohomology
+    yield (
+        "quotient dimensions",
+        "stated",
+        (3, 2, 1),
+        (coh.z1_dim, coh.b1_dim, coh.h1_dim),
     )
-
-
-def _checks_eg54(out: list[CheckResult]):
-    e = "eg-5.4-p3"
-    pres = load_presentation("eg41.pres")
-    phi = load_representation("eg45.rep", pres)
-    coh = h1_report(pres, phi, 4)
-    out.append(
-        _chk(
-            e,
-            "quotient dimensions",
-            "stated",
-            (3, 2, 1),
-            (coh.z1_dim, coh.b1_dim, coh.h1_dim),
-        )
-    )
-    out.append(_chk(e, "fixed space dimension", "derived", 0, coh.fixed_dim))
+    yield "fixed space dimension", "derived", 0, coh.fixed_dim
     rho = specialize(pres, phi, 4)
-    out.append(
-        _chk(
-            e,
-            "witness for the repeated first column",
-            "stated",
-            (F(1, 15), F(0)),
-            is_coboundary(_hom(2, (1, 0), (1, 0), (1, 0)), rho),
-        )
+    yield (
+        "witness for the repeated first column",
+        "stated",
+        (F(1, 15), F(0)),
+        is_coboundary(_hom(2, (1, 0), (1, 0), (1, 0)), rho),
     )
-    out.append(
-        _chk(
-            e,
-            "witness for the shifted second column",
-            "stated",
-            (F(-4, 45), F(1, 3)),
-            is_coboundary(_hom(2, (0, 1), (0, 1), (F(-4, 3), 1)), rho),
-        )
+    yield (
+        "witness for the shifted second column",
+        "stated",
+        (F(-4, 45), F(1, 3)),
+        is_coboundary(_hom(2, (0, 1), (0, 1), (F(-4, 3), 1)), rho),
     )
     ext = build_extension(pres, Representation.trivial(3), 4, _hom(1, (1,), (1,), (0,)))
     sym = symmetric_square_cocycle(ext)
-    out.append(_chk(e, "squared corner class is not principal", "stated", False, sym.trivial))
-    audit = theorem_audit(pres, phi, 4)
-    out.append(
-        _chk(
-            e,
-            "audit verdicts",
-            "derived",
-            ("consistent", "consistent", True),
-            (audit.forward_verdict, audit.converse_verdict, audit.converse_applicable),
-        )
+    yield "squared corner class is not principal", "stated", False, sym.trivial
+    yield (
+        "audit verdicts",
+        "derived",
+        ("consistent", "consistent", True),
+        (audit.forward_verdict, audit.converse_verdict, audit.converse_applicable),
     )
 
 
-def _checks_eg55(out: list[CheckResult]):
-    e = "eg-5.5-p3"
-    pres = load_presentation("eg41.pres")
-    phi = load_representation("eg55.rep", pres)
+def _checks_eg55(pres: Presentation, phi: Representation):
     Q = alexander_matrix(pres, phi)
     delta = fitting_delta(Q, 2).delta
-    out.append(_chk(e, "divisor at d=2", "derived", parse_laurent("g^2 - 5*g + 4"), delta))
-    out.append(_chk(e, "divisor value at 1/4", "derived", F(45, 16), delta.eval_at(F(1, 4))))
-    coh = h1_report(pres, phi, F(1, 4))
-    out.append(
-        _chk(
-            e,
-            "quotient dimensions",
-            "stated",
-            (2, 1, 1),
-            (coh.z1_dim, coh.b1_dim, coh.h1_dim),
-        )
+    yield "divisor at d=2", "derived", parse_laurent("g^2 - 5*g + 4"), delta
+    yield "divisor value at 1/4", "derived", F(45, 16), delta.eval_at(F(1, 4))
+    audit = theorem_audit(pres, phi, F(1, 4))
+    coh = audit.cohomology
+    yield (
+        "quotient dimensions",
+        "stated",
+        (2, 1, 1),
+        (coh.z1_dim, coh.b1_dim, coh.h1_dim),
     )
-    out.append(_chk(e, "fixed space dimension", "derived", 1, coh.fixed_dim))
+    yield "fixed space dimension", "derived", 1, coh.fixed_dim
     rho = specialize(pres, phi, F(1, 4))
     beta = _hom(2, (0, 1), (0, 1), (0, 1))
     witness = is_coboundary(beta, rho)
-    out.append(
-        _chk(e, "canonical witness for the second column", "derived", (F(0), F(-4, 3)), witness)
-    )
+    yield "canonical witness for the second column", "derived", (F(0), F(-4, 3)), witness
     displayed = (F(1), F(-4, 3))
-    out.append(
-        _chk(
-            e,
-            "displayed witness solves the same equations",
-            "stated",
-            tuple(beta.stacked()),
-            mat_vec(coboundary_matrix(rho), displayed),
-        )
+    yield (
+        "displayed witness solves the same equations",
+        "stated",
+        tuple(beta.stacked()),
+        mat_vec(coboundary_matrix(rho), displayed),
     )
-    out.append(
-        _chk(
-            e,
-            "first-coordinate class is not principal",
-            "stated",
-            None,
-            is_coboundary(_hom(2, (1, 0), (1, 0), (1, 0)), rho),
-        )
+    yield (
+        "first-coordinate class is not principal",
+        "stated",
+        None,
+        is_coboundary(_hom(2, (1, 0), (1, 0), (1, 0)), rho),
     )
     count = extension_count_criterion(pres, phi, F(1, 4))
-    out.append(
-        _chk(
-            e,
-            "count criterion away from the zeros",
-            "derived",
-            (2, 3, False, False),
-            (count.dim, count.k, count.meets_k, count.delta_zero),
-        )
+    yield (
+        "count criterion away from the zeros",
+        "derived",
+        (2, 3, False, False),
+        (count.dim, count.k, count.meets_k, count.delta_zero),
     )
-    audit = theorem_audit(pres, phi, F(1, 4))
-    out.append(
-        _chk(
-            e,
-            "forward consistent, converse not applicable",
-            "stated",
-            ("consistent", _NOT_APPLICABLE, True, False),
-            (
-                audit.forward_verdict,
-                audit.converse_verdict,
-                audit.forward_applicable,
-                audit.converse_applicable,
-            ),
-        )
+    yield (
+        "forward consistent, converse not applicable",
+        "stated",
+        ("consistent", _NOT_APPLICABLE, True, False),
+        (
+            audit.forward_verdict,
+            audit.converse_verdict,
+            audit.forward_applicable,
+            audit.converse_applicable,
+        ),
     )
     ext = build_extension(pres, Representation.trivial(3), 1, _hom(1, (1,), (1,), (1,)))
     sym = symmetric_square_cocycle(ext)
-    out.append(
-        _chk(e, "squared corner class at 1 is not principal", "stated", False, sym.trivial)
-    )
+    yield "squared corner class at 1 is not principal", "stated", False, sym.trivial
 
 
-_CHECKS = {
-    "eg-4.1-p3": _checks_eg41,
-    "eg-4.2-p2": _checks_eg42,
-    "eg-4.3-p5": _checks_eg43,
-    "eg-4.3-p5-split": _checks_eg43split,
-    "eg-4.4-p3": _checks_eg44,
-    "eg-4.5-p3": _checks_eg45,
-    "eg-5.1-p3": _checks_eg51,
-    "eg-5.2-p3": _checks_eg52,
-    "eg-5.3-p3": _checks_eg53,
-    "eg-5.4-p3": _checks_eg54,
-    "eg-5.5-p3": _checks_eg55,
-}
+ENTRIES: tuple[CorpusEntry, ...] = (
+    CorpusEntry(
+        "eg-4.1-p3",
+        "eg41.pres",
+        None,
+        "three generators at p=3, trivial coefficients: matrix, divisor, "
+        "zero, crossed homomorphisms, extensions",
+        _checks_eg41,
+    ),
+    CorpusEntry(
+        "eg-4.2-p2",
+        "eg42.pres",
+        None,
+        "five relators at p=2: quadratic divisor with two rational zeros",
+        _checks_eg42,
+    ),
+    CorpusEntry(
+        "eg-4.3-p5",
+        "eg43.pres",
+        None,
+        "two generators at p=5: irreducible divisor, obstructed residue",
+        _checks_eg43,
+    ),
+    CorpusEntry(
+        "eg-4.3-p5-split",
+        "eg43split.pres",
+        None,
+        "two-generator companion whose divisor splits over the integers",
+        _checks_eg43split,
+    ),
+    CorpusEntry(
+        "eg-4.4-p3",
+        "eg41.pres",
+        "eg44.rep",
+        "two-dimensional coefficients: block matrix, quadratic divisor, "
+        "constrained crossed homomorphisms at both zeros",
+        _checks_eg44,
+    ),
+    CorpusEntry(
+        "eg-4.5-p3",
+        "eg41.pres",
+        "eg45.rep",
+        "two-dimensional coefficients with one corner dropped: linear "
+        "divisor and a shifted constraint",
+        _checks_eg45,
+    ),
+    CorpusEntry(
+        "eg-5.1-p3",
+        "eg41.pres",
+        None,
+        "scalar coefficients at the zero: quotient dimensions and witness",
+        _checks_eg51,
+    ),
+    CorpusEntry(
+        "eg-5.2-p3",
+        "eg41.pres",
+        "eg44.rep",
+        "two-dimensional coefficients at 1: two independent classes",
+        _checks_eg52,
+    ),
+    CorpusEntry(
+        "eg-5.3-p3",
+        "eg41.pres",
+        "eg44.rep",
+        "two-dimensional coefficients at the zero: one class, two witnesses",
+        _checks_eg53,
+    ),
+    CorpusEntry(
+        "eg-5.4-p3",
+        "eg41.pres",
+        "eg45.rep",
+        "asymmetric two-dimensional coefficients at the zero",
+        _checks_eg54,
+    ),
+    CorpusEntry(
+        "eg-5.5-p3",
+        "eg41.pres",
+        "eg55.rep",
+        "diagonal coefficients at 1/4: nonzero divisor value, one class, "
+        "converse hypotheses fail",
+        _checks_eg55,
+    ),
+)
 
 
 def run(entry_id: str | None = None) -> list[CheckResult]:
     """Recompute the pinned examples and compare. Returns every check
     result; see ensure() for turning failures into an exception."""
-    if entry_id is not None:
-        if entry_id not in _CHECKS:
-            raise KeyError(f"unknown corpus entry {entry_id!r}")
-        ids = [entry_id]
-    else:
-        ids = [entry.entry_id for entry in ENTRIES]
+    entries = [e for e in ENTRIES if entry_id in (None, e.entry_id)]
+    if not entries:
+        raise KeyError(f"unknown corpus entry {entry_id!r}")
     results: list[CheckResult] = []
-    for eid in ids:
-        _CHECKS[eid](results)
+    for entry in entries:
+        pres = load_presentation(entry.presentation)
+        if entry.representation is None:
+            phi = Representation.trivial(pres.n_generators)
+        else:
+            phi = load_representation(entry.representation, pres)
+        for name, source, expected, actual in entry.checks(pres, phi):
+            results.append(
+                CheckResult(
+                    entry=entry.entry_id,
+                    name=name,
+                    source=source,
+                    ok=expected == actual,
+                    expected=str(expected),
+                    actual=str(actual),
+                )
+            )
     return results
 
 

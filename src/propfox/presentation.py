@@ -16,6 +16,7 @@ The text format, one directive per line, # comments allowed:
 Word grammar: word := term {'*' term}; term := atom ['^' int];
 atom := ident | '(' word ')' | '[' word ',' word ']', where [x, y] is the
 commutator x^-1 * y^-1 * x * y and int is a nonzero 64-bit integer.
+The prime must be below 2^64; it is tested by deterministic Miller-Rabin.
 """
 
 from __future__ import annotations
@@ -26,6 +27,33 @@ from dataclasses import dataclass
 from .errors import DuplicateGenerator, ParseError, UnknownGenerator, ZeroExponent
 
 _EXP_LIMIT = 2 ** 63
+_PRIME_LIMIT = 2 ** 64
+# The first twelve primes as Miller-Rabin bases decide primality exactly for
+# every n < 3.3 * 10^24, well past _PRIME_LIMIT.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def reduce_syllables(sylls) -> tuple[tuple[int, int], ...]:
@@ -258,7 +286,9 @@ def parse_presentation(text: str) -> Presentation:
                 prime = int(rest.strip())
             except ValueError:
                 raise ParseError(f"bad prime {rest.strip()!r}", lineno, rest_offset + 1)
-            if prime < 2 or any(prime % q == 0 for q in range(2, int(prime**0.5) + 1)):
+            if prime >= _PRIME_LIMIT:
+                raise ParseError("prime too large: the limit is 2^64", lineno, rest_offset + 1)
+            if not _is_prime(prime):
                 raise ParseError(f"not a prime: {rest.strip()!r}", lineno, rest_offset + 1)
         elif word_ == "generators":
             if generators:

@@ -196,6 +196,25 @@ def test_exit_codes(capsys, tmp_path):
     assert code == 1
 
 
+def test_oversized_prime_is_a_parse_error(tmp_path):
+    """A 401-digit prime is refused by the 2^64 bound, not by a float
+    overflow in the primality test."""
+    path = tmp_path / "huge.pres"
+    path.write_text(f"prime {'9' * 401}\ngenerators a\n")
+    env = dict(os.environ)
+    src = str(Path(propfox.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "propfox.cli", "validate", str(path)],
+        env=env,
+        capture_output=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert b"Traceback" not in proc.stderr
+    assert b"2^64" in proc.stderr
+
+
 def test_corpus_mismatch_exit_code(capsys, monkeypatch):
     tampered = propfox.corpus.CheckResult(
         entry="eg-4.1-p3", name="delta_1", source="stated", ok=False,

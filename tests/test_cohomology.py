@@ -137,7 +137,7 @@ def test_theorem_audit_consistent(eg41, eg44rep):
     assert audit.forward_verdict == "consistent"
     assert audit.converse_verdict == "consistent"
     assert audit.verdict == "consistent"
-    assert audit.h1_dim == 1 and audit.fixed_dim == 0 and audit.delta_zero is True
+    assert audit.cohomology.h1_dim == 1 and audit.cohomology.fixed_dim == 0 and audit.delta_zero is True
 
     audit = theorem_audit(eg41, eg44rep, Fraction(1))
     assert audit.forward_verdict == "consistent"
@@ -149,13 +149,13 @@ def test_theorem_audit_away_from_zero(eg41):
     audit = theorem_audit(eg41, Representation.trivial(3), Fraction(7))
     assert audit.forward_verdict == "consistent"
     assert audit.delta_zero is False
-    assert audit.h1_dim == 0
+    assert audit.cohomology.h1_dim == 0
 
 
 def test_theorem_audit_gates(eg41):
     audit = theorem_audit(eg41, Representation.trivial(3), Fraction(0))
     assert not audit.forward_applicable and not audit.converse_applicable
-    assert audit.h1_dim is None
+    assert audit.cohomology is None
     assert audit.verdict == "hypothesis violated, not applicable"
     assert any("zero" in f for f in audit.hypothesis_failures)
 

@@ -1,5 +1,7 @@
 """The bundled examples recompute to their pinned values."""
 
+from collections import Counter
+
 import pytest
 
 from propfox import GoldenMismatch
@@ -27,7 +29,21 @@ def test_entry_checks_pass(entry_id):
 
 def test_full_run_and_ensure():
     results = corpus.run()
-    assert len(results) >= 90
+    assert len(results) == 96
+    assert Counter(r.source for r in results) == {"stated": 40, "derived": 56}
+    assert Counter(r.entry for r in results) == {
+        "eg-4.1-p3": 17,
+        "eg-4.2-p2": 12,
+        "eg-4.3-p5": 7,
+        "eg-4.3-p5-split": 8,
+        "eg-4.4-p3": 13,
+        "eg-4.5-p3": 5,
+        "eg-5.1-p3": 5,
+        "eg-5.2-p3": 6,
+        "eg-5.3-p3": 7,
+        "eg-5.4-p3": 6,
+        "eg-5.5-p3": 10,
+    }
     corpus.ensure(results)
 
 

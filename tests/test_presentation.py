@@ -109,6 +109,25 @@ def test_parse_presentation_errors():
     assert err is not None and err.line == 3
 
 
+@pytest.mark.parametrize("p", [10**18 + 3, 2**61 - 1])
+def test_large_prime_accepted_quickly(p):
+    start = time.perf_counter()
+    pres = parse_presentation(f"prime {p}\ngenerators a\n")
+    assert time.perf_counter() - start < 1.0
+    assert pres.prime == p
+
+
+@pytest.mark.parametrize("n", [561, 2047, 3215031751, (2**31 - 1) ** 2])
+def test_composite_prime_rejected(n):
+    with pytest.raises(ParseError, match="not a prime"):
+        parse_presentation(f"prime {n}\ngenerators a\n")
+
+
+def test_prime_bound():
+    with pytest.raises(ParseError, match=r"2\^64"):
+        parse_presentation(f"prime {2**64}\ngenerators a\n")
+
+
 def test_validate_presentation():
     pres = parse_presentation("prime 3\ngenerators a b\nrelator a*b = b*a")
     report = validate_presentation(pres)

@@ -4,6 +4,7 @@ Every suite runs at least 500 derandomized examples. The strategies bias
 toward short words and small numbers so each example stays exact and fast.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -51,6 +52,7 @@ from propfox.extensions import mat_vec
 from propfox.fitting import _fold_minors, _minor
 from propfox.fox import AlexanderMatrix, _relation_matrix
 from propfox.matrices import frac_identity, freeze, mat_mul, mat_pow
+from propfox.presentation import _is_prime
 
 from laurent_fox import LaurentTensorRep, laurent_alexander_matrix, laurent_evaluate_word
 
@@ -618,3 +620,14 @@ def test_evaluate_word_matches_fraction_syllable_product(rho, w):
     for g, e in w.syllables:
         expected = mat_mul(expected, mat_pow(rho.mats[g] if e > 0 else rho.invs[g], abs(e), ident))
     assert evaluate_word(rho, w) == expected
+
+
+@SUITE
+@given(st.integers(min_value=-10, max_value=10**8))
+@example(561)
+@example(2047)
+@example(3215031751)
+@example((2**13 - 1) ** 2)
+def test_miller_rabin_matches_trial_division(n):
+    expected = n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+    assert _is_prime(n) == expected
