@@ -405,6 +405,9 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    # exact answers can run past the default 4300-digit int-to-str limit
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -23,13 +23,14 @@ from .errors import (
 from .extensions import (
     CrossedHom,
     SpecializedRep,
+    _corner_column,
+    _extend,
     cocycle_space,
-    mat_vec,
     specialize,
     verify_factors,
 )
 from .fitting import fitting_delta, zero_by_both_routes
-from .fox import Representation, _fox_pass, alexander_matrix
+from .fox import Representation, alexander_matrix
 from .matrices import frac_inverse, frac_rank_nullspace, frac_solve, freeze
 from .presentation import Presentation, validate_presentation
 from .scalars import Rational, unit_ball_check
@@ -97,33 +98,20 @@ def h1_report(pres: Presentation, phi: Representation, a: Rational) -> Cohomolog
     )
 
 
-def _specialized_matrix(rho: SpecializedRep):
-    """The relation matrix through rho's own images: the Fox pass at grading
-    zero over the rational matrices rho(g_i), which equals the Laurent
-    relation matrix evaluated at rho.a."""
-    zero = (0,) * rho.pres.n_generators
-    return tuple(
-        tuple(cell.get(0, Fraction(0)) for cell in row)
-        for rel in rho.pres.relators
-        for row in _fox_pass(zero, rho.mats, rho.invs, rel.flatten())
-    )
-
-
 def is_coboundary(beta: CrossedHom, rho: SpecializedRep):
     """A witness vector v with beta(g_i) = rho(g_i) v - v for every i, or
     None when beta is not principal. Rejects assignments that are not
-    crossed homomorphisms in the first place."""
+    crossed homomorphisms in the first place: those with a nonzero value on
+    some relator, read off the corner of the extension of rho by beta."""
     report = validate_presentation(rho.pres)
     if not report.ok:
         raise HypothesisViolated("; ".join(report.failures))
-    Q = _specialized_matrix(rho)
-    target = beta.stacked()
-    residual = mat_vec(Q, target)
-    if any(x != 0 for x in residual):
+    ext = _extend(rho, beta)
+    if any(any(_corner_column(ext, rel.flatten())) for rel in rho.pres.relators):
         raise NotACocycle(
             "the generator assignment violates the relator constraints"
         )
-    return frac_solve(coboundary_matrix(rho), target)
+    return frac_solve(coboundary_matrix(rho), beta.stacked())
 
 
 def _sym_square_2x2(M):

@@ -16,8 +16,8 @@ from fractions import Fraction
 
 from .errors import DivisionByZero
 from .fitting import fitting_delta, zero_by_both_routes
-from .fox import Representation, _check_shape, alexander_matrix, evaluate_word, geometric_sum
-from .matrices import frac_rank_nullspace, freeze, identity, mat_mul, mat_pow
+from .fox import Representation, _check_shape, alexander_matrix, evaluate_word
+from .matrices import frac_identity, frac_rank_nullspace, freeze
 from .presentation import Presentation, Word
 from .scalars import Rational
 
@@ -86,17 +86,7 @@ class SpecializedRep:
         self.dim = len(mats[0]) if mats else 1
 
     def identity(self):
-        return identity(self.dim, Fraction(1), Fraction(0))
-
-    def image(self, i: int):
-        return self.mats[i]
-
-    def image_inverse(self, i: int):
-        return self.invs[i]
-
-    def syllable_image(self, i: int, e: int):
-        base = self.mats[i] if e >= 0 else self.invs[i]
-        return mat_pow(base, abs(e), self.identity())
+        return frac_identity(self.dim)
 
     def factors_through(self) -> bool:
         """Whether every relator maps to the identity, i.e. the images define
@@ -145,21 +135,35 @@ def _corner(M, b):
     return freeze(rows)
 
 
+def _extend(rho: SpecializedRep, beta: CrossedHom) -> SpecializedRep:
+    """The images [[rho(g_i), beta_i], [0, 1]], with inverses
+    [[rho(g_i)^-1, -rho(g_i)^-1 beta_i], [0, 1]]. Block multiplication is
+    the product rule beta(uv) = beta(u) + rho(u) beta(v), so the image of a
+    word holds the value of beta on it in the corner column."""
+    if beta.ell != rho.dim or len(beta.vectors) != len(rho.mats):
+        raise ValueError("crossed homomorphism shape does not match")
+    mats = tuple(_corner(M, b) for M, b in zip(rho.mats, beta.vectors))
+    invs = tuple(
+        _corner(Minv, tuple(-x for x in mat_vec(Minv, b)))
+        for Minv, b in zip(rho.invs, beta.vectors)
+    )
+    return SpecializedRep(rho.pres, rho.a, mats, invs)
+
+
+def _corner_column(ext: SpecializedRep, word: Word) -> tuple:
+    """The top entries of the last column of the word's image under an
+    extension: the value on the word of the crossed homomorphism it
+    extends by."""
+    return tuple(row[-1] for row in evaluate_word(ext, word)[:-1])
+
+
 def build_extension(
     pres: Presentation, phi: Representation, a: Rational, beta: CrossedHom
 ) -> SpecializedRep:
     """Generator images [[a^{alpha_i} phi(g_i), beta_i], [0, 1]], one
     dimension up from phi. Nothing is verified here; run verify_factors to
     test the relators."""
-    if beta.ell != phi.dim or len(beta.vectors) != pres.n_generators:
-        raise ValueError("crossed homomorphism shape does not match")
-    base = specialize(pres, phi, a)
-    mats = tuple(_corner(M, b) for M, b in zip(base.mats, beta.vectors))
-    invs = tuple(
-        _corner(Minv, tuple(-x for x in mat_vec(Minv, b)))
-        for Minv, b in zip(base.invs, beta.vectors)
-    )
-    return SpecializedRep(pres, base.a, mats, invs)
+    return _extend(specialize(pres, phi, a), beta)
 
 
 @dataclass(frozen=True)
@@ -185,19 +189,10 @@ def verify_factors(candidate: SpecializedRep, pres: Presentation) -> Verificatio
     return VerificationReport(ok=all(c.ok for c in checks), relators=tuple(checks))
 
 
-def evaluate_cocycle(beta: CrossedHom, rho, word: Word):
-    """Value of the crossed homomorphism on a word, by the twisted product
-    rule: each syllable g^e contributes the image of the prefix times the
-    geometric sum of rho(g) of length e applied to beta(g)."""
-    ident = rho.identity()
-    value = tuple(Fraction(0) for _ in range(rho.dim))
-    pre = ident
-    for j, e in word.syllables:
-        gs = geometric_sum(rho.image(j), e, ident, rho.image_inverse(j))
-        contribution = mat_vec(gs, beta.vectors[j])
-        value = tuple(x + y for x, y in zip(value, mat_vec(pre, contribution)))
-        pre = mat_mul(pre, rho.syllable_image(j, e))
-    return value
+def evaluate_cocycle(beta: CrossedHom, rho: SpecializedRep, word: Word):
+    """Value of the crossed homomorphism on a word: the corner column of
+    the word's image under the extension of rho by beta."""
+    return _corner_column(_extend(rho, beta), word)
 
 
 @dataclass(frozen=True)

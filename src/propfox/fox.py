@@ -16,18 +16,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .errors import HypothesisViolated, NotInvertible, ParseError, UnknownGenerator
+from .errors import HypothesisViolated, ParseError, UnknownGenerator
 from .laurent import LaurentPoly
 from .matrices import (
     frac_identity,
     frac_inverse,
     freeze,
     from_scaled,
-    mat_add,
     mat_mul,
-    mat_neg,
-    mat_pow,
-    mat_scale,
     scaled_mul,
     scaled_pow,
     to_scaled,
@@ -159,28 +155,6 @@ def evaluate_word(rep, word: Word):
     return frac_identity(rep.dim) if acc is None else from_scaled(acc)
 
 
-def geometric_sum(M, n: int, ident, inverse=None):
-    """I + M + ... + M^(n-1) for n >= 0, by joint doubling of the pair
-    (M^k, partial sum). For n < 0 returns -(M^-1 + ... + M^n), which needs
-    the inverse of M."""
-    zero = mat_scale(0, ident)
-    if n == 0:
-        return zero
-    if n < 0:
-        if inverse is None:
-            raise NotInvertible("negative syllable power needs an inverse image")
-        return mat_neg(mat_mul(mat_pow(inverse, -n, ident), geometric_sum(M, -n, ident)))
-    S = zero
-    P = ident
-    for bit in bin(n)[2:]:
-        S = mat_add(S, mat_mul(P, S))
-        P = mat_mul(P, P)
-        if bit == "1":
-            S = mat_add(S, P)
-            P = mat_mul(P, M)
-    return S
-
-
 def _fox_pass(exps, mats, invs, word: Word) -> list:
     """The derivatives of the word by every generator, in one walk over its
     letters: dim rows of n_generators * dim maps exponent -> coefficient,
@@ -190,8 +164,7 @@ def _fox_pass(exps, mats, invs, word: Word) -> list:
     The image of the prefix read so far is one graded pair g^k (x) P. A letter
     g_j contributes +P at g^k to block j and then steps the pair to
     g^(k + exps[j]) (x) P mats[j]; a letter g_j^-1 first steps the pair by
-    the inverse image and then contributes -P. With every exps[i] zero the
-    maps hold only exponent 0, and the pass runs over rational images alone."""
+    the inverse image and then contributes -P."""
     ell = len(mats[0]) if mats else 1
     one = frac_identity(ell)
     rows = [[{} for _ in range(len(exps) * ell)] for _ in range(ell)]

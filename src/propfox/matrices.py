@@ -1,11 +1,11 @@
 """Small dense-matrix helpers over exact scalars.
 
 Matrices are tuples of tuples (immutable, hashable when the scalars are).
-Nothing here knows about Laurent polynomials specifically; the generic
-routines only use +, -, *. The field-specific routines (inverse, RREF,
-rank, nullspace) work over Fraction. Products of many rational matrices run
-in scaled form, integer rows over one common denominator, with one gcd per
-product in place of one per scalar operation.
+The field routines (RREF, inverse, rank, nullspace, solve) work over
+Fraction, and the inverse is the right half of the RREF of [A | I].
+Products of many rational matrices run in scaled form, integer rows over
+one common denominator, with one gcd per product in place of one per scalar
+operation.
 """
 
 from __future__ import annotations
@@ -21,18 +21,6 @@ Matrix = tuple  # tuple of row tuples
 
 def freeze(rows) -> Matrix:
     return tuple(tuple(r) for r in rows)
-
-
-def mat_add(A: Matrix, B: Matrix) -> Matrix:
-    return tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
-
-
-def mat_neg(A: Matrix) -> Matrix:
-    return tuple(tuple(-a for a in r) for r in A)
-
-
-def mat_scale(c, A: Matrix) -> Matrix:
-    return tuple(tuple(c * a for a in r) for r in A)
 
 
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
@@ -52,26 +40,8 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     return tuple(out)
 
 
-def identity(n: int, one, zero) -> Matrix:
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
-
-
 def frac_identity(n: int) -> Matrix:
-    return identity(n, Fraction(1), Fraction(0))
-
-
-def mat_pow(A: Matrix, n: int, ident: Matrix) -> Matrix:
-    """A^n for n >= 0 by repeated squaring."""
-    if n < 0:
-        raise ValueError(f"matrix power needs n >= 0, got {n}")
-    result = ident
-    base = A
-    while n:
-        if n & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base) if n > 1 else base
-        n >>= 1
-    return result
+    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
 
 
 def to_scaled(A: Matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -119,24 +89,6 @@ def from_scaled(A) -> Matrix:
     return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
 
 
-def frac_inverse(A: Matrix) -> Matrix:
-    """Gauss-Jordan inverse over Fraction; NotInvertible on rank defect."""
-    n = len(A)
-    aug = [list(map(Fraction, row)) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(A)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise NotInvertible("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return freeze(row[n:] for row in aug)
-
-
 def frac_rref(A) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...]]:
     """Reduced row echelon form and pivot column indices."""
     rows = [list(map(Fraction, r)) for r in A]
@@ -161,6 +113,16 @@ def frac_rref(A) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...]]:
         if r == len(rows):
             break
     return freeze(rows), tuple(pivots)
+
+
+def frac_inverse(A: Matrix) -> Matrix:
+    """The right half of the RREF of [A | I]; NotInvertible unless the
+    first n pivots are the columns of A."""
+    n = len(A)
+    rref, pivots = frac_rref(tuple(row) + e for row, e in zip(A, frac_identity(n)))
+    if pivots[:n] != tuple(range(n)):
+        raise NotInvertible("matrix is singular")
+    return freeze(row[n:] for row in rref)
 
 
 def frac_rank_nullspace(A, ncols: int | None = None) -> tuple[int, tuple[tuple[Fraction, ...], ...]]:

@@ -3,12 +3,66 @@ graded one-pass relation matrix is checked against.
 
 Each syllable g^e contributes (image of the prefix so far) times the geometric
 sum of the image of g with length e, every product taken over Laurent
-polynomials, one walk per generator.
+polynomials, one walk per generator. The ring-generic matrix helpers this
+route needs live here, next to their only consumer.
 """
 
-from propfox.fox import AlexanderMatrix, Representation, geometric_sum
+from propfox.errors import NotInvertible
+from propfox.fox import AlexanderMatrix, Representation
 from propfox.laurent import LaurentPoly
-from propfox.matrices import frac_identity, identity, mat_add, mat_mul, mat_pow, mat_scale
+from propfox.matrices import frac_identity, mat_mul
+
+
+def mat_add(A, B):
+    return tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B))
+
+
+def mat_neg(A):
+    return tuple(tuple(-a for a in r) for r in A)
+
+
+def mat_scale(c, A):
+    return tuple(tuple(c * a for a in r) for r in A)
+
+
+def identity(n: int, one, zero):
+    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+
+
+def mat_pow(A, n: int, ident):
+    """A^n for n >= 0 by repeated squaring, over any ring."""
+    if n < 0:
+        raise ValueError(f"matrix power needs n >= 0, got {n}")
+    result = ident
+    base = A
+    while n:
+        if n & 1:
+            result = mat_mul(result, base)
+        base = mat_mul(base, base) if n > 1 else base
+        n >>= 1
+    return result
+
+
+def geometric_sum(M, n: int, ident, inverse=None):
+    """I + M + ... + M^(n-1) for n >= 0, by joint doubling of the pair
+    (M^k, partial sum). For n < 0 returns -(M^-1 + ... + M^n), which needs
+    the inverse of M."""
+    zero = mat_scale(0, ident)
+    if n == 0:
+        return zero
+    if n < 0:
+        if inverse is None:
+            raise NotInvertible("negative syllable power needs an inverse image")
+        return mat_neg(mat_mul(mat_pow(inverse, -n, ident), geometric_sum(M, -n, ident)))
+    S = zero
+    P = ident
+    for bit in bin(n)[2:]:
+        S = mat_add(S, mat_mul(P, S))
+        P = mat_mul(P, P)
+        if bit == "1":
+            S = mat_add(S, P)
+            P = mat_mul(P, M)
+    return S
 
 
 def _laurent_wrap(M, exp: int):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -26,6 +27,19 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_cli_process(*argv, flags=()):
+    """The CLI in a fresh interpreter, with the default int-to-str limit."""
+    env = dict(os.environ)
+    src = str(Path(propfox.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "propfox.cli", *argv],
+        env=env,
+        capture_output=True,
+        timeout=120,
+    )
 
 
 def test_validate_ok(capsys):
@@ -64,16 +78,8 @@ def test_delta_json_schema(capsys):
 def test_json_identical_under_optimize_flag():
     """python -O strips assert statements; the output must not depend on
     them."""
-    env = dict(os.environ)
-    src = str(Path(propfox.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    argv = ["-m", "propfox.cli", "delta", EG41, "--d", "2", "--rep", EG44, "--json"]
-    plain, optimized = [
-        subprocess.run(
-            [sys.executable, *flags, *argv], env=env, capture_output=True, timeout=120
-        )
-        for flags in ([], ["-O"])
-    ]
+    argv = ["delta", EG41, "--d", "2", "--rep", EG44, "--json"]
+    plain, optimized = [run_cli_process(*argv, flags=flags) for flags in ([], ["-O"])]
     assert plain.returncode == optimized.returncode == 0
     assert plain.stdout == optimized.stdout
     assert json.loads(plain.stdout)["results"]["d"] == 2
@@ -201,18 +207,41 @@ def test_oversized_prime_is_a_parse_error(tmp_path):
     overflow in the primality test."""
     path = tmp_path / "huge.pres"
     path.write_text(f"prime {'9' * 401}\ngenerators a\n")
-    env = dict(os.environ)
-    src = str(Path(propfox.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "propfox.cli", "validate", str(path)],
-        env=env,
-        capture_output=True,
-        timeout=60,
-    )
+    proc = run_cli_process("validate", str(path))
     assert proc.returncode == 2
     assert b"Traceback" not in proc.stderr
     assert b"2^64" in proc.stderr
+
+
+def _huge_integer_inputs(tmp_path):
+    pres = tmp_path / "big.pres"
+    pres.write_text("prime 3\ngenerators a b\nrelator a^50*b^-50\n")
+    rep = tmp_path / "big.rep"
+    rep.write_text(f"dim 1\nmatrix a\n{10**100}\nmatrix b\n{10**100}\n")
+    eg43_p11 = tmp_path / "eg43p11.pres"
+    eg43_p11.write_text(Path(EG43).read_text().replace("prime 5", "prime 11"))
+    return str(pres), str(rep), str(eg43_p11)
+
+
+@pytest.mark.parametrize(
+    "command, field",
+    [("matrix", "entries"), ("delta", "delta"), ("zeros", "all")],
+)
+def test_integers_past_the_str_digit_limit_print(tmp_path, command, field):
+    """Exact answers with more than 4300 digits print in full instead of
+    ending in Python's int-to-str limit."""
+    pres, rep, eg43_p11 = _huge_integer_inputs(tmp_path)
+    argv = {
+        "matrix": ["matrix", pres, "--rep", rep, "--json"],
+        "delta": ["delta", pres, "--rep", rep, "--d", "1", "--json"],
+        "zeros": ["zeros", eg43_p11, "--d", "1", "--prec", "5000", "--json"],
+    }[command]
+    proc = run_cli_process(*argv)
+    assert proc.returncode == 0, proc.stderr
+    assert b"Traceback" not in proc.stderr
+    results = json.loads(proc.stdout, parse_int=str)["results"]
+    longest = max(len(run) for run in re.findall(r"\d+", json.dumps(results[field])))
+    assert longest > 4300
 
 
 def test_corpus_mismatch_exit_code(capsys, monkeypatch):

@@ -92,6 +92,14 @@ def test_is_coboundary_witnesses(eg41, eg44rep):
     assert is_coboundary(beta, rho44) == (Fraction(1, 3), Fraction(0))
 
 
+def test_is_coboundary_rejects_a_mismatched_shape(eg41, eg44rep):
+    rho = specialize(eg41, eg44rep, Fraction(4))
+    with pytest.raises(ValueError, match="shape"):
+        is_coboundary(hom1(0, 0, 0), rho)
+    with pytest.raises(ValueError, match="shape"):
+        is_coboundary(CrossedHom.from_flat(F(0, 0, 0, 0), 2), rho)
+
+
 def test_witness_equation_holds(eg41):
     rho = specialize(eg41, Representation.trivial(3), Fraction(4))
     beta = hom1(1, 1, 1)

@@ -44,8 +44,8 @@ def test_specialize_scales_by_weight():
     pres = parse_presentation("prime 3\ngenerators a b\nrelator a*b = b*a")
     phi = Representation.trivial(2)
     rho = specialize(pres, phi, Fraction(5))
-    assert rho.image(0) == ((Fraction(5),),)
-    assert rho.image_inverse(1) == ((Fraction(1, 5),),)
+    assert rho.mats[0] == ((Fraction(5),),)
+    assert rho.invs[1] == ((Fraction(1, 5),),)
 
 
 def test_non_factoring_representation(eg41):
@@ -84,7 +84,7 @@ def test_build_extension_block_form(eg41):
     from propfox.matrices import mat_mul
 
     for i in range(3):
-        assert mat_mul(cand.image(i), cand.image_inverse(i)) == ident
+        assert mat_mul(cand.mats[i], cand.invs[i]) == ident
 
 
 def test_verify_factors_pass_and_fail(eg41):
@@ -130,6 +130,15 @@ def test_evaluate_cocycle_on_generators(eg41):
         a + b for a, b in zip(evaluate_cocycle(beta, rho, u), mat_vec(ru, evaluate_cocycle(beta, rho, v)))
     )
     assert left == right
+
+
+def test_evaluate_cocycle_rejects_a_mismatched_shape(eg41, eg44rep):
+    rho = specialize(eg41, eg44rep, Fraction(4))
+    w = parse_word("g1*g2", eg41.generators)
+    with pytest.raises(ValueError, match="shape"):
+        evaluate_cocycle(hom1(0, 0, 0), rho, w)
+    with pytest.raises(ValueError, match="shape"):
+        evaluate_cocycle(CrossedHom.from_flat(F(0, 0, 0, 0), 2), rho, w)
 
 
 def test_extension_count_criterion(eg41, eg44rep):

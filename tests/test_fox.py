@@ -11,7 +11,6 @@ from propfox import (
     Representation,
     fox_derivative_matrix,
     format_representation,
-    geometric_sum,
     parse_laurent,
     parse_presentation,
     parse_representation,
@@ -19,9 +18,15 @@ from propfox import (
 )
 from propfox import LaurentPoly, alexander_matrix, corpus
 from propfox.fox import _relation_matrix
-from propfox.matrices import frac_identity, freeze, mat_mul, mat_pow
+from propfox.matrices import frac_identity, freeze, mat_mul
 
-from laurent_fox import LaurentTensorRep, laurent_alexander_matrix, laurent_evaluate_word
+from laurent_fox import (
+    LaurentTensorRep,
+    geometric_sum,
+    laurent_alexander_matrix,
+    laurent_evaluate_word,
+    mat_pow,
+)
 
 
 def L(text):

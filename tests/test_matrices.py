@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from propfox import NotInvertible, frac_identity, frac_inverse, frac_rank_nullspace, frac_rref, frac_solve
-from propfox.matrices import freeze, from_scaled, mat_mul, mat_pow, scaled_mul, scaled_pow, to_scaled
+from propfox.matrices import freeze, from_scaled, mat_mul, scaled_mul, scaled_pow, to_scaled
+
+from laurent_fox import mat_pow
 
 
 def F(rows):

@@ -31,7 +31,6 @@ from propfox import (
     format_rational,
     format_word,
     fox_derivative_matrix,
-    geometric_sum,
     gcd_many,
     hensel_roots,
     is_zero_of_delta,
@@ -47,14 +46,19 @@ from propfox import (
     verify_factors,
 )
 from propfox import corpus
-from propfox.cohomology import _specialized_matrix
 from propfox.extensions import mat_vec
 from propfox.fitting import _fold_minors, _minor
 from propfox.fox import AlexanderMatrix, _relation_matrix
-from propfox.matrices import frac_identity, freeze, mat_mul, mat_pow
+from propfox.matrices import frac_identity, freeze, mat_mul
 from propfox.presentation import _is_prime
 
-from laurent_fox import LaurentTensorRep, laurent_alexander_matrix, laurent_evaluate_word
+from laurent_fox import (
+    LaurentTensorRep,
+    geometric_sum,
+    laurent_alexander_matrix,
+    laurent_evaluate_word,
+    mat_pow,
+)
 
 SUITE = settings(max_examples=500, derandomize=True, deadline=None)
 
@@ -324,7 +328,13 @@ def test_one_pass_matrix_matches_laurent_route(case, a):
     assert Q.entries == laurent_alexander_matrix(pres, rep).entries
     assert (Q.n_rows, Q.n_cols) == (len(pres.relators) * rep.dim, 3 * rep.dim)
     rho = specialize(pres, rep, a)
-    assert _specialized_matrix(rho) == Q.specialize(a)
+    # Fox's fundamental formula, beta(w) = sum_i (dw/dg_i)(a) beta(g_i), from
+    # the specialized Laurent matrix on one side and the extension's corner
+    # on the other
+    flat = tuple(Fraction(k + 1, 3 - k % 2) for k in range(Q.n_cols))
+    beta = CrossedHom.from_flat(flat, rep.dim)
+    corners = tuple(x for rel in pres.relators for x in evaluate_cocycle(beta, rho, rel.flatten()))
+    assert mat_vec(Q.specialize(a), flat) == corners
     assert rho.factors_through() == verify_factors(rho, pres).ok
 
 
