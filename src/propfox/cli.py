@@ -39,7 +39,7 @@ from .fitting import fitting_delta, iwasawa_delta
 from .fox import Representation, alexander_matrix, parse_representation
 from .laurent import LaurentPoly, format_laurent
 from .presentation import parse_presentation, validate_presentation
-from .scalars import format_rational, parse_rational
+from .scalars import format_rational, parse_int, parse_rational
 from .zeros import filter_unit_ball, zero_report
 
 SCHEMA_VERSION = 1
@@ -60,9 +60,9 @@ def _rational_arg(text: str) -> Fraction:
 def _int_at_least(low: int):
     def parse(text: str) -> int:
         try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+            value = parse_int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
@@ -405,8 +405,10 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    # exact answers can run past the default 4300-digit int-to-str limit
-    if hasattr(sys, "set_int_max_str_digits"):
+    # exact answers can run past Python's default 4300-digit int-to-str limit:
+    # lift it for this call (input literals keep scalars.MAX_LITERAL_DIGITS)
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
         sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
@@ -430,6 +432,9 @@ def main(argv=None) -> int:
     except GoldenMismatch as exc:
         print(f"corpus mismatch: {exc}", file=sys.stderr)
         return 5
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -29,7 +29,7 @@ from .matrices import (
     to_scaled,
 )
 from .presentation import Presentation, Word, validate_presentation
-from .scalars import Rational, parse_rational
+from .scalars import Rational, parse_int, parse_rational
 
 
 @dataclass(frozen=True)
@@ -86,9 +86,9 @@ def parse_representation(text: str, pres: Presentation) -> Representation:
             if dim is not None:
                 raise ParseError("dim given twice", lineno)
             try:
-                dim = int(rest.strip())
-            except ValueError:
-                raise ParseError(f"bad dimension {rest.strip()!r}", lineno)
+                dim = parse_int(rest.strip())
+            except ValueError as exc:
+                raise ParseError(f"bad dimension: {exc}", lineno)
             if dim < 1:
                 raise ParseError(f"dimension must be positive, got {dim}", lineno)
         elif head == "matrix":

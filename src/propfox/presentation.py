@@ -17,6 +17,7 @@ Word grammar: word := term {'*' term}; term := atom ['^' int];
 atom := ident | '(' word ')' | '[' word ',' word ']', where [x, y] is the
 commutator x^-1 * y^-1 * x * y and int is a nonzero 64-bit integer.
 The prime must be below 2^64; it is tested by deterministic Miller-Rabin.
+Integer literals have at most 4300 digits (scalars.MAX_LITERAL_DIGITS).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import DuplicateGenerator, ParseError, UnknownGenerator, ZeroExponent
+from .scalars import parse_int
 
 _EXP_LIMIT = 2 ** 63
 _PRIME_LIMIT = 2 ** 64
@@ -228,11 +230,12 @@ class _WordParser:
             tok, at = self.take()
             if not re.fullmatch(r"-?\d+", tok):
                 self.error(f"expected an integer exponent, found {tok!r}", at)
+            # the length test keeps int() off literals far past the range
+            if len(tok) > 20 or not -_EXP_LIMIT < int(tok) < _EXP_LIMIT:
+                self.error("exponent out of 64-bit range", at)
             e = int(tok)
             if e == 0:
                 self.error("exponent 0 is not allowed", at, ZeroExponent)
-            if not -_EXP_LIMIT < e < _EXP_LIMIT:
-                self.error("exponent out of 64-bit range", at)
             w = w ** e
         return w
 
@@ -283,9 +286,9 @@ def parse_presentation(text: str) -> Presentation:
             if prime is not None:
                 raise ParseError("prime given twice", lineno, 1)
             try:
-                prime = int(rest.strip())
-            except ValueError:
-                raise ParseError(f"bad prime {rest.strip()!r}", lineno, rest_offset + 1)
+                prime = parse_int(rest.strip())
+            except ValueError as exc:
+                raise ParseError(f"bad prime: {exc}", lineno, rest_offset + 1)
             if prime >= _PRIME_LIMIT:
                 raise ParseError("prime too large: the limit is 2^64", lineno, rest_offset + 1)
             if not _is_prime(prime):
@@ -312,9 +315,9 @@ def parse_presentation(text: str) -> Presentation:
                 if name not in gen_index:
                     raise UnknownGenerator(f"unknown generator {name!r}", lineno, 1)
                 try:
-                    alpha[gen_index[name]] = int(val)
-                except ValueError:
-                    raise ParseError(f"bad weight {val!r} for {name}", lineno, 1)
+                    alpha[gen_index[name]] = parse_int(val)
+                except ValueError as exc:
+                    raise ParseError(f"bad weight for {name}: {exc}", lineno, 1)
         elif word_ == "relator":
             if not generators:
                 raise ParseError("relator before generators", lineno, 1)

@@ -14,18 +14,33 @@ Rational = Fraction
 
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))$|^([+-]?\d+)$")
 
+# int() takes time quadratic in a literal's length, so input literals are
+# bounded, at Python's default int-to-str limit
+MAX_LITERAL_DIGITS = 4300
+
+
+def parse_int(text: str) -> int:
+    """int(text) for an input literal of at most MAX_LITERAL_DIGITS digits."""
+    digits = len(text.strip().lstrip("+-"))
+    if digits > MAX_LITERAL_DIGITS:
+        raise ValueError(f"integer literal of {digits} digits: the limit is {MAX_LITERAL_DIGITS}")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"not an integer: {text!r}") from None
+
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "n" or "n/d" with d > 0. Raises ValueError on anything else."""
+    """Parse "n" or "n/d" (parts by parse_int) with d > 0, or raise ValueError."""
     m = _RATIONAL_RE.match(text.strip())
     if not m:
         raise ValueError(f"not a rational in n or n/d form: {text!r}")
     if m.group(3) is not None:
-        return Fraction(int(m.group(3)))
-    den = int(m.group(2))
+        return Fraction(parse_int(m.group(3)))
+    den = parse_int(m.group(2))
     if den == 0:
         raise ValueError(f"zero denominator: {text!r}")
-    return Fraction(int(m.group(1)), den)
+    return Fraction(parse_int(m.group(1)), den)
 
 
 def format_rational(q: Fraction) -> str:

@@ -29,7 +29,7 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_cli_process(*argv, flags=()):
+def run_cli_process(*argv, flags=(), timeout=120):
     """The CLI in a fresh interpreter, with the default int-to-str limit."""
     env = dict(os.environ)
     src = str(Path(propfox.__file__).resolve().parent.parent)
@@ -38,7 +38,7 @@ def run_cli_process(*argv, flags=()):
         [sys.executable, *flags, "-m", "propfox.cli", *argv],
         env=env,
         capture_output=True,
-        timeout=120,
+        timeout=timeout,
     )
 
 
@@ -207,10 +207,65 @@ def test_oversized_prime_is_a_parse_error(tmp_path):
     overflow in the primality test."""
     path = tmp_path / "huge.pres"
     path.write_text(f"prime {'9' * 401}\ngenerators a\n")
-    proc = run_cli_process("validate", str(path))
+    proc = run_cli_process("validate", str(path), timeout=60)
     assert proc.returncode == 2
     assert b"Traceback" not in proc.stderr
     assert b"2^64" in proc.stderr
+
+
+OVERLONG = "7" * 200_000
+
+
+LITERAL_BOUND = "integer literal of 200000 digits: the limit is 4300"
+
+
+@pytest.mark.parametrize(
+    "pres_text, rep_text, bound",
+    [
+        (f"prime 3\ngenerators a b\nrelator a^{OVERLONG}*b\n", None, "64-bit range"),
+        (f"prime {OVERLONG}\ngenerators a b\n", None, LITERAL_BOUND),
+        (f"prime 3\ngenerators a b\nalpha a={OVERLONG}\n", None, LITERAL_BOUND),
+        (None, f"dim 1\nmatrix a\n{OVERLONG}\nmatrix b\n1\n", LITERAL_BOUND),
+        (None, f"dim 1\nmatrix a\n1/{OVERLONG}\nmatrix b\n1\n", LITERAL_BOUND),
+        (None, f"dim {OVERLONG}\n", LITERAL_BOUND),
+    ],
+    ids=["exponent", "prime", "weight", "entry", "denominator", "dim"],
+)
+def test_overlong_literals_are_parse_errors(tmp_path, capsys, pres_text, rep_text, bound):
+    """An input integer literal far past its bound is a parse error naming
+    the bound, although main lifts the int-to-str limit for its output."""
+    pres = tmp_path / "in.pres"
+    pres.write_text(pres_text or "prime 3\ngenerators a b\nrelator a*b*a = b*a*b\n")
+    argv = ["delta", str(pres), "--d", "1"]
+    if rep_text is not None:
+        rep = tmp_path / "in.rep"
+        rep.write_text(rep_text)
+        argv += ["--rep", str(rep)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error:")
+    assert bound in err
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="interpreter has no int-to-str limit"
+)
+def test_main_restores_the_int_to_str_limit(capsys):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        run_cli(capsys, "validate", EG41)
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_overlong_point_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "extend", EG41, "--at", OVERLONG)
+    assert code == 1
+    assert out == ""
+    assert "the limit is 4300" in err
 
 
 def _huge_integer_inputs(tmp_path):

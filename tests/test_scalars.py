@@ -10,6 +10,7 @@ from propfox import (
     unit_ball_check,
     valuation,
 )
+from propfox.scalars import MAX_LITERAL_DIGITS, parse_int
 
 
 def test_parse_rational_integers_and_fractions():
@@ -23,6 +24,17 @@ def test_parse_rational_integers_and_fractions():
 def test_parse_rational_rejects(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
+
+
+def test_literal_digit_bound():
+    edge = "9" * MAX_LITERAL_DIGITS
+    assert parse_int("-" + edge) == -(10 ** MAX_LITERAL_DIGITS - 1)
+    assert parse_rational(f"{edge}/{edge}") == 1
+    for text in (edge + "9", f"1/{edge}9", f"-{edge}9/2"):
+        with pytest.raises(ValueError, match=f"the limit is {MAX_LITERAL_DIGITS}"):
+            parse_rational(text)
+    with pytest.raises(ValueError, match="not an integer"):
+        parse_int("x")
 
 
 def test_format_rational():
