@@ -2,12 +2,16 @@
 p-adic integers.
 
 Rational zeros come from the classical divisor test on a primitive integer
-form of the polynomial. p-adic zeros are residues mod p^N produced by
-lifting: simple residues lift uniquely by Newton iteration, while residues
-that are multiple mod p are resolved by the substitution x = r + p*y and a
-recursion on the precision budget. A residue whose lifted zero count falls
-short of its multiplicity mod p is reported as an obstruction: the missing
-zeros live in a ramified extension (or need more precision), not in Z_p.
+form of the polynomial, at a cost that grows as sqrt(|constant term|).
+p-adic zeros are residues mod p^N produced by lifting. The residues mod p
+are the roots of gcd(f mod p, x^p - x), split apart by further gcds
+(modp.roots), at a cost polynomial in the degree and in log p rather than
+linear in p. Simple residues lift uniquely by Newton iteration, while
+residues that are multiple mod p are resolved by the substitution
+x = r + p*y and a recursion on the precision budget. A residue whose lifted
+zero count falls short of its multiplicity mod p is reported as an
+obstruction: the missing zeros live in a ramified extension (or need more
+precision), not in Z_p.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
 
+from . import modp
 from .errors import IdenticallyZero
 from .laurent import LaurentPoly, div_exact, gcd_many
 from .scalars import unit_ball_check, valuation
@@ -149,9 +154,7 @@ def _zp_roots(coeffs: list[int], p: int, budget: int) -> tuple[list[int], list[i
     roots: list[int] = []
     obstructions: list[int] = []
     deriv = _derivative(coeffs)
-    for r in range(p):
-        if _poly_mod(coeffs, r, p) != 0:
-            continue
+    for r in modp.roots(coeffs[::-1], p):
         if _poly_mod(deriv, r, p) != 0:
             roots.append(_newton_lift(coeffs, r, p, budget))
             continue
@@ -180,14 +183,26 @@ def _squarefree_part(f: LaurentPoly) -> LaurentPoly:
 
 def hensel_roots(f: LaurentPoly, p: int, budget: int) -> tuple[list[int], list[int]]:
     """Zeros of f in Z_p as residues mod p^budget, and the obstructed mod-p
-    residues, computed on the squarefree part of f."""
+    residues, computed on the squarefree part of f.
+
+    The rational gcd of f with f' is skipped when p does not divide the
+    leading coefficient of the primitive integer form F of f and
+    gcd(F mod p, F' mod p) = 1 in F_p[x]. Then F is squarefree over Q, so it
+    is its own squarefree part: a repeated factor of F can be taken primitive
+    in Z[x] of positive degree, dividing F and F' there (Gauss); its leading
+    coefficient divides F's, so it keeps its degree mod p and would divide
+    both reductions.
+    """
     if f.is_zero():
         raise IdenticallyZero("the zero polynomial vanishes everywhere")
     if budget < 1:
         raise ValueError(f"precision budget must be at least 1, got {budget}")
-    coeffs = _dense_int_coeffs(_squarefree_part(f))
+    coeffs = _dense_int_coeffs(f)
     if len(coeffs) == 1:
         return [], []
+    fbar = [c % p for c in reversed(coeffs)]
+    if coeffs[0] % p == 0 or len(modp.gcd(fbar, modp.derivative(fbar, p), p)) > 1:
+        coeffs = _dense_int_coeffs(_squarefree_part(f))
     return _zp_roots(coeffs, p, budget)
 
 

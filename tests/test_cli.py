@@ -213,6 +213,26 @@ def test_oversized_prime_is_a_parse_error(tmp_path):
     assert b"2^64" in proc.stderr
 
 
+@pytest.mark.parametrize("prime", [2**61 - 1, 2**64 - 59])
+def test_zeros_at_word_sized_primes(tmp_path, prime):
+    """Residues come from gcds mod p, so the largest admitted primes answer
+    in seconds; the residue scan would take years."""
+    path = tmp_path / "braid.pres"
+    path.write_text(f"prime {prime}\ngenerators a b\nrelator a*b*a = b*a*b\n")
+    proc = run_cli_process("zeros", str(path), "--d", "1", "--json", timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr == b""
+    results = json.loads(proc.stdout)["results"]
+    assert results["delta"]["text"] == "g^2 - g + 1"
+    zeros = results["all"]
+    assert zeros["rational"] == [] and zeros["obstructions"] == []
+    residues = [int(z["residue"]) for z in zeros["padic"]]
+    modulus = prime ** results["precision"]
+    assert all((r * r - r + 1) % modulus == 0 for r in residues)
+    # g^2 - g + 1 has discriminant -3: two roots mod p when it is a square
+    assert len(set(residues)) == (2 if pow(-3, (prime - 1) // 2, prime) == 1 else 0)
+
+
 OVERLONG = "7" * 200_000
 
 

@@ -45,12 +45,13 @@ from propfox import (
     valuation,
     verify_factors,
 )
-from propfox import corpus
+from propfox import corpus, modp
 from propfox.extensions import mat_vec
 from propfox.fitting import _fold_minors, _minor
 from propfox.fox import AlexanderMatrix, _relation_matrix
 from propfox.matrices import frac_identity, freeze, mat_mul
 from propfox.presentation import _is_prime
+from propfox.zeros import _dense_int_coeffs, _squarefree_part, _zp_roots
 
 from laurent_fox import (
     LaurentTensorRep,
@@ -59,6 +60,7 @@ from laurent_fox import (
     laurent_evaluate_word,
     mat_pow,
 )
+from zeros_scan import scan_hensel_roots
 
 SUITE = settings(max_examples=500, derandomize=True, deadline=None)
 
@@ -530,6 +532,60 @@ def test_padic_roots_relift_consistently(roots, budget):
     high, _ = hensel_roots(f, 3, budget)
     low, _ = hensel_roots(f, 3, budget - 1)
     assert {r % 3 ** (budget - 1) for r in high} <= set(low)
+
+
+@st.composite
+def zp_root_problems(draw):
+    """(f, p, budget): an integer polynomial at a small prime, the product of
+    planted roots (simple unless two happen to meet mod p), a pair of roots
+    congruent mod p (a multiple residue that lifts), (x - r)^2 - p*c (a
+    multiple residue, obstructed when p*c is not a square in Z_p), a
+    repeated rational factor, a factor p*x - s (leading coefficient divisible
+    by p) and a random cofactor; each part but the last is optional."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 101]))
+
+    def lin(a, b):
+        return LaurentPoly({1: a, 0: -b})
+
+    small = st.integers(min_value=-12, max_value=12)
+    f = LaurentPoly.one()
+    for r in draw(st.lists(small, max_size=3)):
+        f = f * lin(1, r)
+    for r, k in draw(st.lists(st.tuples(small, st.integers(-2, 2)), max_size=1)):
+        f = f * lin(1, r) * lin(1, r + p * k)
+    for r, c in draw(st.lists(st.tuples(small, st.integers(-4, 4)), max_size=1)):
+        f = f * (lin(1, r) * lin(1, r) - LaurentPoly.const(p * c))
+    for r in draw(st.lists(small, max_size=1)):
+        f = f * lin(1, r) * lin(1, r)
+    for s in draw(st.lists(small, max_size=1)):
+        f = f * lin(p, s)
+    cofactor = draw(st.lists(st.integers(-5, 5), min_size=1, max_size=4).filter(lambda cs: cs[-1] != 0))
+    f = f * LaurentPoly(dict(enumerate(cofactor)))
+    return f, p, draw(st.integers(min_value=1, max_value=5))
+
+
+@SUITE
+@given(zp_root_problems())
+@example((parse_laurent("g^2 + 3*g + 1"), 5, 8))
+@example((parse_laurent("g^2 - 7"), 3, 3))
+@example((parse_laurent("2*g^3 - g^2 - 18*g + 9"), 2, 4))
+def test_hensel_roots_match_the_residue_scan(case):
+    f, p, budget = case
+    assert hensel_roots(f, p, budget) == scan_hensel_roots(f, p, budget)
+
+
+@SUITE
+@given(zp_root_problems())
+def test_squarefree_certificate_matches_the_gcd_route(case):
+    f, p, budget = case
+    coeffs = _dense_int_coeffs(f)
+    if len(coeffs) == 1:
+        return
+    fbar = [c % p for c in reversed(coeffs)]
+    if coeffs[0] % p and len(modp.gcd(fbar, modp.derivative(fbar, p), p)) == 1:
+        assert _squarefree_part(f) == f
+    expected = _zp_roots(_dense_int_coeffs(_squarefree_part(f)), p, budget)
+    assert hensel_roots(f, p, budget) == expected
 
 
 # -- crossed homomorphisms and extensions ------------------------------------------

@@ -1,5 +1,8 @@
 """Rational zeros, Hensel lifting, and the unit-ball filter."""
 
+import random
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -13,6 +16,7 @@ from propfox import (
     rational_roots,
     zero_report,
 )
+from propfox import modp
 
 
 def L(text):
@@ -107,3 +111,87 @@ def test_zero_report_precision_field():
     assert report.prime == 3
     assert report.precision == 5
     assert report.padic == ((4, 5),)
+
+
+# -- roots mod p by polynomial gcds -----------------------------------------------
+
+
+def from_roots(roots, p, cofactor=(1,)):
+    """Ascending coefficients mod p of cofactor * prod (x - r)."""
+    out = list(cofactor)
+    for r in roots:
+        out = modp.mul(out, [-r % p, 1], p)
+    return out
+
+
+def _schoolbook(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail the test instead of hanging when the block runs too long."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"took longer than {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+LARGE_PRIMES = [10**6 + 3, 10**9 + 7, 2**61 - 1]
+
+
+@pytest.mark.parametrize("p", LARGE_PRIMES)
+def test_kronecker_product_matches_schoolbook(p):
+    # full-width coefficients: every slot of the product carries up to
+    # min(len) * (p - 1)^2, the bound the slot width is chosen for
+    for n in (1, 2, 7, 40):
+        a = [p - 1 - i for i in range(n)]
+        b = [p - 1] * (n + 3)
+        assert modp.mul(a, b, p) == _schoolbook(a, b, p)
+        assert modp.mul(a, a, p) == _schoolbook(a, a, p)
+
+
+@pytest.mark.parametrize("p", LARGE_PRIMES)
+def test_planted_roots_at_large_primes(p):
+    rng = random.Random(p)
+    planted = [rng.randrange(p) for _ in range(10)] + [1, p - 1]
+    # -1 is not a square mod p = 3 (mod 4), so one of x^2 + x + 1 and
+    # x^2 - 3 has no root and the roots of the product are the planted ones
+    assert p % 4 == 3
+    cofactor = [1, 1, 1] if pow(-3, (p - 1) // 2, p) != 1 else [-3 % p, 0, 1]
+    f = from_roots(planted, p, cofactor)
+    with time_limit(10):
+        found = modp.roots(f, p)
+        twice = modp.roots(modp.mul(f, f, p), p)
+    assert found == twice == sorted(set(planted))
+
+
+def test_planted_roots_lift_at_large_prime():
+    p = 2**61 - 1
+    planted = [3, 5, 10**12 + 39, -(10**15) - 7]
+    f = LaurentPoly.one()
+    for r in planted:
+        f = f * (LaurentPoly.gamma() - LaurentPoly.const(r))
+    with time_limit(10):
+        roots, obstructions = hensel_roots(f, p, 4)
+    assert roots == sorted(r % p**4 for r in planted)
+    assert obstructions == []
+
+
+def test_roots_at_two_are_read_off():
+    assert modp.roots([0, 1, 1], 2) == [0, 1]
+    assert modp.roots([1, 1, 1], 2) == []
+    assert modp.roots([1, 0, 1], 2) == [1]
+    assert modp.roots([0, 0, 1], 2) == [0]
+    assert modp.roots([3], 2) == []
