@@ -39,7 +39,7 @@ from .fitting import fitting_delta, iwasawa_delta
 from .fox import Representation, alexander_matrix, parse_representation
 from .laurent import LaurentPoly, format_laurent
 from .presentation import parse_presentation, validate_presentation
-from .scalars import format_rational, parse_int, parse_rational
+from .scalars import MAX_MODULUS_BITS, format_rational, parse_int, parse_rational
 from .zeros import filter_unit_ball, zero_report
 
 SCHEMA_VERSION = 1
@@ -190,6 +190,12 @@ def _cmd_iwasawa_delta(args) -> int:
 
 def _cmd_zeros(args) -> int:
     pres = _load_pres(args)
+    bits = args.prec * pres.prime.bit_length()
+    if bits > MAX_MODULUS_BITS:
+        raise UsageError(
+            f"--prec {args.prec} at p = {pres.prime} is past the modulus bound: "
+            f"--prec times the bit length of p is {bits}, and the limit is {MAX_MODULUS_BITS}"
+        )
     rep = _load_rep(args, pres)
     Q = alexander_matrix(pres, rep)
     fit = fitting_delta(Q, args.d)

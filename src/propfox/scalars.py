@@ -18,6 +18,10 @@ _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))$|^([+-]?\d+)$")
 # bounded, at Python's default int-to-str limit
 MAX_LITERAL_DIGITS = 4300
 
+# zeros works mod p^prec, and each Newton step's inverse takes time quadratic
+# in the modulus's size, so prec * p.bit_length() is bounded
+MAX_MODULUS_BITS = 2**17
+
 
 def parse_int(text: str) -> int:
     """int(text) for an input literal of at most MAX_LITERAL_DIGITS digits."""

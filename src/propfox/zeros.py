@@ -2,16 +2,16 @@
 p-adic integers.
 
 Rational zeros come from the classical divisor test on a primitive integer
-form of the polynomial, at a cost that grows as sqrt(|constant term|).
-p-adic zeros are residues mod p^N produced by lifting. The residues mod p
-are the roots of gcd(f mod p, x^p - x), split apart by further gcds
-(modp.roots), at a cost polynomial in the degree and in log p rather than
-linear in p. Simple residues lift uniquely by Newton iteration, while
+form of the polynomial, at a cost that grows as the square roots of its
+constant and leading coefficients. p-adic zeros are residues mod p^N
+produced by lifting. The residues mod p are the roots of
+gcd(f mod p, x^p - x), split apart by further gcds (modp.roots), at a cost
+polynomial in the degree and in log p rather than linear in p. Simple residues lift uniquely by Newton iteration, while
 residues that are multiple mod p are resolved by the substitution
-x = r + p*y and a recursion on the precision budget. A residue whose lifted
-zero count falls short of its multiplicity mod p is reported as an
-obstruction: the missing zeros live in a ramified extension (or need more
-precision), not in Z_p.
+x = r + p*y, read off the Taylor shift F(r + x), and a recursion on the
+precision budget. A residue whose lifted zero count falls short of its
+multiplicity mod p is reported as an obstruction: the missing zeros live in
+a ramified extension (or need more precision), not in Z_p.
 """
 
 from __future__ import annotations
@@ -27,14 +27,13 @@ from .scalars import unit_ball_check, valuation
 
 
 def _dense_int_coeffs(f: LaurentPoly) -> list[int]:
-    """Descending primitive integer coefficients of f with the power-of-gamma
+    """Ascending primitive integer coefficients of f with the power-of-gamma
     unit stripped, so the constant term is nonzero."""
     if f.is_zero():
         raise IdenticallyZero("the zero polynomial vanishes everywhere")
     g = f.shift(-f.min_exp())
-    deg = g.max_exp()
-    coeffs = [g.coeff(e) for e in range(deg, -1, -1)]
-    denom = lcm(*(c.denominator for c in coeffs)) if coeffs else 1
+    coeffs = [g.coeff(e) for e in range(g.max_exp() + 1)]
+    denom = lcm(*(c.denominator for c in coeffs))
     ints = [int(c * denom) for c in coeffs]
     content = 0
     for c in ints:
@@ -55,77 +54,57 @@ def _divisors(n: int) -> list[int]:
     return out
 
 
-def _horner(coeffs: list, x: Fraction) -> Fraction:
-    v = Fraction(0)
-    for c in coeffs:
-        v = v * x + c
-    return v
-
-
-def _deflate(coeffs: list, a: Fraction) -> list:
-    """Quotient of a descending coefficient list by (x - a); the caller must
-    know a is a root."""
-    out = [coeffs[0]]
-    for c in coeffs[1:-1]:
-        out.append(c + a * out[-1])
-    return out
+def _divide_linear(coeffs: list, a: Fraction) -> tuple[list, Fraction]:
+    """Quotient and remainder f(a) of an ascending coefficient list by
+    (x - a), by synthetic division from the top."""
+    acc = 0
+    quot = []
+    for c in reversed(coeffs):
+        acc = acc * a + c
+        quot.append(acc)
+    rem = quot.pop()
+    return quot[::-1], rem
 
 
 def rational_roots(f: LaurentPoly) -> list[tuple[Fraction, int]]:
     """All rational zeros of f with multiplicities, sorted by value. The
     gamma-power unit is stripped first, so 0 is never a zero."""
-    coeffs = [Fraction(c) for c in _dense_int_coeffs(f)]
+    coeffs = _dense_int_coeffs(f)
     if len(coeffs) == 1:
         return []
-    lead, const = coeffs[0], coeffs[-1]
     candidates = {
         Fraction(sign * s, q)
-        for s in _divisors(int(const))
-        for q in _divisors(int(lead))
+        for s in _divisors(coeffs[0])
+        for q in _divisors(coeffs[-1])
         for sign in (1, -1)
     }
     roots = []
     for a in sorted(candidates):
-        if _horner(coeffs, a) != 0:
-            continue
+        # a nonzero constant quotient leaves a nonzero remainder
         mult = 0
-        work = coeffs
-        while len(work) > 1 and _horner(work, a) == 0:
-            work = _deflate(work, a)
+        quot, rem = _divide_linear(coeffs, a)
+        while rem == 0:
             mult += 1
-        roots.append((a, mult))
+            quot, rem = _divide_linear(quot, a)
+        if mult:
+            roots.append((a, mult))
     return roots
 
 
 def _poly_mod(coeffs: list[int], x: int, mod: int) -> int:
     v = 0
-    for c in coeffs:
+    for c in reversed(coeffs):
         v = (v * x + c) % mod
     return v
 
 
 def _derivative(coeffs: list[int]) -> list[int]:
-    deg = len(coeffs) - 1
-    return [c * (deg - i) for i, c in enumerate(coeffs[:-1])]
+    return [i * c for i, c in enumerate(coeffs)][1:]
 
 
-def _mult_mod_p(coeffs: list[int], r: int, p: int) -> int:
-    """Multiplicity of r as a root of the reduction mod p."""
-    work = [c % p for c in coeffs]
-    mult = 0
-    while len(work) > 1 and _poly_mod(work, r, p) == 0:
-        out = [work[0]]
-        for c in work[1:-1]:
-            out.append((c + r * out[-1]) % p)
-        work = out
-        mult += 1
-    return mult
-
-
-def _newton_lift(coeffs: list[int], r: int, p: int, budget: int) -> int:
+def _newton_lift(coeffs: list[int], deriv: list[int], r: int, p: int, budget: int) -> int:
     x = r % p
     prec = 1
-    deriv = _derivative(coeffs)
     while prec < budget:
         prec = min(2 * prec, budget)
         mod = p ** prec
@@ -135,39 +114,40 @@ def _newton_lift(coeffs: list[int], r: int, p: int, budget: int) -> int:
     return x
 
 
-def _compose_affine(coeffs: list[int], r: int, p: int) -> list[int]:
-    """Descending integer coefficients of F(r + p*y), by Horner in the
-    polynomial ring: acc <- acc * (p*y + r) + c."""
-    acc = [coeffs[0]]
-    for c in coeffs[1:]:
-        nxt = [p * a for a in acc] + [0]
-        for i, a in enumerate(acc):
-            nxt[i + 1] += r * a
-        nxt[-1] += c
-        acc = nxt
-    return acc
+def _taylor_shift(coeffs: list[int], r: int) -> list[int]:
+    """The c_i of F(r + x) = sum c_i x^i, by repeated synthetic division by
+    (x - r): O(degree^2) integer steps."""
+    c = coeffs[:]
+    n = len(c) - 1
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            c[j] += r * c[j + 1]
+    return c
 
 
 def _zp_roots(coeffs: list[int], p: int, budget: int) -> tuple[list[int], list[int]]:
     """Zeros of a squarefree integer polynomial in Z_p, as residues mod
-    p^budget, plus the mod-p residues whose lifted count fell short."""
+    p^budget, plus the mod-p residues whose lifted count fell short.
+
+    At a residue r that is multiple mod p, F(r + x) = sum c_i x^i gives both
+    its multiplicity k_r mod p, the least i with p not dividing c_i, and
+    F(r + p*y) = sum c_i p^i y^i, divided by the power p^v of p dividing it."""
     roots: list[int] = []
     obstructions: list[int] = []
     deriv = _derivative(coeffs)
-    for r in modp.roots(coeffs[::-1], p):
+    for r in modp.roots(coeffs, p):
         if _poly_mod(deriv, r, p) != 0:
-            roots.append(_newton_lift(coeffs, r, p, budget))
+            roots.append(_newton_lift(coeffs, deriv, r, p, budget))
             continue
-        k_r = _mult_mod_p(coeffs, r, p)
         if budget <= 1:
             obstructions.append(r)
             continue
-        shifted = _compose_affine(coeffs, r, p)
-        v = min(valuation(c, p) for c in shifted if c != 0)
-        reduced = [c // p ** v for c in shifted]
+        shifted = _taylor_shift(coeffs, r)
+        k_r = next(i for i, c in enumerate(shifted) if c % p)
+        v = min(valuation(c, p) + i for i, c in enumerate(shifted) if c)
+        reduced = [c * p ** i // p ** v for i, c in enumerate(shifted)]
         sub_roots, _ = _zp_roots(reduced, p, budget - 1)
-        lifted = sorted((r + p * y) % p ** budget for y in sub_roots)
-        roots.extend(lifted)
+        roots.extend((r + p * y) % p ** budget for y in sub_roots)
         if len(sub_roots) < k_r:
             obstructions.append(r)
     return sorted(set(roots)), sorted(set(obstructions))
@@ -200,8 +180,8 @@ def hensel_roots(f: LaurentPoly, p: int, budget: int) -> tuple[list[int], list[i
     coeffs = _dense_int_coeffs(f)
     if len(coeffs) == 1:
         return [], []
-    fbar = [c % p for c in reversed(coeffs)]
-    if coeffs[0] % p == 0 or len(modp.gcd(fbar, modp.derivative(fbar, p), p)) > 1:
+    fbar = [c % p for c in coeffs]
+    if coeffs[-1] % p == 0 or len(modp.gcd(fbar, modp.derivative(fbar, p), p)) > 1:
         coeffs = _dense_int_coeffs(_squarefree_part(f))
     return _zp_roots(coeffs, p, budget)
 

@@ -1,5 +1,6 @@
 """The command line front end: output shapes, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import re
@@ -346,6 +347,52 @@ def test_out_of_range_numbers_are_usage_errors(capsys, argv):
     assert code == 1
     assert out == ""
     assert err.startswith("usage error: argument --")
+
+
+def test_huge_precision_is_refused_in_time():
+    """--prec 10^8 at p = 5 asks for a modulus of about 2.3 * 10^8 bits: a
+    usage error naming the bound, not a Newton lift that runs for minutes."""
+    proc = run_cli_process("zeros", data_path("eg43split.pres"), "--d", "1", "--prec", "100000000", timeout=30)
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"usage error: --prec 100000000")
+    assert b"is 300000000, and the limit is 131072" in proc.stderr
+
+
+def test_precision_bound_is_prec_times_the_bit_length_of_p(tmp_path, capsys):
+    """At p = 2^61 - 1, --prec 2149 is the first precision past 2^17 bits."""
+    path = tmp_path / "braid.pres"
+    path.write_text(f"prime {2**61 - 1}\ngenerators a b\nrelator a*b*a = b*a*b\n")
+    code, out, err = run_cli(capsys, "zeros", str(path), "--d", "1", "--prec", "2149")
+    assert code == 1
+    assert out == ""
+    assert "--prec times the bit length of p is 131089, and the limit is 131072" in err
+
+
+def _synopsis_options() -> dict:
+    """{subcommand: {option: optional}} from the sh block under the README's
+    "Command line" heading; brackets mark an optional option."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    synopsis = {}
+    for line in block.splitlines():
+        words = line.split("#", 1)[0].split()
+        synopsis[words[1]] = {w.strip("[]"): w.startswith("[") for w in words if w.lstrip("[").startswith("--")}
+    return synopsis
+
+
+def test_readme_synopsis_matches_the_parser():
+    subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parser_options = {
+        name: {
+            option: not action.required
+            for action in sub._actions
+            for option in action.option_strings
+            if option not in ("-h", "--help", "--json")
+        }
+        for name, sub in subparsers.choices.items()
+    }
+    assert _synopsis_options() == parser_options
 
 
 def test_unknown_subcommand(capsys):

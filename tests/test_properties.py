@@ -51,7 +51,7 @@ from propfox.fitting import _fold_minors, _minor
 from propfox.fox import AlexanderMatrix, _relation_matrix
 from propfox.matrices import frac_identity, freeze, mat_mul
 from propfox.presentation import _is_prime
-from propfox.zeros import _dense_int_coeffs, _squarefree_part, _zp_roots
+from propfox.zeros import _dense_int_coeffs, _divide_linear, _squarefree_part, _taylor_shift, _zp_roots
 
 from laurent_fox import (
     LaurentTensorRep,
@@ -60,7 +60,7 @@ from laurent_fox import (
     laurent_evaluate_word,
     mat_pow,
 )
-from zeros_scan import scan_hensel_roots
+from zeros_scan import _compose_affine, _deflate, _horner, _mult_mod_p, scan_hensel_roots
 
 SUITE = settings(max_examples=500, derandomize=True, deadline=None)
 
@@ -581,11 +581,66 @@ def test_squarefree_certificate_matches_the_gcd_route(case):
     coeffs = _dense_int_coeffs(f)
     if len(coeffs) == 1:
         return
-    fbar = [c % p for c in reversed(coeffs)]
-    if coeffs[0] % p and len(modp.gcd(fbar, modp.derivative(fbar, p), p)) == 1:
+    fbar = [c % p for c in coeffs]
+    if coeffs[-1] % p and len(modp.gcd(fbar, modp.derivative(fbar, p), p)) == 1:
         assert _squarefree_part(f) == f
     expected = _zp_roots(_dense_int_coeffs(_squarefree_part(f)), p, budget)
     assert hensel_roots(f, p, budget) == expected
+
+
+def _int_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@st.composite
+def shift_problems(draw):
+    """(coeffs, p, r, a): ascending integer coefficients, not all divisible
+    by p, of a random cofactor (degree 0 to 3) times optional parts: a root
+    of multiplicity 2 or 3 mod p (its copies congruent mod p, not always
+    equal), a rational root s/q and a factor p*x + c (leading coefficient
+    divisible by p); a residue r in range(p), often the multiple one; and a
+    rational point a, often the planted root."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 101]))
+    small = st.integers(min_value=-12, max_value=12)
+    coeffs = draw(st.lists(st.integers(-5, 5), min_size=1, max_size=4).filter(lambda cs: cs[-1] != 0))
+    residues = list(range(p))
+    for r0, m in draw(st.lists(st.tuples(small, st.integers(2, 3)), max_size=1)):
+        for k in draw(st.lists(st.integers(-1, 1), min_size=m, max_size=m)):
+            coeffs = _int_mul(coeffs, [-(r0 + p * k), 1])
+        residues = [r0 % p]
+    points = [Fraction(draw(small), draw(st.integers(1, 4)))]
+    for s, q in draw(st.lists(st.tuples(small, st.integers(1, 4)), max_size=1)):
+        coeffs = _int_mul(coeffs, [-s, q])
+        points = [Fraction(s, q)]
+    for c in draw(st.lists(small, max_size=1)):
+        coeffs = _int_mul(coeffs, [c, p])
+    while all(c % p == 0 for c in coeffs):
+        coeffs = [c // p for c in coeffs]
+    return coeffs, p, draw(st.sampled_from(residues)), draw(st.sampled_from(points))
+
+
+@SUITE
+@given(shift_problems())
+@example(([4], 3, 1, Fraction(2)))
+@example(([3, 7], 7, 0, Fraction(-3, 7)))
+@example(([1, -2, 1], 2, 1, Fraction(1)))
+@example(([-7, 0, 1], 2, 1, Fraction(7)))
+def test_taylor_shift_and_linear_division_match_the_descending_helpers(case):
+    """F(r + x) = sum c_i x^i scaled by p^i is the oracle's F(r + p*y), the
+    least i with p not dividing c_i is its multiplicity of r mod p, and one
+    synthetic division gives _horner's value and _deflate's quotient."""
+    coeffs, p, r, a = case
+    desc = coeffs[::-1]
+    shifted = _taylor_shift(coeffs, r)
+    assert [c * p**i for i, c in enumerate(shifted)] == _compose_affine(desc, r, p)[::-1]
+    assert next(i for i, c in enumerate(shifted) if c % p) == _mult_mod_p(desc, r, p)
+    quot, rem = _divide_linear(coeffs, a)
+    assert rem == _horner(desc, a)
+    assert quot[::-1] == (_deflate(desc, a) if len(coeffs) > 1 else [])
 
 
 # -- crossed homomorphisms and extensions ------------------------------------------

@@ -1,24 +1,90 @@
 """The residue scan: the reference route that p-adic root finding by
-polynomial gcds is checked against.
+polynomial gcds and one Taylor shift per multiple residue is checked against.
 
-It tests every residue r in range(p) by Horner evaluation mod p, at a cost of
-p * degree steps, and always takes the squarefree part by the rational gcd of
-f and f'. The Newton lift, the multiplicity count and the substitution
-x = r + p*y are the program's own, so the two routes differ only in how the
-residues mod p and the squarefree part are found.
+It works on descending coefficient lists (highest degree first) with helpers
+of its own. It tests every residue r in range(p) by Horner evaluation mod p,
+at a cost of p * degree steps, and always takes the squarefree part by the
+rational gcd of f and f'. At a residue that is multiple mod p it counts the
+multiplicity by repeated deflation mod p and expands F(r + p*y) by Horner's
+rule in the polynomial ring. So the two routes differ in how the residues
+mod p, the squarefree part, the multiplicity and the substitution are found;
+they share only the primitive integer form and the rational squarefree part.
+_horner and _deflate are the synthetic division that rational_roots used on
+descending lists.
 """
 
+from fractions import Fraction
+
 from propfox.errors import IdenticallyZero
-from propfox.zeros import (
-    _compose_affine,
-    _dense_int_coeffs,
-    _derivative,
-    _mult_mod_p,
-    _newton_lift,
-    _poly_mod,
-    _squarefree_part,
-)
 from propfox.scalars import valuation
+from propfox.zeros import _dense_int_coeffs, _squarefree_part
+
+
+def _horner(coeffs: list, x: Fraction) -> Fraction:
+    v = Fraction(0)
+    for c in coeffs:
+        v = v * x + c
+    return v
+
+
+def _deflate(coeffs: list, a: Fraction) -> list:
+    """Quotient of a descending coefficient list by (x - a); the caller must
+    know a is a root."""
+    out = [coeffs[0]]
+    for c in coeffs[1:-1]:
+        out.append(c + a * out[-1])
+    return out
+
+
+def _poly_mod(coeffs: list[int], x: int, mod: int) -> int:
+    v = 0
+    for c in coeffs:
+        v = (v * x + c) % mod
+    return v
+
+
+def _derivative(coeffs: list[int]) -> list[int]:
+    deg = len(coeffs) - 1
+    return [c * (deg - i) for i, c in enumerate(coeffs[:-1])]
+
+
+def _mult_mod_p(coeffs: list[int], r: int, p: int) -> int:
+    """Multiplicity of r as a root of the reduction mod p."""
+    work = [c % p for c in coeffs]
+    mult = 0
+    while len(work) > 1 and _poly_mod(work, r, p) == 0:
+        out = [work[0]]
+        for c in work[1:-1]:
+            out.append((c + r * out[-1]) % p)
+        work = out
+        mult += 1
+    return mult
+
+
+def _newton_lift(coeffs: list[int], r: int, p: int, budget: int) -> int:
+    x = r % p
+    prec = 1
+    deriv = _derivative(coeffs)
+    while prec < budget:
+        prec = min(2 * prec, budget)
+        mod = p**prec
+        fx = _poly_mod(coeffs, x, mod)
+        dfx = _poly_mod(deriv, x, mod)
+        x = (x - fx * pow(dfx, -1, mod)) % mod
+    return x
+
+
+def _compose_affine(coeffs: list[int], r: int, p: int) -> list[int]:
+    """Descending integer coefficients of F(r + p*y), by Horner in the
+    polynomial ring: acc <- acc * (p*y + r) + c."""
+    acc = [coeffs[0]]
+    for c in coeffs[1:]:
+        nxt = [p * a for a in acc] + [0]
+        for i, a in enumerate(acc):
+            nxt[i + 1] += r * a
+        nxt[-1] += c
+        acc = nxt
+    return acc
 
 
 def scan_zp_roots(coeffs, p, budget):
@@ -51,7 +117,7 @@ def scan_hensel_roots(f, p, budget):
     """hensel_roots by the scan, on the squarefree part from the rational gcd."""
     if f.is_zero():
         raise IdenticallyZero("the zero polynomial vanishes everywhere")
-    coeffs = _dense_int_coeffs(_squarefree_part(f))
+    coeffs = _dense_int_coeffs(_squarefree_part(f))[::-1]
     if len(coeffs) == 1:
         return [], []
     return scan_zp_roots(coeffs, p, budget)
