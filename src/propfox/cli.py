@@ -8,8 +8,9 @@ form prints the same data as key: value lines.
 Exit codes: 0 success, 1 usage, 2 unreadable or unparsable input, 3 failed
 presentation hypotheses, 4 domain errors in the requested computation
 (division by zero, non-unit, missing inverse, identically zero divisor),
-5 corpus mismatch. Internal consistency failures are deliberately not
-caught: they are bugs and should produce a traceback.
+5 corpus mismatch, 141 standard output closed by its reader. Internal
+consistency failures are deliberately not caught: they are bugs and should
+produce a traceback.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -43,6 +45,8 @@ from .scalars import MAX_MODULUS_BITS, format_rational, parse_int, parse_rationa
 from .zeros import filter_unit_ball, zero_report
 
 SCHEMA_VERSION = 1
+# 128 + SIGPIPE: what a shell reports for a writer whose reader went away.
+EXIT_CLOSED_OUTPUT = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -419,7 +423,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed standard output. Nothing is left to report, and
+        # the interpreter's last flush goes to the null device instead of
+        # printing a second error.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CLOSED_OUTPUT
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

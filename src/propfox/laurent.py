@@ -250,8 +250,10 @@ def normalize_associate(f: LaurentPoly) -> LaurentPoly:
     unit c*g^k."""
     if f.is_zero():
         return f
-    shifted = f.shift(-f.min_exp())
-    return shifted.scale(Fraction(1) / shifted.coeff(shifted.max_exp()))
+    low = f.min_exp()
+    shifted = f if low == 0 else f.shift(-low)
+    lc = shifted.coeff(shifted.max_exp())
+    return shifted if lc == 1 else -shifted if lc == -1 else shifted.scale(1 / lc)
 
 
 def _gcd_pair(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:

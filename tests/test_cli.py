@@ -30,14 +30,18 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_cli_process(*argv, flags=(), timeout=120):
-    """The CLI in a fresh interpreter, with the default int-to-str limit."""
+def _cli_env():
     env = dict(os.environ)
     src = str(Path(propfox.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def run_cli_process(*argv, flags=(), timeout=120):
+    """The CLI in a fresh interpreter, with the default int-to-str limit."""
     return subprocess.run(
         [sys.executable, *flags, "-m", "propfox.cli", *argv],
-        env=env,
+        env=_cli_env(),
         capture_output=True,
         timeout=timeout,
     )
@@ -212,6 +216,33 @@ def test_oversized_prime_is_a_parse_error(tmp_path):
     assert proc.returncode == 2
     assert b"Traceback" not in proc.stderr
     assert b"2^64" in proc.stderr
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_closed_output_ends_quietly(tmp_path, flags):
+    """A reader that stops early, as in `propfox matrix FILE | head -c 100`,
+    ends the run with status 141 and nothing on stderr: no "input error",
+    and no "Exception ignored" line from the interpreter's last flush. The
+    matrix text is about 380 kB, past any pipe buffer, so the writer is
+    still writing when the reader goes."""
+    path = tmp_path / "long.pres"
+    path.write_text("prime 3\ngenerators a b\nrelator a^20000*b^-20000\n")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "propfox.cli", "matrix", str(path), *flags],
+        env=_cli_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.wait(timeout=60)
+    finally:
+        proc.kill()
+    assert len(head) == 100
+    assert err == b""
+    assert proc.returncode == cli.EXIT_CLOSED_OUTPUT == 141
 
 
 @pytest.mark.parametrize("prime", [2**61 - 1, 2**64 - 59])

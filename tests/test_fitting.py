@@ -17,8 +17,11 @@ from propfox import (
     parse_presentation,
     rank_at,
 )
+from propfox import fitting
 from propfox.fox import AlexanderMatrix
 from propfox.laurent import LaurentPoly, div_exact
+
+from fitting_oracle import _fitting_by_enumeration, oneshot_divisor_and_content
 
 
 def L(text):
@@ -152,3 +155,35 @@ def test_fitting_planted_beyond_enumeration():
     assert is_zero_of_delta(Q, 2, Fraction(2))
     assert not is_zero_of_delta(Q, 2, Fraction(4))
     assert elapsed < 10.0
+
+
+@pytest.mark.parametrize("name, shift", [("laurent_divmod", 0), ("div_exact", 1)])
+def test_interrupted_elimination_leaves_the_snapshots_sound(monkeypatch, name, shift):
+    # A 5x4 matrix no other test builds, so its snapshots start cold; shift
+    # keeps the two cases' matrices apart. The third call of the patched
+    # helper raises partway through a Smith step (laurent_divmod) or the
+    # second Bareiss step (div_exact); every d asked afterwards must still
+    # get the one-shot eliminations' answers.
+    rows = tuple(
+        tuple(LaurentPoly({2: 1, 1: -(i + 2 * j + shift), 0: i * j - 3}) for j in range(4))
+        for i in range(5)
+    )
+    Q = AlexanderMatrix(entries=rows, n_relators=5, n_generators=4, block_dim=1, prime=3)
+    real = getattr(fitting, name)
+    calls = []
+
+    def third_call_raises(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise RuntimeError("interrupted")
+        return real(*args)
+
+    monkeypatch.setattr(fitting, name, third_call_raises)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        for d in range(Q.n_cols + 1):
+            fitting_delta(Q, d)
+    monkeypatch.setattr(fitting, name, real)
+    for d in range(-1, Q.n_cols + 2):
+        fit = fitting_delta(Q, d)
+        assert (fit.delta, fit.mu_content) == oneshot_divisor_and_content(Q, d), d
+        assert fit == _fitting_by_enumeration(Q, d), d

@@ -4,16 +4,15 @@ Every suite runs at least 500 derandomized examples. The strategies bias
 toward short words and small numbers so each example stays exact and fast.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
-from itertools import combinations
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from propfox import (
     CrossedHom,
-    FittingResult,
     LaurentPoly,
     Presentation,
     Relator,
@@ -21,7 +20,6 @@ from propfox import (
     Word,
     alexander_matrix,
     build_extension,
-    content_valuation,
     evaluate_cocycle,
     evaluate_word,
     extension_count_criterion,
@@ -47,12 +45,12 @@ from propfox import (
 )
 from propfox import corpus, modp
 from propfox.extensions import mat_vec
-from propfox.fitting import _fold_minors, _minor
 from propfox.fox import AlexanderMatrix, _relation_matrix
 from propfox.matrices import frac_identity, freeze, mat_mul
 from propfox.presentation import _is_prime
 from propfox.zeros import _dense_int_coeffs, _divide_linear, _squarefree_part, _taylor_shift, _zp_roots
 
+from fitting_oracle import _fitting_by_enumeration, oneshot_divisor_and_content
 from laurent_fox import (
     LaurentTensorRep,
     geometric_sum,
@@ -406,27 +404,6 @@ def test_fitting_invariant_under_relator_conjugation(w, which):
     assert fitting_delta(Q, 2).delta == fitting_delta(Q41, 2).delta
 
 
-def _fitting_by_enumeration(Q, d):
-    """The reference route: fold every (n_cols - d)-minor in lexicographic
-    (row set, column set) order, with the early exit of the scan."""
-    r = Q.n_cols - d
-    if r <= 0:
-        return FittingResult(d, LaurentPoly.one(), 0, 0)
-    if r > Q.n_rows:
-        return FittingResult(d, LaurentPoly.zero(), None, 0)
-    integral = all(
-        f.is_zero() or content_valuation(f, Q.prime) >= 0
-        for row in Q.entries
-        for f in row
-    )
-    dets = (
-        _minor(Q, rs, cs)
-        for rs in combinations(range(Q.n_rows), r)
-        for cs in combinations(range(Q.n_cols), r)
-    )
-    return _fold_minors(d, Q.prime, integral, dets)
-
-
 @st.composite
 def small_laurent_matrices(draw):
     """Up to 4x4, with zero entries, negative exponents, some matrices with
@@ -460,6 +437,62 @@ def small_laurent_matrices(draw):
 @SUITE
 @given(small_laurent_matrices())
 def test_fitting_matches_minor_enumeration(Q):
+    for d in range(-1, Q.n_cols + 2):
+        assert fitting_delta(Q, d) == _fitting_by_enumeration(Q, d), d
+
+
+@SUITE
+@given(small_laurent_matrices(), st.data())
+def test_fitting_in_any_ask_order_matches_the_oracles(Q, data):
+    # Rows scaled by drawn powers of p, negative ones included, make the
+    # least content differ between minor sizes, so a snapshot that a later
+    # step overwrote gives a wrong content minimum.
+    scales = data.draw(st.lists(st.integers(-2, 2), min_size=Q.n_rows, max_size=Q.n_rows))
+    rows = tuple(
+        tuple(f.scale(Fraction(Q.prime) ** e) for f in row) for row, e in zip(Q.entries, scales)
+    )
+    Q = dataclasses.replace(Q, entries=rows)
+    # Every d once, in a drawn order, with some asked again. The call goes
+    # past fitting_delta's result cache, so each answer, repeats included, is
+    # read off the elimination snapshots left by the calls before it.
+    ds = range(-1, Q.n_cols + 2)
+    repeats = data.draw(st.lists(st.sampled_from(ds), max_size=4))
+    for d in data.draw(st.permutations([*ds, *repeats])):
+        fit = fitting_delta.__wrapped__(Q, d)
+        assert (fit.delta, fit.mu_content) == oneshot_divisor_and_content(Q, d), d
+        assert fit == _fitting_by_enumeration(Q, d), d
+
+
+@st.composite
+def late_exit_matrices(draw):
+    """4 to 7 rows and 2 to 4 columns of integral entries. The first rows
+    are multiples of one linear factor g - c, times p in some draws, so the
+    minors of every row set that meets them share a factor, and the early
+    exit of the lexicographic scan can fire only after several row sets."""
+    prime = draw(st.sampled_from([2, 3, 5]))
+    n_rows = draw(st.integers(min_value=4, max_value=7))
+    n_cols = draw(st.integers(min_value=2, max_value=4))
+    entry = st.sampled_from(
+        [parse_laurent(t) for t in ("0", "0", "1", "-1", "2", "g", "g - 1", "g + 2", "2*g - 1")]
+    )
+    factor = LaurentPoly({1: 1, 0: -draw(st.integers(min_value=-3, max_value=3))})
+    if draw(st.booleans()):
+        factor = factor * prime
+    shared = draw(st.integers(min_value=1, max_value=n_rows - 1))
+    rows = [[draw(entry) for _ in range(n_cols)] for _ in range(n_rows)]
+    rows[:shared] = [[factor * f for f in row] for row in rows[:shared]]
+    return AlexanderMatrix(
+        entries=tuple(tuple(row) for row in rows),
+        n_relators=n_rows,
+        n_generators=n_cols,
+        block_dim=1,
+        prime=prime,
+    )
+
+
+@SUITE
+@given(late_exit_matrices())
+def test_fitting_late_exits_match_minor_enumeration(Q):
     for d in range(-1, Q.n_cols + 2):
         assert fitting_delta(Q, d) == _fitting_by_enumeration(Q, d), d
 
