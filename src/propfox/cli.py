@@ -112,36 +112,42 @@ def _inputs(args) -> dict:
     return inputs
 
 
-def _emit(args, command: str, results: dict, text_lines: list[str]) -> None:
+def _emit(args, command: str, results, text) -> None:
+    """Print the JSON payload of results() under --json, else the lines of
+    text(). Each is a function, so only the form that is printed is
+    formatted."""
     if args.json:
         payload = {
             "schema_version": SCHEMA_VERSION,
             "command": command,
             "inputs": _inputs(args),
-            "results": results,
+            "results": results(),
         }
         print(json.dumps(payload, indent=2))
     else:
-        for line in text_lines:
+        for line in text():
             print(line)
 
 
 def _cmd_validate(args) -> int:
     pres = _load_pres(args)
     report = validate_presentation(pres)
-    results = {
-        "ok": report.ok,
-        "alpha_all_one": report.alpha_all_one,
-        "relator_degrees": list(report.relator_degrees),
-        "failures": list(report.failures),
-    }
-    lines = [f"prime: {pres.prime}", f"generators: {' '.join(pres.generators)}"]
-    lines.append(f"relator degrees: {' '.join(str(d) for d in report.relator_degrees)}")
-    if report.ok:
-        lines.append("ok")
-    else:
-        lines.extend(report.failures)
-    _emit(args, "validate", results, lines)
+
+    def results():
+        return {
+            "ok": report.ok,
+            "alpha_all_one": report.alpha_all_one,
+            "relator_degrees": list(report.relator_degrees),
+            "failures": list(report.failures),
+        }
+
+    def text():
+        yield f"prime: {pres.prime}"
+        yield f"generators: {' '.join(pres.generators)}"
+        yield f"relator degrees: {' '.join(str(d) for d in report.relator_degrees)}"
+        yield from ["ok"] if report.ok else report.failures
+
+    _emit(args, "validate", results, text)
     return 0 if report.ok else 3
 
 
@@ -149,16 +155,21 @@ def _cmd_matrix(args) -> int:
     pres = _load_pres(args)
     rep = _load_rep(args, pres)
     Q = alexander_matrix(pres, rep)
-    results = {
-        "rows": Q.n_rows,
-        "cols": Q.n_cols,
-        "block_dim": Q.block_dim,
-        "entries": _laurent_matrix_json(Q.entries),
-    }
-    lines = [f"shape: {Q.n_rows} x {Q.n_cols} (blocks of {Q.block_dim})"]
-    for row in Q.entries:
-        lines.append("[" + ", ".join(format_laurent(f) for f in row) + "]")
-    _emit(args, "matrix", results, lines)
+
+    def results():
+        return {
+            "rows": Q.n_rows,
+            "cols": Q.n_cols,
+            "block_dim": Q.block_dim,
+            "entries": _laurent_matrix_json(Q.entries),
+        }
+
+    def text():
+        yield f"shape: {Q.n_rows} x {Q.n_cols} (blocks of {Q.block_dim})"
+        for row in Q.entries:
+            yield "[" + ", ".join(format_laurent(f) for f in row) + "]"
+
+    _emit(args, "matrix", results, text)
     return 0
 
 
@@ -167,28 +178,36 @@ def _cmd_delta(args) -> int:
     rep = _load_rep(args, pres)
     Q = alexander_matrix(pres, rep)
     fit = fitting_delta(Q, args.d)
-    results = {
-        "d": args.d,
-        "delta": _poly_json(fit.delta),
-        "mu_content": fit.mu_content,
-        "minor_count": fit.minor_count,
-    }
-    lines = [
-        f"d: {args.d}",
-        f"delta: {format_laurent(fit.delta)}",
-        f"mu_content: {fit.mu_content}",
-        f"minor_count: {fit.minor_count}",
-    ]
-    _emit(args, "delta", results, lines)
+
+    def results():
+        return {
+            "d": args.d,
+            "delta": _poly_json(fit.delta),
+            "mu_content": fit.mu_content,
+            "minor_count": fit.minor_count,
+        }
+
+    def text():
+        return [
+            f"d: {args.d}",
+            f"delta: {format_laurent(fit.delta)}",
+            f"mu_content: {fit.mu_content}",
+            f"minor_count: {fit.minor_count}",
+        ]
+
+    _emit(args, "delta", results, text)
     return 0
 
 
 def _cmd_iwasawa_delta(args) -> int:
     pres = _load_pres(args)
     delta = iwasawa_delta(pres, args.d)
-    results = {"d": args.d, "delta": _poly_json(delta)}
-    lines = [f"d: {args.d}", f"delta: {format_laurent(delta)}"]
-    _emit(args, "iwasawa-delta", results, lines)
+    _emit(
+        args,
+        "iwasawa-delta",
+        lambda: {"d": args.d, "delta": _poly_json(delta)},
+        lambda: [f"d: {args.d}", f"delta: {format_laurent(delta)}"],
+    )
     return 0
 
 
@@ -218,45 +237,39 @@ def _cmd_zeros(args) -> int:
             "obstructions": list(r.obstructions),
         }
 
-    results = {
-        "d": args.d,
-        "delta": _poly_json(fit.delta),
-        "prime": pres.prime,
-        "precision": args.prec,
-        "all": _report_json(report),
-        "unit_ball": _report_json(kept),
-    }
-    lines = [f"d: {args.d}", f"delta: {format_laurent(fit.delta)}"]
-    if report.identically_zero:
-        lines.append("identically zero: every point is a zero")
-    else:
-        lines.append(
-            "rational zeros: "
-            + (
-                ", ".join(f"{format_rational(a)} (x{m})" for a, m in report.rational)
-                or "none"
-            )
+    def results():
+        return {
+            "d": args.d,
+            "delta": _poly_json(fit.delta),
+            "prime": pres.prime,
+            "precision": args.prec,
+            "all": _report_json(report),
+            "unit_ball": _report_json(kept),
+        }
+
+    def text():
+        yield f"d: {args.d}"
+        yield f"delta: {format_laurent(fit.delta)}"
+        if report.identically_zero:
+            yield "identically zero: every point is a zero"
+            return
+        yield "rational zeros: " + (
+            ", ".join(f"{format_rational(a)} (x{m})" for a, m in report.rational) or "none"
         )
-        lines.append(
-            f"p-adic zeros mod {pres.prime}^{args.prec}: "
-            + (", ".join(str(r) for r, _ in report.padic) or "none")
+        yield f"p-adic zeros mod {pres.prime}^{args.prec}: " + (
+            ", ".join(str(r) for r, _ in report.padic) or "none"
         )
-        lines.append(
-            "obstructed residues: "
-            + (", ".join(str(r) for r in report.obstructions) or "none")
+        yield "obstructed residues: " + (
+            ", ".join(str(r) for r in report.obstructions) or "none"
         )
-        lines.append(
-            "unit ball rational zeros: "
-            + (
-                ", ".join(f"{format_rational(a)} (x{m})" for a, m in kept.rational)
-                or "none"
-            )
+        yield "unit ball rational zeros: " + (
+            ", ".join(f"{format_rational(a)} (x{m})" for a, m in kept.rational) or "none"
         )
-        lines.append(
-            "unit ball p-adic zeros: "
-            + (", ".join(str(r) for r, _ in kept.padic) or "none")
+        yield "unit ball p-adic zeros: " + (
+            ", ".join(str(r) for r, _ in kept.padic) or "none"
         )
-    _emit(args, "zeros", results, lines)
+
+    _emit(args, "zeros", results, text)
     return 0
 
 
@@ -264,42 +277,46 @@ def _cmd_extend(args) -> int:
     pres = _load_pres(args)
     rep = _load_rep(args, pres)
     space = cocycle_space(pres, rep, args.at)
-    results: dict = {
-        "at": format_rational(space.a),
-        "dim": space.dim,
-        "basis": [[format_rational(x) for x in h.stacked()] for h in space.basis],
-    }
-    lines = [
-        f"at: {format_rational(space.a)}",
-        f"dim: {space.dim}",
-    ]
-    for i, h in enumerate(space.basis):
-        lines.append(
-            f"basis[{i}]: (" + ", ".join(format_rational(x) for x in h.stacked()) + ")"
-        )
     if space.dim > 0:
         sample = space.basis[0]
         candidate = build_extension(pres, rep, args.at, sample)
         verification = verify_factors(candidate, pres)
-        results["sample"] = {
-            "beta": [format_rational(x) for x in sample.stacked()],
-            "images": [_frac_matrix_json(M) for M in candidate.mats],
-            "relators": [
-                {"ok": c.ok, "image": _frac_matrix_json(c.image)}
-                for c in verification.relators
-            ],
-            "verified": verification.ok,
+
+    def results():
+        out: dict = {
+            "at": format_rational(space.a),
+            "dim": space.dim,
+            "basis": [[format_rational(x) for x in h.stacked()] for h in space.basis],
         }
-        lines.append("sample extension from basis[0]:")
-        for name, M in zip(pres.generators, candidate.mats):
-            lines.append(
-                f"  {name} -> "
-                + "[" + "; ".join(", ".join(format_rational(x) for x in row) for row in M) + "]"
-            )
-        for j, c in enumerate(verification.relators, start=1):
-            lines.append(f"  relator {j}: {'ok' if c.ok else 'FAIL'}")
-        lines.append(f"verified: {'true' if verification.ok else 'false'}")
-    _emit(args, "extend", results, lines)
+        if space.dim > 0:
+            out["sample"] = {
+                "beta": [format_rational(x) for x in sample.stacked()],
+                "images": [_frac_matrix_json(M) for M in candidate.mats],
+                "relators": [
+                    {"ok": c.ok, "image": _frac_matrix_json(c.image)}
+                    for c in verification.relators
+                ],
+                "verified": verification.ok,
+            }
+        return out
+
+    def text():
+        yield f"at: {format_rational(space.a)}"
+        yield f"dim: {space.dim}"
+        for i, h in enumerate(space.basis):
+            yield f"basis[{i}]: (" + ", ".join(format_rational(x) for x in h.stacked()) + ")"
+        if space.dim > 0:
+            yield "sample extension from basis[0]:"
+            for name, M in zip(pres.generators, candidate.mats):
+                yield (
+                    f"  {name} -> "
+                    + "[" + "; ".join(", ".join(format_rational(x) for x in row) for row in M) + "]"
+                )
+            for j, c in enumerate(verification.relators, start=1):
+                yield f"  relator {j}: {'ok' if c.ok else 'FAIL'}"
+            yield f"verified: {'true' if verification.ok else 'false'}"
+
+    _emit(args, "extend", results, text)
     return 0
 
 
@@ -310,38 +327,43 @@ def _cmd_cohomology(args) -> int:
     # The audit carries no report exactly when h1_report raises, so the call
     # here only ever raises that error.
     coh = audit.cohomology or h1_report(pres, rep, args.at)
-    results = {
-        "at": format_rational(coh.a),
-        "z1_dim": coh.z1_dim,
-        "b1_dim": coh.b1_dim,
-        "h1_dim": coh.h1_dim,
-        "fixed_dim": coh.fixed_dim,
-        "delta_value_at_a": format_rational(coh.delta_value_at_a),
-        "cocycle_basis": [
-            [format_rational(x) for x in h.stacked()] for h in coh.cocycle_basis
-        ],
-        "fixed_basis": [
-            [format_rational(x) for x in v] for v in coh.fixed_basis
-        ],
-        "audit": {
-            "forward_applicable": audit.forward_applicable,
-            "forward_verdict": audit.forward_verdict,
-            "converse_applicable": audit.converse_applicable,
-            "converse_verdict": audit.converse_verdict,
-            "hypothesis_failures": list(audit.hypothesis_failures),
-        },
-    }
-    lines = [
-        f"at: {format_rational(coh.a)}",
-        f"cocycles: {coh.z1_dim}",
-        f"coboundaries: {coh.b1_dim}",
-        f"quotient: {coh.h1_dim}",
-        f"fixed space: {coh.fixed_dim}",
-        f"divisor value: {format_rational(coh.delta_value_at_a)}",
-        f"audit forward: {audit.forward_verdict}",
-        f"audit converse: {audit.converse_verdict}",
-    ]
-    _emit(args, "cohomology", results, lines)
+
+    def results():
+        return {
+            "at": format_rational(coh.a),
+            "z1_dim": coh.z1_dim,
+            "b1_dim": coh.b1_dim,
+            "h1_dim": coh.h1_dim,
+            "fixed_dim": coh.fixed_dim,
+            "delta_value_at_a": format_rational(coh.delta_value_at_a),
+            "cocycle_basis": [
+                [format_rational(x) for x in h.stacked()] for h in coh.cocycle_basis
+            ],
+            "fixed_basis": [
+                [format_rational(x) for x in v] for v in coh.fixed_basis
+            ],
+            "audit": {
+                "forward_applicable": audit.forward_applicable,
+                "forward_verdict": audit.forward_verdict,
+                "converse_applicable": audit.converse_applicable,
+                "converse_verdict": audit.converse_verdict,
+                "hypothesis_failures": list(audit.hypothesis_failures),
+            },
+        }
+
+    def text():
+        return [
+            f"at: {format_rational(coh.a)}",
+            f"cocycles: {coh.z1_dim}",
+            f"coboundaries: {coh.b1_dim}",
+            f"quotient: {coh.h1_dim}",
+            f"fixed space: {coh.fixed_dim}",
+            f"divisor value: {format_rational(coh.delta_value_at_a)}",
+            f"audit forward: {audit.forward_verdict}",
+            f"audit converse: {audit.converse_verdict}",
+        ]
+
+    _emit(args, "cohomology", results, text)
     return 0
 
 
@@ -350,11 +372,18 @@ def _cmd_corpus(args) -> int:
         results = corpus.run(args.id)
     except KeyError:
         raise UsageError(f"unknown corpus entry: {args.id}")
-    checks = [dataclasses.asdict(r) for r in results]
     ok_count = sum(1 for r in results if r.ok)
-    lines = [f"{r.entry}: {r.name} [{r.source}]: {'ok' if r.ok else 'FAIL'}" for r in results]
-    lines.append(f"{ok_count}/{len(results)} checks passed")
-    _emit(args, "corpus", {"checks": checks, "passed": ok_count, "total": len(results)}, lines)
+
+    def payload():
+        checks = [dataclasses.asdict(r) for r in results]
+        return {"checks": checks, "passed": ok_count, "total": len(results)}
+
+    def text():
+        for r in results:
+            yield f"{r.entry}: {r.name} [{r.source}]: {'ok' if r.ok else 'FAIL'}"
+        yield f"{ok_count}/{len(results)} checks passed"
+
+    _emit(args, "corpus", payload, text)
     corpus.ensure(results)
     return 0
 

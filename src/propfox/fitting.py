@@ -16,13 +16,32 @@ r - 1 steps of fraction-free (Bareiss, Math. Comp. 22, 1968) elimination
 that always pivot on an entry of least valuation leave a block of r-minors
 whose least valuation is the least over all r-minors.
 
+Both eliminations, and every minor and gcd below, run on integer forms
+(zpoly): the matrix is multiplied once by L, the least common denominator
+of all its coefficients, and stays in Z[g^(+-1)]. One L for the whole
+matrix multiplies every r-minor by L^r. Nonzero rationals are units, so
+delta is unchanged, and the least content shifts by exactly r * v_p(L),
+which is subtracted at the end; a scale per row would shift each minor by
+an amount that depends on its row set. Smith divides by pseudo-division,
+c * f = q * s + r with c a power of the leading coefficient of s, and keeps
+each row primitive. Every row it builds is then a rational multiple of the
+row that the same operation gives over the rationals, so spans, zero tests
+and pivot choices match that elimination up to its first row addition. That
+adds whichever rational multiple of a row the integer matrix holds, a step
+just as valid that the two routes may continue from differently; the
+normalized divisor, an invariant of the matrix, is the same. Bareiss
+divides exactly in Z[g^(+-1)]; its pivots compare contents that all carry
+the same power of L, so it picks the same pivots as over the rationals.
+Only the results go back to LaurentPoly.
+
 No step of either elimination depends on r: each one picks its pivot from
 the whole block that is left. So the state after k steps is the same for
 every r > k, and one elimination per matrix serves every d. Its states are
 kept as immutable snapshots keyed by (matrix, steps done): step k runs on a
 fresh copy of the snapshot after k - 1 steps and is stored only once it
 returns, so an exception inside a step leaves nothing half built. The
-snapshot after 0 steps is the matrix itself, so 1-minors cost no step.
+snapshot after 0 steps is the integer form of the matrix itself, so
+1-minors cost no step, and snapshots hold integer forms only.
 Snapshots, like fitting_delta's results, are kept for the life of the
 process.
 
@@ -50,57 +69,53 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from math import gcd as igcd
 
 from .errors import DivisionByZero, InternalInconsistency
 from .fox import AlexanderMatrix, alexander_matrix
-from .laurent import (
-    LaurentPoly,
-    content_valuation,
-    div_exact,
-    gcd_many,
-    laurent_divmod,
-    normalize_associate,
-)
+from .laurent import LaurentPoly, associate, from_integer_form, integer_matrix
 from .matrices import frac_rank_nullspace
 from .presentation import Presentation
-from .scalars import Rational
-
-_ZERO = LaurentPoly.zero()
-_ONE = LaurentPoly.one()
+from .scalars import Rational, valuation
+from .zpoly import (
+    ONE,
+    ZERO,
+    add,
+    content_valuation,
+    divexact,
+    gcd_all,
+    mul,
+    neg,
+    normal,
+    pseudo_divmod,
+    scale,
+    sub,
+)
 
 
 def det_laurent(rows) -> LaurentPoly:
-    """Exact determinant of a square Laurent matrix. Pulls the lowest
-    variable power out of each row first, then runs fraction-free
-    elimination, so intermediate entries never leave the polynomial ring."""
-    k = len(rows)
-    if k == 0:
+    """Exact determinant of a square Laurent matrix, by fraction-free
+    elimination on L times the matrix, L the least common denominator of
+    its coefficients, divided by L^k at the end for k rows."""
+    if not rows:
         return LaurentPoly.one()
-    shift = 0
-    M: list[list[LaurentPoly]] = []
-    for row in rows:
-        nonzero = [f for f in row if not f.is_zero()]
-        if not nonzero:
-            return LaurentPoly.zero()
-        low = min(f.min_exp() for f in nonzero)
-        shift += low
-        M.append([f.shift(-low) for f in row])
-    sign = 1
-    prev = LaurentPoly.one()
-    for c in range(k - 1):
-        piv = next((i for i in range(c, k) if not M[i][c].is_zero()), None)
-        if piv is None:
-            return LaurentPoly.zero()
-        if piv != c:
-            M[c], M[piv] = M[piv], M[c]
-            sign = -sign
-        for i in range(c + 1, k):
-            for j in range(c + 1, k):
-                M[i][j] = div_exact(M[c][c] * M[i][j] - M[i][c] * M[c][j], prev)
-            M[i][c] = LaurentPoly.zero()
-        prev = M[c][c]
-    det = M[k - 1][k - 1]
-    return det.shift(shift) if sign > 0 else (-det).shift(shift)
+    L, M = integer_matrix(rows)
+    return from_integer_form(_det(M), L ** len(rows))
+
+
+def _det(M) -> tuple:
+    """Determinant of a square matrix of zpoly values: after k - 1
+    fraction-free steps the last entry is the determinant of the matrix
+    with the pivots' rows and columns moved into place."""
+    M = [list(row) for row in M]
+    sign, prev = 1, ONE
+    for k in range(len(M) - 1):
+        step_sign = _bareiss_step(M, k, prev, _span)
+        if not step_sign:
+            return ZERO
+        sign, prev = sign * step_sign, M[k][k]
+    last = M[-1][-1]
+    return last if sign > 0 else neg(last)
 
 
 @dataclass(frozen=True)
@@ -109,11 +124,6 @@ class FittingResult:
     delta: LaurentPoly
     mu_content: int | None
     minor_count: int
-
-
-def _minor(Q: AlexanderMatrix, row_set, col_set) -> LaurentPoly:
-    sub = tuple(tuple(Q.entries[r][c] for c in col_set) for r in row_set)
-    return det_laurent(sub)
 
 
 @lru_cache(maxsize=None)
@@ -129,183 +139,189 @@ def fitting_delta(Q: AlexanderMatrix, d: int) -> FittingResult:
     if r > Q.n_rows:
         return FittingResult(d, LaurentPoly.zero(), None, 0)
     p = Q.prime
-    delta = _divisor(Q.entries, r, _SMITH_SNAPSHOTS)
-    mu = _content_minimum(Q.entries, r, p, _BAREISS_SNAPSHOTS)
-    exit_can_fire = (
-        mu == 0
-        and delta.is_one()
-        and all(
-            (v := content_valuation(f, p)) is None or v >= 0 for row in Q.entries for f in row
-        )
-    )
-    if not exit_can_fire:
-        return FittingResult(d, delta, mu, comb(Q.n_rows, r) * comb(Q.n_cols, r))
-    fold = _scan_by_row_sets(Q, d, r)
-    if (fold.delta, fold.mu_content) != (delta, mu):
+    L, M = integer_matrix(Q.entries)
+    delta = _divisor(M, r, _SMITH_SNAPSHOTS, Q.entries)
+    mu = _content_minimum(M, r, p, _BAREISS_SNAPSHOTS, Q.entries)
+    if mu is not None:
+        mu -= r * valuation(L, p)
+    # Every entry is p-integral exactly when p does not divide L.
+    if not (mu == 0 and delta == ONE and L % p):
+        return FittingResult(d, associate(delta), mu, comb(Q.n_rows, r) * comb(Q.n_cols, r))
+    fold = _scan_by_row_sets(M, d, r, p)
+    if (fold.delta, fold.mu_content) != (associate(delta), mu):
         raise InternalInconsistency(
             f"row-set fold and elimination disagree for d={d}: "
             f"the fold gives ({fold.delta}, {fold.mu_content}), "
-            f"elimination gives ({delta}, {mu})"
+            f"elimination gives ({associate(delta)}, {mu})"
         )
     return fold
 
 
-def _scan_by_row_sets(Q: AlexanderMatrix, d: int, r: int) -> FittingResult:
-    """What the early-exit scan of every r-minor of p-integral entries
+def _scan_by_row_sets(M, d: int, r: int, p: int) -> FittingResult:
+    """What the early-exit scan of every r-minor of the p-integral matrix M
     returns, with whole row sets folded in by elimination up to the one in
     which the scan exits; only that row set's minors are expanded. When the
     exit never fires, the fold's divisor and content with the count of all
     r-minors."""
-    p = Q.prime
-    per_row_set = comb(Q.n_cols, r)
-    g, mu = _ZERO, None
-    for i, rs in enumerate(combinations(range(Q.n_rows), r)):
-        rows = tuple(Q.entries[k] for k in rs)
-        g_next = g if g.is_one() else gcd_many([g, _divisor(rows, r, {})])
-        v = None if mu == 0 else _content_minimum(rows, r, p, {})
+    n_cols = len(M[0])
+    per_row_set = comb(n_cols, r)
+    g, mu = ZERO, None
+    for i, rs in enumerate(combinations(range(len(M)), r)):
+        rows = tuple(M[k] for k in rs)
+        g_next = g if g == ONE else gcd_all([g, _divisor(rows, r, {}, None)])
+        v = None if mu == 0 else _content_minimum(rows, r, p, {}, None)
         mu_next = mu if v is None else v if mu is None else min(mu, v)
-        if g_next.is_one() and mu_next == 0:
-            dets = (_minor(Q, rs, cs) for cs in combinations(range(Q.n_cols), r))
-            scan = _fold_minors(d, p, True, dets, g, mu)
-            return FittingResult(
-                d, scan.delta, scan.mu_content, i * per_row_set + scan.minor_count
+        if g_next == ONE and mu_next == 0:
+            dets = (
+                _det([[row[c] for c in cs] for row in rows])
+                for cs in combinations(range(n_cols), r)
             )
+            g, mu, count = _fold_minors(p, dets, g, mu)
+            return FittingResult(d, associate(g), mu, i * per_row_set + count)
         g, mu = g_next, mu_next
-    return FittingResult(d, g, mu, comb(Q.n_rows, r) * per_row_set)
+    return FittingResult(d, associate(g), mu, comb(len(M), r) * per_row_set)
 
 
-def _fold_minors(
-    d: int, p: int, integral: bool, dets, g: LaurentPoly = _ZERO, mu: int | None = None
-) -> FittingResult:
-    """Fold minors in the order given into (gcd, content minimum, count),
-    starting from (g, mu), and stop once both outputs are forced: gcd 1,
-    content minimum 0, and every entry p-integral so no later minor can push
-    the content below 0."""
+def _fold_minors(p: int, dets, g: tuple, mu: int | None):
+    """Fold minors of a p-integral matrix in the order given into (gcd,
+    content minimum, count), starting from (g, mu), and stop once both
+    outputs are forced: gcd 1 and content minimum 0, which no later minor
+    can push below 0."""
     count = 0
     for det in dets:
         count += 1
-        if det.is_zero():
+        if not det[1]:
             continue
-        g = gcd_many([g, det])
+        g = gcd_all([g, det])
         v = content_valuation(det, p)
         mu = v if mu is None else min(mu, v)
-        if integral and mu == 0 and g.is_one():
+        if mu == 0 and g == ONE:
             break
-    return FittingResult(d, g, mu, count)
+    return g, mu, count
 
 
-# Snapshots of the whole-matrix eliminations, keyed by (entries, steps done)
-# and, for Bareiss, the prime. Like fitting_delta's cache they are kept for
-# the life of the process.
+# The whole-matrix eliminations' snapshots, keyed by (Q.entries, steps
+# done) and, for Bareiss, the prime; they hold only integer forms. Like
+# fitting_delta's cache they are kept for the life of the process.
 _SMITH_SNAPSHOTS: dict = {}
 _BAREISS_SNAPSHOTS: dict = {}
 
 
-def _snapshot(advance, memo: dict, entries, steps: int, *args):
-    """The state after `steps` steps of `advance` from (entries, 1), or None
+def _snapshot(advance, memo: dict, key, start, steps: int, *args):
+    """The state after `steps` steps of `advance` from (start, ONE), or None
     once a step finds its block zero. Each step's result is stored in memo
-    when the step returns, and read back from it on later calls."""
-    state = (entries, _ONE)
+    under (key, steps done, *args) when the step returns, and read back from
+    it on later calls."""
+    state = (start, ONE)
     for k in range(steps):
-        key = (entries, k + 1, *args)
-        if key not in memo:
-            memo[key] = advance(state, k, *args)
-        state = memo[key]
+        memo_key = (key, k + 1, *args)
+        if memo_key not in memo:
+            memo[memo_key] = advance(state, k, *args)
+        state = memo[memo_key]
         if state is None:
             break
     return state
 
 
-def _times(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """a * b, without the multiplication when a factor is one."""
-    return b if a.is_one() else a if b.is_one() else a * b
+def _span(f: tuple) -> int:
+    return len(f[1]) - 1
 
 
-def _span(f: LaurentPoly) -> int:
-    return f.max_exp() - f.min_exp()
-
-
-def _pivot_to(M: list[list[LaurentPoly]], k: int, key) -> bool:
+def _pivot_to(M: list[list[tuple]], k: int, key) -> int:
     """Swap a nonzero entry of least key in the block from (k, k) on into
-    position (k, k). False when that block is zero."""
+    position (k, k), the first in row-major order among equals. Returns the
+    sign of the row and column swaps, or 0 when that block is zero."""
     found = min(
         (
             (key(M[i][j]), i, j)
             for i in range(k, len(M))
             for j in range(k, len(M[0]))
-            if not M[i][j].is_zero()
+            if M[i][j][1]
         ),
         default=None,
     )
     if found is None:
-        return False
+        return 0
     _, i, j = found
     M[k], M[i] = M[i], M[k]
     for row in M:
         row[k], row[j] = row[j], row[k]
-    return True
+    return -1 if (i == k) != (j == k) else 1
 
 
-def _divisor(entries, r: int, memo: dict) -> LaurentPoly:
-    """Product of the first r Smith invariant factors, normalized; 0 when
-    the rank is below r."""
-    state = _snapshot(_smith_advance, memo, entries, r - 1)
+def _primitive_row(row: list[tuple]) -> list[tuple]:
+    """The row divided by the gcd of all its coefficients, a rational unit."""
+    c = igcd(*(x for f in row for x in f[1]))
+    return row if c <= 1 else [(s, tuple(x // c for x in a)) for s, a in row]
+
+
+def _divisor(M, r: int, memo: dict, key) -> tuple:
+    """Product of the first r Smith invariant factors, as a normal zpoly
+    value; ZERO when the rank is below r."""
+    state = _snapshot(_smith_advance, memo, key, M, r - 1)
     if state is None:
-        return LaurentPoly.zero()
+        return ZERO
     M, product = state
-    rest = gcd_many(f for row in M[r - 1 :] for f in row[r - 1 :])
-    return normalize_associate(_times(product, rest))
+    rest = gcd_all(f for row in M[r - 1 :] for f in row[r - 1 :])
+    return rest if product == ONE or not rest[1] else mul(product, rest)
 
 
 def _smith_advance(state, k: int):
     """Smith step k on a fresh copy of the state's matrix: the new matrix
-    and the product of the pivots so far, or None when the block from
-    (k, k) on is zero."""
+    and the product of the normal pivots so far, or None when the block
+    from (k, k) on is zero."""
     entries, product = state
     M = [list(row) for row in entries]
     pivot = _smith_step(M, k)
     if pivot is None:
         return None
-    return tuple(map(tuple, M)), _times(product, pivot)
+    if _span(pivot):
+        product = mul(product, normal(pivot))
+    return tuple(map(tuple, M)), product
 
 
-def _smith_step(M: list[list[LaurentPoly]], k: int) -> LaurentPoly | None:
-    """Bring M to diag(..., s, M') at position (k, k) by Euclidean row and
-    column operations, with s dividing every entry of M'. Returns s, or None
-    when the block from (k, k) on is zero."""
+def _smith_step(M: list[list[tuple]], k: int) -> tuple | None:
+    """Bring M to diag(..., s, M') at position (k, k) by row and column
+    operations that are invertible over the rational Laurent ring, with s
+    dividing every entry of M'. Returns s, or None when the block from
+    (k, k) on is zero. Each division is a pseudo-division: c * f = q * s + r
+    with c a power of the leading coefficient of s, so a reduced row is c
+    times the row that Euclidean division over the rationals gives, and is
+    then divided by its integer content."""
     n_rows, n_cols = len(M), len(M[0])
     while _pivot_to(M, k, _span):
-        # Scale the pivot row by a unit so that the pivot is monic with
-        # constant term: the quotients below then keep small coefficients.
-        piv = M[k][k]
-        unit = LaurentPoly.monomial(-piv.min_exp(), 1 / piv.coeff(piv.max_exp()))
-        M[k] = [unit * f for f in M[k]]
         piv = M[k][k]
         reduced = True
         for i in range(k + 1, n_rows):
-            if M[i][k].is_zero():
+            if not M[i][k][1]:
                 continue
-            q, rem = laurent_divmod(M[i][k], piv)
-            M[i] = M[i][:k] + [a - q * b for a, b in zip(M[i][k:], M[k][k:])]
-            reduced = reduced and rem.is_zero()
+            c, q, rem = pseudo_divmod(M[i][k], piv)
+            M[i][k:] = _primitive_row(
+                [sub(scale(a, c), mul(q, b)) for a, b in zip(M[i][k:], M[k][k:])]
+            )
+            reduced = reduced and not rem[1]
         if not reduced:
             continue
         # Column k is clear below the pivot, so a column operation changes
-        # only row k.
-        for j in range(k + 1, n_cols):
-            if not M[k][j].is_zero():
-                M[k][j] = laurent_divmod(M[k][j], piv)[1]
-                reduced = reduced and M[k][j].is_zero()
-        if not reduced:
+        # only row k. Row k is scaled by the largest power c of the pivot's
+        # leading coefficient that a remainder needed, so that every
+        # remainder r / c_j of the rational division becomes integral.
+        divisions = [pseudo_divmod(f, piv) for f in M[k][k + 1 :]]
+        if any(rem[1] for _, _, rem in divisions):
+            c = max((c_j for c_j, _, _ in divisions), key=abs)
+            M[k][k:] = _primitive_row(
+                [scale(piv, c)] + [scale(rem, c // c_j) for c_j, _, rem in divisions]
+            )
             continue
-        if piv.is_one():
+        M[k][k + 1 :] = [ZERO] * (n_cols - k - 1)
+        if not _span(piv):
             return piv
         bad = next(
             (
                 i
                 for i in range(k + 1, n_rows)
                 for j in range(k + 1, n_cols)
-                if not laurent_divmod(M[i][j], piv)[1].is_zero()
+                if pseudo_divmod(M[i][j], piv)[2][1]
             ),
             None,
         )
@@ -313,25 +329,20 @@ def _smith_step(M: list[list[LaurentPoly]], k: int) -> LaurentPoly | None:
             return piv
         # Adding the row puts an entry that the pivot does not divide into
         # row k; the next pass reduces it to a pivot of smaller span.
-        M[k] = [a + b for a, b in zip(M[k], M[bad])]
+        M[k] = [add(a, b) for a, b in zip(M[k], M[bad])]
     return None
 
 
-def _content_minimum(entries, r: int, p: int, memo: dict) -> int | None:
-    """Least content valuation over the nonzero r-minors; None when the
-    rank is below r. The block left after r - 1 Bareiss steps holds
+def _content_minimum(M, r: int, p: int, memo: dict, key) -> int | None:
+    """Least content valuation over the nonzero r-minors of M; None when
+    the rank is below r. The block left after r - 1 Bareiss steps holds
     r-minors."""
-    state = _snapshot(_bareiss_advance, memo, entries, r - 1, p)
+    state = _snapshot(_bareiss_advance, memo, key, M, r - 1, p)
     if state is None:
         return None
     M = state[0]
     return min(
-        (
-            content_valuation(f, p)
-            for row in M[r - 1 :]
-            for f in row[r - 1 :]
-            if not f.is_zero()
-        ),
+        (content_valuation(f, p) for row in M[r - 1 :] for f in row[r - 1 :] if f[1]),
         default=None,
     )
 
@@ -339,19 +350,29 @@ def _content_minimum(entries, r: int, p: int, memo: dict) -> int | None:
 def _bareiss_advance(state, k: int, p: int):
     """Fraction-free step k on a fresh copy of the state's matrix, pivoting
     on an entry of least content valuation: the new matrix and its pivot, or
-    None when the block from (k, k) on is zero. After step k, entry (i, j) of
-    the block is the minor on the k + 1 pivot rows and columns with row i
-    and column j added (Sylvester's identity)."""
+    None when the block from (k, k) on is zero."""
     entries, prev = state
     M = [list(row) for row in entries]
-    if not _pivot_to(M, k, lambda f: content_valuation(f, p)):
+    if not _bareiss_step(M, k, prev, lambda f: content_valuation(f, p)):
         return None
-    piv = M[k][k]
-    for i in range(k + 1, len(M)):
-        for j in range(k + 1, len(M[0])):
-            f = piv * M[i][j] - M[i][k] * M[k][j]
-            M[i][j] = f if prev.is_one() else div_exact(f, prev)
-    return tuple(map(tuple, M)), piv
+    return tuple(map(tuple, M)), M[k][k]
+
+
+def _bareiss_step(M: list[list[tuple]], k: int, prev: tuple, key) -> int:
+    """Fraction-free step k in place, pivoting on an entry of least key
+    after the previous step's pivot prev: the sign of the pivot's swaps, or
+    0 when the block from (k, k) on is zero. After step k, entry (i, j) of
+    the block is the minor on the k + 1 pivot rows and columns with row i
+    and column j added (Sylvester's identity), so the division by prev is
+    exact in Z[g^(+-1)]."""
+    sign = _pivot_to(M, k, key)
+    if sign:
+        piv = M[k][k]
+        for i in range(k + 1, len(M)):
+            for j in range(k + 1, len(M[0])):
+                f = sub(mul(piv, M[i][j]), mul(M[i][k], M[k][j]))
+                M[i][j] = f if prev == ONE else divexact(f, prev)
+    return sign
 
 
 def rank_at(Q: AlexanderMatrix, a: Rational) -> int:

@@ -157,8 +157,9 @@ def evaluate_word(rep, word: Word):
 
 def _fox_pass(exps, mats, invs, word: Word) -> list:
     """The derivatives of the word by every generator, in one walk over its
-    letters: dim rows of n_generators * dim maps exponent -> coefficient,
-    column block i holding the derivative by g_i. Generator g_i maps to
+    letters: dim rows of n_generators * dim maps from int exponents to
+    Fraction coefficients, some of them zero sums, column block i holding
+    the derivative by g_i. Generator g_i maps to
     g^exps[i] (x) mats[i], and invs[i] is the inverse of mats[i].
 
     The image of the prefix read so far is one graded pair g^k (x) P. A letter
@@ -200,7 +201,7 @@ def fox_derivative_matrix(pres: Presentation, phi: Representation, word: Word, g
     _check_shape(pres, phi)
     ell = phi.dim
     return tuple(
-        tuple(LaurentPoly(cell) for cell in row[gen * ell:(gen + 1) * ell])
+        tuple(LaurentPoly.from_sums(cell) for cell in row[gen * ell:(gen + 1) * ell])
         for row in _fox_pass(pres.alpha, phi.images, phi.inverses, word)
     )
 
@@ -257,7 +258,7 @@ def _relation_matrix(pres: Presentation, rep: Representation) -> AlexanderMatrix
     _check_shape(pres, rep)
     invs = rep.inverses
     rows = [
-        tuple(LaurentPoly(cell) for cell in row)
+        tuple(LaurentPoly.from_sums(cell) for cell in row)
         for rel in pres.relators
         for row in _fox_pass(pres.alpha, rep.images, invs, rel.flatten())
     ]

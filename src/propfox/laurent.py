@@ -13,6 +13,7 @@ import math
 import re
 from fractions import Fraction
 
+from . import zpoly
 from .errors import DivisionByZero, NotAUnit
 from .scalars import format_rational, parse_rational, valuation
 
@@ -40,6 +41,16 @@ class LaurentPoly:
         self._hash = None
 
     # -- constructors ------------------------------------------------------
+
+    @staticmethod
+    def from_sums(terms: dict) -> "LaurentPoly":
+        """The polynomial of a map from int exponents to Fraction
+        coefficients, taken without the conversions of __init__; zero
+        coefficients are dropped."""
+        r = LaurentPoly.__new__(LaurentPoly)
+        r.terms = {k: c for k, c in terms.items() if c}
+        r._hash = None
+        return r
 
     @staticmethod
     def zero() -> "LaurentPoly":
@@ -256,29 +267,55 @@ def normalize_associate(f: LaurentPoly) -> LaurentPoly:
     return shifted if lc == 1 else -shifted if lc == -1 else shifted.scale(1 / lc)
 
 
-def _gcd_pair(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    a = normalize_associate(a)
-    b = normalize_associate(b)
-    while not b.is_zero():
-        _, r = _poly_divmod(a, b)
-        a, b = b, normalize_associate(r)
-    return a
-
-
 def gcd_many(fs) -> LaurentPoly:
     """GCD of any number of Laurent polynomials, as the canonical associate.
 
     The empty collection and the all-zero collection both give 0 (the GCD in
-    the ideal sense: the generator of the zero ideal).
+    the ideal sense: the generator of the zero ideal). The gcd is taken on
+    integer forms (zpoly.gcd_all).
     """
-    acc = LaurentPoly.zero()
-    for f in fs:
-        if f.is_zero():
-            continue
-        acc = _gcd_pair(acc, f) if not acc.is_zero() else normalize_associate(f)
-        if acc.is_one():
-            break
-    return acc
+    return associate(zpoly.gcd_all(primitive_form(f) for f in fs))
+
+
+# -- integer forms -------------------------------------------------------------
+
+
+def primitive_form(f: LaurentPoly) -> tuple:
+    """f as a primitive zpoly value: scaled by the least common denominator
+    of its coefficients, then divided by the gcd of the numerators."""
+    return zpoly.primitive(integer_form(f, math.lcm(*(c.denominator for c in f.terms.values()))))
+
+
+def integer_form(f: LaurentPoly, scale: int) -> tuple:
+    """scale * f as a zpoly value; scale must clear every denominator of f."""
+    if not f.terms:
+        return zpoly.ZERO
+    low = min(f.terms)
+    c = [0] * (max(f.terms) - low + 1)
+    for e, x in f.terms.items():
+        c[e - low] = x.numerator * (scale // x.denominator)
+    return low, tuple(c)
+
+
+def integer_matrix(rows) -> tuple[int, tuple]:
+    """(L, L * rows as zpoly values), with L the least common denominator of
+    every coefficient of the matrix."""
+    scale = math.lcm(1, *(c.denominator for row in rows for f in row for c in f.terms.values()))
+    return scale, tuple(tuple(integer_form(f, scale) for f in row) for row in rows)
+
+
+def from_integer_form(a: tuple, scale: int = 1) -> LaurentPoly:
+    """The Laurent polynomial a / scale."""
+    low, c = a
+    return LaurentPoly.from_sums({low + i: Fraction(x, scale) for i, x in enumerate(c)})
+
+
+def associate(a: tuple) -> LaurentPoly:
+    """The canonical associate (see normalize_associate) of a zpoly value."""
+    if not a[1]:
+        return LaurentPoly.zero()
+    c = zpoly.normal(a)[1]
+    return from_integer_form((0, c), c[-1])
 
 
 def content_valuation(f: LaurentPoly, p: int) -> int | None:

@@ -1,12 +1,10 @@
 """Dense polynomials over F_p and their roots, without scanning residues.
 
 A polynomial is a list of ints in [0, p), lowest degree first, with no
-trailing zeros; the zero polynomial is []. Products go through Kronecker
-substitution: each factor is packed into one int with a fixed number of
-bytes per coefficient, wide enough for every coefficient of the product, and
-the one big-int product is unpacked slot by slot. Remainders modulo a fixed
-monic polynomial use a precomputed Newton inverse of its reversal, so each
-reduction costs two products.
+trailing zeros; the zero polynomial is []. Products are integer products by
+Kronecker substitution (zpoly.mul_coeffs), reduced mod p. Remainders modulo
+a fixed monic polynomial use a precomputed Newton inverse of its reversal,
+so each reduction costs two products.
 
 The distinct roots of f come from gcd(f, x^p - x), with x^p mod f taken by
 repeated squaring, and are split by gcd((x + delta)^((p-1)/2) - 1, .) for
@@ -19,6 +17,8 @@ no randomness, and the roots are returned sorted.
 
 from __future__ import annotations
 
+from . import zpoly
+
 
 def _trim(a: list[int]) -> list[int]:
     while a and not a[-1]:
@@ -27,16 +27,10 @@ def _trim(a: list[int]) -> list[int]:
 
 
 def mul(a: list[int], b: list[int], p: int) -> list[int]:
-    """The product a*b mod p by Kronecker substitution."""
+    """The product a*b mod p, by zpoly's Kronecker substitution."""
     if not a or not b:
         return []
-    count = len(a) + len(b) - 1
-    # every product coefficient is a sum of at most min(len) terms below p^2
-    slot = ((min(len(a), len(b)) * (p - 1) ** 2).bit_length() + 7) // 8
-    pa = int.from_bytes(b"".join([x.to_bytes(slot, "little") for x in a]), "little")
-    pb = pa if b is a else int.from_bytes(b"".join([x.to_bytes(slot, "little") for x in b]), "little")
-    data = (pa * pb).to_bytes(slot * count, "little")
-    return _trim([int.from_bytes(data[i : i + slot], "little") % p for i in range(0, slot * count, slot)])
+    return _trim([c % p for c in zpoly.mul_coeffs(a, b)])
 
 
 def _divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd, lcm
 
-from . import modp
+from . import modp, zpoly
 from .errors import IdenticallyZero
-from .laurent import LaurentPoly, div_exact, gcd_many
+from .laurent import LaurentPoly, from_integer_form, primitive_form
 from .scalars import unit_ball_check, valuation
 
 
@@ -31,14 +30,7 @@ def _dense_int_coeffs(f: LaurentPoly) -> list[int]:
     unit stripped, so the constant term is nonzero."""
     if f.is_zero():
         raise IdenticallyZero("the zero polynomial vanishes everywhere")
-    g = f.shift(-f.min_exp())
-    coeffs = [g.coeff(e) for e in range(g.max_exp() + 1)]
-    denom = lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * denom) for c in coeffs]
-    content = 0
-    for c in ints:
-        content = gcd(content, c)
-    return [c // content for c in ints]
+    return list(primitive_form(f)[1])
 
 
 def _divisors(n: int) -> list[int]:
@@ -154,11 +146,11 @@ def _zp_roots(coeffs: list[int], p: int, budget: int) -> tuple[list[int], list[i
 
 
 def _squarefree_part(f: LaurentPoly) -> LaurentPoly:
-    deriv = LaurentPoly({e - 1: e * c for e, c in f.terms.items() if e != 0})
-    g = gcd_many([f, deriv])
-    if g.is_one():
-        return f
-    return div_exact(f, g)
+    """f divided by gcd(F, F'), F the primitive integer form of f; f itself
+    when that gcd is 1."""
+    F = primitive_form(f)
+    g = zpoly.gcd_all([F, (0, tuple(i * c for i, c in enumerate(F[1]))[1:])])
+    return f if g == zpoly.ONE else from_integer_form(zpoly.divexact(F, g))
 
 
 def hensel_roots(f: LaurentPoly, p: int, budget: int) -> tuple[list[int], list[int]]:

@@ -1,19 +1,151 @@
-"""The reference routes that fitting_delta is checked against.
+"""The reference routes that fitting_delta and the integer divisor layer
+are checked against, all on LaurentPoly values with Fraction coefficients.
+
+gcd_pair is Euclid's algorithm over the rationals, the gcd route the
+integer heuristic gcd replaced. _smith_step, _pivot_to and det_laurent are
+the rational Smith step, its pivot choice and the fraction-free determinant
+that propfox.fitting ran before it moved to integer forms.
 
 _smith_divisor and _least_content are the one-shot eliminations: each call
 starts again from the original entries and runs exactly r - 1 steps, with no
-snapshot kept between calls. They share the single Smith step and the pivot
-choice with propfox.fitting, so they check the sharing of states across
-minor sizes and ask orders, not the step itself; _fitting_by_enumeration
-checks everything, minor_count included, by folding every minor in
-lexicographic (row set, column set) order.
+snapshot kept between calls. _fitting_by_enumeration checks everything,
+minor_count included, by folding every minor in lexicographic (row set,
+column set) order.
 """
 
 from itertools import combinations
 
-from propfox import FittingResult, LaurentPoly, content_valuation, gcd_many, normalize_associate
-from propfox.fitting import _fold_minors, _minor, _pivot_to, _smith_step
-from propfox.laurent import div_exact
+from propfox import FittingResult, LaurentPoly, content_valuation, normalize_associate
+from propfox.laurent import _poly_divmod, div_exact, laurent_divmod
+
+
+def gcd_pair(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """The canonical associate of gcd(a, b) by Euclid's algorithm over the
+    rationals."""
+    a = normalize_associate(a)
+    b = normalize_associate(b)
+    while not b.is_zero():
+        _, r = _poly_divmod(a, b)
+        a, b = b, normalize_associate(r)
+    return a
+
+
+def gcd_many(fs) -> LaurentPoly:
+    acc = LaurentPoly.zero()
+    for f in fs:
+        if f.is_zero():
+            continue
+        acc = gcd_pair(acc, f) if not acc.is_zero() else normalize_associate(f)
+        if acc.is_one():
+            break
+    return acc
+
+
+def det_laurent(rows) -> LaurentPoly:
+    """Exact determinant of a square Laurent matrix. Pulls the lowest
+    variable power out of each row first, then runs fraction-free
+    elimination, so intermediate entries never leave the polynomial ring."""
+    k = len(rows)
+    if k == 0:
+        return LaurentPoly.one()
+    shift = 0
+    M: list[list[LaurentPoly]] = []
+    for row in rows:
+        nonzero = [f for f in row if not f.is_zero()]
+        if not nonzero:
+            return LaurentPoly.zero()
+        low = min(f.min_exp() for f in nonzero)
+        shift += low
+        M.append([f.shift(-low) for f in row])
+    sign = 1
+    prev = LaurentPoly.one()
+    for c in range(k - 1):
+        piv = next((i for i in range(c, k) if not M[i][c].is_zero()), None)
+        if piv is None:
+            return LaurentPoly.zero()
+        if piv != c:
+            M[c], M[piv] = M[piv], M[c]
+            sign = -sign
+        for i in range(c + 1, k):
+            for j in range(c + 1, k):
+                M[i][j] = div_exact(M[c][c] * M[i][j] - M[i][c] * M[c][j], prev)
+            M[i][c] = LaurentPoly.zero()
+        prev = M[c][c]
+    det = M[k - 1][k - 1]
+    return det.shift(shift) if sign > 0 else (-det).shift(shift)
+
+
+def _span(f: LaurentPoly) -> int:
+    return f.max_exp() - f.min_exp()
+
+
+def _pivot_to(M: list[list[LaurentPoly]], k: int, key) -> bool:
+    """Swap a nonzero entry of least key in the block from (k, k) on into
+    position (k, k). False when that block is zero."""
+    found = min(
+        (
+            (key(M[i][j]), i, j)
+            for i in range(k, len(M))
+            for j in range(k, len(M[0]))
+            if not M[i][j].is_zero()
+        ),
+        default=None,
+    )
+    if found is None:
+        return False
+    _, i, j = found
+    M[k], M[i] = M[i], M[k]
+    for row in M:
+        row[k], row[j] = row[j], row[k]
+    return True
+
+
+def _smith_step(M: list[list[LaurentPoly]], k: int) -> LaurentPoly | None:
+    """Bring M to diag(..., s, M') at position (k, k) by Euclidean row and
+    column operations, with s dividing every entry of M'. Returns s, or None
+    when the block from (k, k) on is zero."""
+    n_rows, n_cols = len(M), len(M[0])
+    while _pivot_to(M, k, _span):
+        # Scale the pivot row by a unit so that the pivot is monic with
+        # constant term: the quotients below then keep small coefficients.
+        piv = M[k][k]
+        unit = LaurentPoly.monomial(-piv.min_exp(), 1 / piv.coeff(piv.max_exp()))
+        M[k] = [unit * f for f in M[k]]
+        piv = M[k][k]
+        reduced = True
+        for i in range(k + 1, n_rows):
+            if M[i][k].is_zero():
+                continue
+            q, rem = laurent_divmod(M[i][k], piv)
+            M[i] = M[i][:k] + [a - q * b for a, b in zip(M[i][k:], M[k][k:])]
+            reduced = reduced and rem.is_zero()
+        if not reduced:
+            continue
+        # Column k is clear below the pivot, so a column operation changes
+        # only row k.
+        for j in range(k + 1, n_cols):
+            if not M[k][j].is_zero():
+                M[k][j] = laurent_divmod(M[k][j], piv)[1]
+                reduced = reduced and M[k][j].is_zero()
+        if not reduced:
+            continue
+        if piv.is_one():
+            return piv
+        bad = next(
+            (
+                i
+                for i in range(k + 1, n_rows)
+                for j in range(k + 1, n_cols)
+                if not laurent_divmod(M[i][j], piv)[1].is_zero()
+            ),
+            None,
+        )
+        if bad is None:
+            return piv
+        # Adding the row puts an entry that the pivot does not divide into
+        # row k; the next pass reduces it to a pivot of smaller span.
+        M[k] = [a + b for a, b in zip(M[k], M[bad])]
+    return None
 
 
 def _smith_divisor(entries, r: int) -> LaurentPoly:
@@ -69,20 +201,28 @@ def oneshot_divisor_and_content(Q, d):
 
 def _fitting_by_enumeration(Q, d):
     """The reference route: fold every (n_cols - d)-minor in lexicographic
-    (row set, column set) order, with the early exit of the scan."""
+    (row set, column set) order into (gcd, content minimum, count), and stop
+    once both outputs are forced: gcd 1, content minimum 0, and every entry
+    p-integral so no later minor can push the content below 0."""
     r = Q.n_cols - d
     if r <= 0:
         return FittingResult(d, LaurentPoly.one(), 0, 0)
     if r > Q.n_rows:
         return FittingResult(d, LaurentPoly.zero(), None, 0)
+    p = Q.prime
     integral = all(
-        f.is_zero() or content_valuation(f, Q.prime) >= 0
-        for row in Q.entries
-        for f in row
+        f.is_zero() or content_valuation(f, p) >= 0 for row in Q.entries for f in row
     )
-    dets = (
-        _minor(Q, rs, cs)
-        for rs in combinations(range(Q.n_rows), r)
-        for cs in combinations(range(Q.n_cols), r)
-    )
-    return _fold_minors(d, Q.prime, integral, dets)
+    g, mu, count = LaurentPoly.zero(), None, 0
+    for rs in combinations(range(Q.n_rows), r):
+        for cs in combinations(range(Q.n_cols), r):
+            count += 1
+            det = det_laurent(tuple(tuple(Q.entries[i][j] for j in cs) for i in rs))
+            if det.is_zero():
+                continue
+            g = gcd_many([g, det])
+            v = content_valuation(det, p)
+            mu = v if mu is None else min(mu, v)
+            if integral and mu == 0 and g.is_one():
+                return FittingResult(d, g, mu, count)
+    return FittingResult(d, g, mu, count)

@@ -1,6 +1,7 @@
 """The command line front end: output shapes, exit codes, determinism."""
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -174,6 +175,17 @@ def test_corpus_run(capsys):
     assert code == 0
     assert "checks passed" in out
     assert "FAIL" not in out
+
+
+# SHA-256 of the full `propfox corpus run --json` output: every corpus value,
+# the field order and the formatting, pinned byte for byte.
+CORPUS_JSON_SHA256 = "aabd9c8c748fb8200e025552bc7ac1d1bdf983729b07a7e7076b17ec1e38cda2"
+
+
+def test_corpus_run_json_bytes_are_pinned(capsys):
+    code, out, _ = run_cli(capsys, "corpus", "run", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CORPUS_JSON_SHA256
 
 
 def test_exit_codes(capsys, tmp_path):

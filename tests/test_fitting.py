@@ -157,13 +157,13 @@ def test_fitting_planted_beyond_enumeration():
     assert elapsed < 10.0
 
 
-@pytest.mark.parametrize("name, shift", [("laurent_divmod", 0), ("div_exact", 1)])
+@pytest.mark.parametrize("name, shift", [("pseudo_divmod", 0), ("divexact", 1)])
 def test_interrupted_elimination_leaves_the_snapshots_sound(monkeypatch, name, shift):
     # A 5x4 matrix no other test builds, so its snapshots start cold; shift
     # keeps the two cases' matrices apart. The third call of the patched
-    # helper raises partway through a Smith step (laurent_divmod) or the
-    # second Bareiss step (div_exact); every d asked afterwards must still
-    # get the one-shot eliminations' answers.
+    # integer helper raises partway through a Smith step (pseudo_divmod) or
+    # the second Bareiss step (divexact); every d asked afterwards must
+    # still get the one-shot eliminations' answers.
     rows = tuple(
         tuple(LaurentPoly({2: 1, 1: -(i + 2 * j + shift), 0: i * j - 3}) for j in range(4))
         for i in range(5)

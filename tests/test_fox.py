@@ -194,3 +194,26 @@ def test_fox_derivative_matrix_is_a_block_of_the_relation_matrix(eg41, eg44rep):
     for j, rel in enumerate(eg41.relators):
         for i in range(eg41.n_generators):
             assert fox_derivative_matrix(eg41, eg44rep, rel.flatten(), i) == Q.block(j, i)
+
+
+def test_relation_matrix_entries_match_the_checked_constructor():
+    # The relation matrix takes the Fox pass's sums without the checks of
+    # LaurentPoly.__init__; on every corpus matrix its entries must equal the
+    # checked constructor's, with only nonzero Fraction coefficients.
+    from propfox.fox import _fox_pass
+
+    for entry in corpus.ENTRIES:
+        pres = corpus.load_presentation(entry.presentation)
+        if entry.representation is None:
+            rep = Representation.trivial(pres.n_generators)
+        else:
+            rep = corpus.load_representation(entry.representation, pres)
+        checked = [
+            LaurentPoly(cell)
+            for rel in pres.relators
+            for row in _fox_pass(pres.alpha, rep.images, rep.inverses, rel.flatten())
+            for cell in row
+        ]
+        built = [f for row in alexander_matrix(pres, rep).entries for f in row]
+        assert built == checked, entry.entry_id
+        assert all(type(c) is Fraction and c for f in built for c in f.terms.values())

@@ -43,13 +43,15 @@ from propfox import (
     valuation,
     verify_factors,
 )
-from propfox import corpus, modp
+from propfox import corpus, fitting, modp
 from propfox.extensions import mat_vec
 from propfox.fox import AlexanderMatrix, _relation_matrix
+from propfox.laurent import associate, integer_matrix
 from propfox.matrices import frac_identity, freeze, mat_mul
 from propfox.presentation import _is_prime
 from propfox.zeros import _dense_int_coeffs, _divide_linear, _squarefree_part, _taylor_shift, _zp_roots
 
+import fitting_oracle
 from fitting_oracle import _fitting_by_enumeration, oneshot_divisor_and_content
 from laurent_fox import (
     LaurentTensorRep,
@@ -495,6 +497,84 @@ def late_exit_matrices(draw):
 def test_fitting_late_exits_match_minor_enumeration(Q):
     for d in range(-1, Q.n_cols + 2):
         assert fitting_delta(Q, d) == _fitting_by_enumeration(Q, d), d
+
+
+def _wide_rationals(p: int):
+    """Coefficients for the integer divisor layer: small and 40-digit
+    numerators, over denominators with and without powers of p."""
+    numerators = st.one_of(
+        st.integers(min_value=-5, max_value=5),
+        st.integers(min_value=-(10**40), max_value=10**40),
+    )
+    denominators = st.builds(
+        lambda k, m: p**k * m, st.integers(min_value=0, max_value=2), st.sampled_from([1, 1, 7, 10])
+    )
+    return st.builds(Fraction, numerators, denominators)
+
+
+@st.composite
+def gcd_cases(draw):
+    """One to four Laurent polynomials with negative exponents and wide
+    rational coefficients, all multiples of one drawn factor."""
+    poly = st.dictionaries(
+        st.integers(min_value=-3, max_value=3),
+        _wide_rationals(draw(st.sampled_from([2, 3, 5]))),
+        max_size=4,
+    ).map(LaurentPoly)
+    common = draw(poly)
+    return [draw(poly) * common for _ in range(draw(st.integers(min_value=1, max_value=4)))]
+
+
+@SUITE
+@given(gcd_cases())
+def test_gcd_matches_the_rational_euclid_oracle(fs):
+    assert gcd_many(fs) == fitting_oracle.gcd_many(fs)
+
+
+@st.composite
+def wide_entry_matrices(draw):
+    """Up to 4x3, entries with negative exponents and wide rational
+    coefficients, p in some denominators; in some draws the last row is a
+    Laurent multiple of the first (rank deficient), in others every entry
+    shares a factor."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    entry = st.one_of(
+        st.just(LaurentPoly.zero()),
+        st.dictionaries(st.integers(min_value=-2, max_value=2), _wide_rationals(p), max_size=3).map(
+            LaurentPoly
+        ),
+    )
+    n_rows = draw(st.integers(min_value=1, max_value=4))
+    n_cols = draw(st.integers(min_value=1, max_value=3))
+    rows = [[draw(entry) for _ in range(n_cols)] for _ in range(n_rows)]
+    shape = draw(st.sampled_from(["free", "dependent", "shared"]))
+    if shape == "dependent" and n_rows >= 2:
+        f = draw(entry)
+        rows[-1] = [f * a for a in rows[0]]
+    elif shape == "shared":
+        f = draw(entry)
+        rows = [[f * a for a in row] for row in rows]
+    return p, tuple(tuple(row) for row in rows)
+
+
+@SUITE
+@given(wide_entry_matrices())
+def test_integer_smith_and_bareiss_match_the_rational_oracles(case):
+    # The integer eliminations run on L times the matrix, L the common
+    # denominator; the divisor must be the rational Smith route's and the
+    # content minimum the rational Bareiss route's less r * v_p(L).
+    p, rows = case
+    L, M = integer_matrix(rows)
+    for r in range(1, min(len(rows), len(rows[0])) + 1):
+        delta = associate(fitting._divisor(M, r, {}, None))
+        assert delta == fitting_oracle._smith_divisor(rows, r), r
+        mu = fitting._content_minimum(M, r, p, {}, None)
+        mu = None if mu is None else mu - r * valuation(L, p)
+        assert mu == fitting_oracle._least_content(rows, r, p), r
+    if len(rows) == len(rows[0]):
+        from propfox import det_laurent
+
+        assert det_laurent(rows) == fitting_oracle.det_laurent(rows)
 
 
 # -- minors commute with evaluation ----------------------------------------------

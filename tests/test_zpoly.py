@@ -1,0 +1,97 @@
+"""The dense integer Laurent form: Kronecker products with signed slots,
+exact and pseudo division, and the verified heuristic gcd."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from propfox import LaurentPoly, zpoly
+from propfox.laurent import from_integer_form
+
+SUITE = settings(max_examples=500, derandomize=True, deadline=None)
+
+coefficients = st.one_of(
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=-(2**70), max_value=2**70),
+)
+values = st.builds(
+    lambda shift, c: zpoly._trim(shift, c),
+    st.integers(min_value=-4, max_value=4),
+    st.lists(coefficients, max_size=7),
+)
+nonzero_values = values.filter(lambda a: a[1])
+
+
+def laurent(a) -> LaurentPoly:
+    return from_integer_form(a)
+
+
+@SUITE
+@given(values, values, nonzero_values)
+def test_arithmetic_matches_the_rational_laurent_ring(a, b, d):
+    assert laurent(zpoly.mul(a, b)) == laurent(a) * laurent(b)
+    assert laurent(zpoly.add(a, b)) == laurent(a) + laurent(b)
+    assert laurent(zpoly.sub(a, b)) == laurent(a) - laurent(b)
+    assert zpoly.divexact(zpoly.mul(a, d), d) == a
+    c, q, r = zpoly.pseudo_divmod(a, d)
+    assert zpoly.add(zpoly.mul(q, d), r) == zpoly.scale(a, c)
+    assert not r[1] or len(r[1]) < len(d[1])
+
+
+@SUITE
+@given(nonzero_values, nonzero_values, nonzero_values)
+def test_heuristic_gcd_agrees_with_the_remainder_sequence(a, b, c):
+    f, h = zpoly.mul(a, c), zpoly.mul(b, c)
+    g = zpoly.gcd(f, h)
+    assert g == (0, zpoly._prs_gcd(zpoly.normal(f)[1], zpoly.normal(h)[1]))
+    for x in (f, h):
+        zpoly.divexact(zpoly.primitive(x), g)
+    # the common factor divides the gcd over the rationals
+    zpoly.divexact(g, zpoly.normal(c))
+
+
+def test_signed_slots_carry_negative_and_wide_coefficients():
+    a = (-2, (-(2**64) + 1, 0, 5, -1))
+    b = (3, (-1, 2**100))
+    expected = laurent(a) * laurent(b)
+    assert laurent(zpoly.mul(a, b)) == expected
+    assert zpoly.mul(a, a) == zpoly.mul(a, (a[0], tuple(a[1])))
+
+
+def test_divexact_refuses_a_remainder():
+    with pytest.raises(ValueError):
+        zpoly.divexact((0, (1, 0, 1)), (0, (1, 1)))
+    with pytest.raises(ValueError):
+        zpoly.divexact((0, (2, 4)), (0, (3,)))
+    with pytest.raises(ValueError):
+        zpoly.divexact((0, (1,)), (0, (1, 1)))
+
+
+# g + 1 and 100 g^2 - 100 g + 57 are coprime, but both values at the first
+# evaluation point 2^8 are multiples of 257 = 2^8 + 1: h(-1) = 257. The
+# image gcd 257 reads back as g + 1, which does not divide h, so GCDHEU
+# rejects that point.
+F = (0, (1, 1))
+H = (0, (57, -100, 100))
+
+
+def test_heuristic_gcd_rejects_a_false_image_and_tries_the_next_point():
+    assert zpoly._pack(F[1], 8) == 257
+    assert zpoly._pack(H[1], 8) % 257 == 0
+    assert zpoly._heu_gcd(F[1], H[1]) == (1,)
+    assert zpoly.gcd(F, H) == zpoly.ONE
+
+
+def test_heuristic_gcd_falls_back_to_the_remainder_sequence(monkeypatch):
+    monkeypatch.setattr(zpoly, "_HEU_TRIES", 1)
+    assert zpoly._heu_gcd(F[1], H[1]) is None
+    calls = []
+    prs = zpoly._prs_gcd
+
+    def spy(a, b):
+        calls.append((a, b))
+        return prs(a, b)
+
+    monkeypatch.setattr(zpoly, "_prs_gcd", spy)
+    assert zpoly.gcd(F, H) == zpoly.ONE
+    assert calls == [(F[1], H[1])]
