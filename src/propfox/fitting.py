@@ -17,8 +17,9 @@ that always pivot on an entry of least valuation leave a block of r-minors
 whose least valuation is the least over all r-minors.
 
 Both eliminations, and every minor and gcd below, run on integer forms
-(zpoly): the matrix is multiplied once by L, the least common denominator
-of all its coefficients, and stays in Z[g^(+-1)]. One L for the whole
+(zpoly): the relation matrix holds L times its entries, L the least common
+denominator of all its coefficients (AlexanderMatrix.scale and .rows), and
+fitting_delta reads that form as it is, in Z[g^(+-1)]. One L for the whole
 matrix multiplies every r-minor by L^r. Nonzero rationals are units, so
 delta is unchanged, and the least content shifts by exactly r * v_p(L),
 which is subtracted at the end; a scale per row would shift each minor by
@@ -37,9 +38,10 @@ Only the results go back to LaurentPoly.
 No step of either elimination depends on r: each one picks its pivot from
 the whole block that is left. So the state after k steps is the same for
 every r > k, and one elimination per matrix serves every d. Its states are
-kept as immutable snapshots keyed by (matrix, steps done): step k runs on a
-fresh copy of the snapshot after k - 1 steps and is stored only once it
-returns, so an exception inside a step leaves nothing half built. The
+kept as immutable snapshots keyed by (integer rows, steps done), which
+is all that they depend on: step k runs on a fresh copy of the snapshot
+after k - 1 steps and is stored only once it returns, so an exception
+inside a step leaves nothing half built. The
 snapshot after 0 steps is the integer form of the matrix itself, so
 1-minors cost no step, and snapshots hold integer forms only.
 Snapshots, like fitting_delta's results, are kept for the life of the
@@ -59,7 +61,9 @@ move one way, so the scan exits inside the first row set at which the fold
 reaches divisor 1 and content 0. Only that row set's column sets are
 expanded, starting from the state folded so far, and the count is the
 minors of the row sets before it plus the position inside it. The fold is
-checked against the whole-matrix eliminations.
+checked against the whole-matrix eliminations. Since L is the least common
+denominator, every entry is p-integral exactly when p does not divide L; a
+larger multiple of it could carry a factor p that no denominator has.
 """
 
 from __future__ import annotations
@@ -138,10 +142,9 @@ def fitting_delta(Q: AlexanderMatrix, d: int) -> FittingResult:
         return FittingResult(d, LaurentPoly.one(), 0, 0)
     if r > Q.n_rows:
         return FittingResult(d, LaurentPoly.zero(), None, 0)
-    p = Q.prime
-    L, M = integer_matrix(Q.entries)
-    delta = _divisor(M, r, _SMITH_SNAPSHOTS, Q.entries)
-    mu = _content_minimum(M, r, p, _BAREISS_SNAPSHOTS, Q.entries)
+    p, L, M = Q.prime, Q.scale, Q.rows
+    delta = _divisor(M, r, _SMITH_SNAPSHOTS, M)
+    mu = _content_minimum(M, r, p, _BAREISS_SNAPSHOTS, M)
     if mu is not None:
         mu -= r * valuation(L, p)
     # Every entry is p-integral exactly when p does not divide L.
@@ -200,8 +203,8 @@ def _fold_minors(p: int, dets, g: tuple, mu: int | None):
     return g, mu, count
 
 
-# The whole-matrix eliminations' snapshots, keyed by (Q.entries, steps
-# done) and, for Bareiss, the prime; they hold only integer forms. Like
+# The whole-matrix eliminations' snapshots, keyed by (Q.rows, steps done)
+# and, for Bareiss, the prime; they hold only integer forms. Like
 # fitting_delta's cache they are kept for the life of the process.
 _SMITH_SNAPSHOTS: dict = {}
 _BAREISS_SNAPSHOTS: dict = {}

@@ -6,8 +6,16 @@ whose variable g records the exponent weighting of the presentation, tensored
 with a finite-dimensional rational representation of the generators. Every
 generator image is g^alpha_i (x) phi(g_i), so the image of any prefix is one
 graded pair g^k (x) P with P rational: one walk over a word's letters gives
-its derivatives by every generator, with one rational matrix product per
-letter and no Laurent multiplication.
+its derivatives by every generator, with one matrix product per letter and
+no Laurent multiplication.
+
+The walk runs on integers throughout. P is a scaled-integer matrix (integer
+rows over one denominator), and each coefficient gathers in a sparse map
+from exponents to integers over one running denominator per relator. The
+relation matrix keeps that integer form: L, the least common denominator of
+all its coefficients, and L times each entry as a zpoly value. The divisor
+layer reads the form as it is held, specialization evaluates it by Horner's
+rule on integers, and the LaurentPoly entries are built only when read.
 """
 
 from __future__ import annotations
@@ -15,21 +23,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import gcd, lcm
 
-from .errors import HypothesisViolated, ParseError, UnknownGenerator
-from .laurent import LaurentPoly
+from .errors import DivisionByZero, HypothesisViolated, ParseError, UnknownGenerator
+from .laurent import from_integer_form, integer_matrix
 from .matrices import (
     frac_identity,
     frac_inverse,
     freeze,
     from_scaled,
-    mat_mul,
     scaled_mul,
     scaled_pow,
     to_scaled,
 )
 from .presentation import Presentation, Word, validate_presentation
 from .scalars import Rational, parse_int, parse_rational
+from .zpoly import ZERO, value_at
 
 
 @dataclass(frozen=True)
@@ -155,39 +164,99 @@ def evaluate_word(rep, word: Word):
     return frac_identity(rep.dim) if acc is None else from_scaled(acc)
 
 
-def _fox_pass(exps, mats, invs, word: Word) -> list:
+def _fox_pass(exps, mats, invs, word: Word) -> tuple[int, list]:
     """The derivatives of the word by every generator, in one walk over its
-    letters: dim rows of n_generators * dim maps from int exponents to
-    Fraction coefficients, some of them zero sums, column block i holding
-    the derivative by g_i. Generator g_i maps to
-    g^exps[i] (x) mats[i], and invs[i] is the inverse of mats[i].
+    letters, as (D, rows): dim rows of n_generators * dim maps from int
+    exponents to int coefficients, some of them zero sums, all over the one
+    denominator D, column block i holding the derivative by g_i. Generator
+    g_i maps to g^exps[i] (x) mats[i], and invs[i] is the inverse of
+    mats[i].
 
-    The image of the prefix read so far is one graded pair g^k (x) P. A letter
+    The image of the prefix read so far is one graded pair g^k (x) P, with
+    P a scaled-integer matrix (integer rows over one denominator). A letter
     g_j contributes +P at g^k to block j and then steps the pair to
     g^(k + exps[j]) (x) P mats[j]; a letter g_j^-1 first steps the pair by
-    the inverse image and then contributes -P."""
+    the inverse image and then contributes -P. When the denominator of P
+    does not divide D, every map is first brought to their lcm. Within a
+    syllable whose image is the identity P stays fixed, so its letters add
+    the same integers at exponents k, k + shift, ..."""
     ell = len(mats[0]) if mats else 1
-    one = frac_identity(ell)
     rows = [[{} for _ in range(len(exps) * ell)] for _ in range(ell)]
-    P = one
-    k = 0
+    one = to_scaled(frac_identity(ell))
+    steps = {}
+    P, D, k = one, 1, 0
     for j, e in word.syllables:
-        step = mats[j] if e > 0 else invs[j]
+        key = (j, e > 0)
+        if key not in steps:
+            steps[key] = to_scaled(mats[j] if e > 0 else invs[j])
+        step = steps[key]
         shift = exps[j] if e > 0 else -exps[j]
-        fixed = step == one
+        sign = 1 if e > 0 else -1
         block = [row[j * ell:(j + 1) * ell] for row in rows]
+        if step == one:
+            D = _rescale(rows, D, P[1])
+            f = sign * D // P[1]
+            if shift:
+                first = k if e > 0 else k + shift
+                _add_image(P, block, f, range(first, first + abs(e) * shift, shift))
+            else:
+                _add_image(P, block, f * abs(e), (k,))
+            k += shift * abs(e)
+            continue
         for _ in range(abs(e)):
             if e < 0:
-                P = P if fixed else mat_mul(P, step)
+                P = scaled_mul(P, step)
                 k += shift
-            for Pr, cells in zip(P, block):
-                for x, cell in zip(Pr, cells):
-                    if x:
-                        cell[k] = cell.get(k, 0) + (x if e > 0 else -x)
+            D = _rescale(rows, D, P[1])
+            _add_image(P, block, sign * D // P[1], (k,))
             if e > 0:
-                P = P if fixed else mat_mul(P, step)
+                P = scaled_mul(P, step)
                 k += shift
-    return rows
+    return D, rows
+
+
+def _rescale(rows, D: int, den: int) -> int:
+    """lcm(D, den), with every map of rows brought from D to it."""
+    if not D % den:
+        return D
+    m = den // gcd(D, den)
+    for row in rows:
+        for cell in row:
+            for t in cell:
+                cell[t] *= m
+    return D * m
+
+
+def _add_image(P, block, f: int, ks) -> None:
+    """Add f times each entry of the scaled matrix P at every exponent of
+    ks to the matching map of block."""
+    for Pr, cells in zip(P[0], block):
+        for x, cell in zip(Pr, cells):
+            if x:
+                v = x * f
+                for t in ks:
+                    cell[t] = cell.get(t, 0) + v
+
+
+def _least_denominator(D: int, rows) -> tuple[int, int]:
+    """(D', g): the maps over D hold the same values as their coefficients
+    divided by g over D' = D / g, with g the gcd of D and every
+    coefficient, so D' is their least common denominator."""
+    g = gcd(D, *(x for row in rows for cell in row for x in cell.values()))
+    return D // g, g
+
+
+def _dense(cell: dict, div: int, m: int) -> tuple:
+    """The map as a zpoly value, each coefficient divided by div (exactly)
+    and multiplied by m."""
+    live = [t for t, x in cell.items() if x]
+    if not live:
+        return ZERO
+    low = min(live)
+    c = [0] * (max(live) - low + 1)
+    for t in live:
+        c[t - low] = cell[t] // div * m
+    return low, tuple(c)
 
 
 def _check_shape(pres: Presentation, phi: Representation) -> None:
@@ -200,22 +269,42 @@ def fox_derivative_matrix(pres: Presentation, phi: Representation, word: Word, g
     g^alpha (x) phi: a dim x dim matrix over the Laurent ring."""
     _check_shape(pres, phi)
     ell = phi.dim
+    D, rows = _fox_pass(pres.alpha, phi.images, phi.inverses, word)
     return tuple(
-        tuple(LaurentPoly.from_sums(cell) for cell in row[gen * ell:(gen + 1) * ell])
-        for row in _fox_pass(pres.alpha, phi.images, phi.inverses, word)
+        tuple(from_integer_form(_dense(cell, 1, 1), D) for cell in row[gen * ell:(gen + 1) * ell])
+        for row in rows
     )
 
 
 @dataclass(frozen=True)
 class AlexanderMatrix:
     """The block matrix of relator derivatives. Rows come in blocks of
-    block_dim per relator, columns in blocks of block_dim per generator."""
+    block_dim per relator, columns in blocks of block_dim per generator.
 
-    entries: tuple
+    The matrix is held in one integer form: rows are zpoly values, scale
+    times the Laurent entries, and scale is the least common denominator of
+    all their coefficients. That form is unique, so equality and hashing
+    read only these integer fields. The LaurentPoly entries are built on
+    first use; from_entries builds a matrix from them."""
+
+    scale: int
+    rows: tuple
     n_relators: int
     n_generators: int
     block_dim: int
     prime: int
+
+    @staticmethod
+    def from_entries(
+        entries, n_relators: int, n_generators: int, block_dim: int, prime: int
+    ) -> "AlexanderMatrix":
+        scale, rows = integer_matrix(entries)
+        return AlexanderMatrix(scale, rows, n_relators, n_generators, block_dim, prime)
+
+    @cached_property
+    def entries(self) -> tuple:
+        """The LaurentPoly entries, rows[i][j] / scale."""
+        return tuple(tuple(from_integer_form(f, self.scale) for f in row) for row in self.rows)
 
     @property
     def n_rows(self) -> int:
@@ -233,9 +322,16 @@ class AlexanderMatrix:
         )
 
     def specialize(self, a: Rational):
-        """Evaluate every Laurent entry at the rational point a."""
+        """Evaluate every Laurent entry at the rational point a, by Horner's
+        rule on the integer form."""
         a = Fraction(a)
-        return tuple(tuple(f.eval_at(a) for f in row) for row in self.entries)
+        n, d, L = a.numerator, a.denominator, self.scale
+        if not n and any(f[0] < 0 for row in self.rows for f in row if f[1]):
+            raise DivisionByZero("negative powers evaluated at 0")
+        return tuple(
+            tuple(Fraction(u, v * L) for u, v in (value_at(f, n, d) for f in row))
+            for row in self.rows
+        )
 
 
 def alexander_matrix(pres: Presentation, rep: Representation | None = None) -> AlexanderMatrix:
@@ -254,16 +350,23 @@ def alexander_matrix(pres: Presentation, rep: Representation | None = None) -> A
 @lru_cache(maxsize=None)
 def _relation_matrix(pres: Presentation, rep: Representation) -> AlexanderMatrix:
     """alexander_matrix without the hypothesis check. Like fitting_delta,
-    the memo keeps every matrix it builds for the life of the process."""
+    the memo keeps every matrix it builds for the life of the process.
+
+    Each relator's pass is reduced to its least denominator D_j; the least
+    common denominator of the whole matrix is then L = lcm(D_j), and
+    relator j's maps are scaled by L / D_j."""
     _check_shape(pres, rep)
     invs = rep.inverses
-    rows = [
-        tuple(LaurentPoly.from_sums(cell) for cell in row)
-        for rel in pres.relators
-        for row in _fox_pass(pres.alpha, rep.images, invs, rel.flatten())
-    ]
+    passes = []
+    for rel in pres.relators:
+        D, rows = _fox_pass(pres.alpha, rep.images, invs, rel.flatten())
+        passes.append((*_least_denominator(D, rows), rows))
+    L = lcm(1, *(D for D, _, _ in passes))
     return AlexanderMatrix(
-        entries=tuple(rows),
+        scale=L,
+        rows=tuple(
+            tuple(_dense(cell, g, L // D) for cell in row) for D, g, rows in passes for row in rows
+        ),
         n_relators=len(pres.relators),
         n_generators=pres.n_generators,
         block_dim=rep.dim,

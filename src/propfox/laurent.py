@@ -175,27 +175,11 @@ class LaurentPoly:
 
     def eval_at(self, a) -> Fraction:
         a = Fraction(a)
-        if a == 0:
-            if self.terms and self.min_exp() < 0:
-                raise DivisionByZero("negative powers evaluated at 0")
-            return self.coeff(0)
-        if not self.terms:
-            return Fraction(0)
-        # Homogeneous Horner at a = n/d over integers: with the coefficients
-        # C_k / L on one denominator L, the sum is
-        # a^lo * (sum of C_k n^(k-lo) d^(hi-k)) / (L d^(hi-lo)).
-        n, d = a.numerator, a.denominator
+        if not a and self.terms and self.min_exp() < 0:
+            raise DivisionByZero("negative powers evaluated at 0")
         den = math.lcm(*(c.denominator for c in self.terms.values()))
-        prev = max(self.terms)
-        acc = 0
-        d_pow = 1
-        for k in sorted(self.terms, reverse=True):
-            gap = prev - k
-            c = self.terms[k]
-            d_pow *= d ** gap
-            acc = acc * n ** gap + c.numerator * (den // c.denominator) * d_pow
-            prev = k
-        return a ** prev * Fraction(acc, den * d_pow)
+        u, v = zpoly.value_at(integer_form(self, den), a.numerator, a.denominator)
+        return Fraction(u, v * den)
 
     def __repr__(self):
         return f"LaurentPoly({format_laurent(self)!r})"
@@ -307,6 +291,9 @@ def integer_matrix(rows) -> tuple[int, tuple]:
 def from_integer_form(a: tuple, scale: int = 1) -> LaurentPoly:
     """The Laurent polynomial a / scale."""
     low, c = a
+    if scale == 1:
+        # Fraction(x) takes no gcd, unlike Fraction(x, 1).
+        return LaurentPoly.from_sums({low + i: Fraction(x) for i, x in enumerate(c)})
     return LaurentPoly.from_sums({low + i: Fraction(x, scale) for i, x in enumerate(c)})
 
 

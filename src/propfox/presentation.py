@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DuplicateGenerator, ParseError, UnknownGenerator, ZeroExponent
 from .scalars import parse_int
@@ -116,6 +117,12 @@ class Relator:
 
     def flatten(self) -> Word:
         """The single word whose vanishing this relation asserts."""
+        return self._flat
+
+    @cached_property
+    def _flat(self) -> Word:
+        # Built once per relator: validation, the relation matrix, the
+        # extension check and cohomology all read it.
         return self.left * self.right.inverse()
 
 

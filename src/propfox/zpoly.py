@@ -231,6 +231,26 @@ def gcd_all(fs) -> tuple:
     return acc
 
 
+def value_at(a: tuple, n: int, d: int) -> tuple[int, int]:
+    """(u, v) with a(n / d) = u / v, for d > 0 and n != 0 when a has a
+    negative exponent: Horner's rule on the homogenized coefficients, the
+    sum of c_i n^i d^(m - i) over d^m, times (n / d)^shift."""
+    shift, c = a
+    if not c:
+        return 0, 1
+    acc, den = c[-1], 1
+    if d == 1:
+        for x in c[-2::-1]:
+            acc = acc * n + x
+    else:
+        for x in c[-2::-1]:
+            den *= d
+            acc = acc * n + x * den
+    if shift >= 0:
+        return acc * n**shift, den * d**shift
+    return acc * d**-shift, den * n**-shift
+
+
 def content_valuation(a: tuple, p: int) -> int | None:
     """v_p of the content of a; None for ZERO."""
     return valuation(igcd(*a[1]), p) if a[1] else None

@@ -5,6 +5,9 @@ Each syllable g^e contributes (image of the prefix so far) times the geometric
 sum of the image of g with length e, every product taken over Laurent
 polynomials, one walk per generator. The ring-generic matrix helpers this
 route needs live here, next to their only consumer.
+
+fraction_fox_pass is the one-pass walk on Fraction coefficients that the
+integer pass in propfox.fox replaced, kept as a second oracle.
 """
 
 from propfox.errors import NotInvertible
@@ -131,10 +134,45 @@ def laurent_alexander_matrix(pres, rep: Representation | None = None) -> Alexand
         blocks = [laurent_fox_derivative(tensor, w, i) for i in range(pres.n_generators)]
         for r in range(ell):
             rows.append(tuple(blocks[i][r][c] for i in range(pres.n_generators) for c in range(ell)))
-    return AlexanderMatrix(
+    return AlexanderMatrix.from_entries(
         entries=tuple(rows),
         n_relators=len(pres.relators),
         n_generators=pres.n_generators,
         block_dim=ell,
         prime=pres.prime,
     )
+
+
+def fraction_fox_pass(exps, mats, invs, word) -> list:
+    """The derivatives of the word by every generator, in one walk over its
+    letters: dim rows of n_generators * dim maps from int exponents to
+    Fraction coefficients, some of them zero sums, column block i holding
+    the derivative by g_i. Generator g_i maps to g^exps[i] (x) mats[i], and
+    invs[i] is the inverse of mats[i].
+
+    The image of the prefix read so far is one graded pair g^k (x) P. A letter
+    g_j contributes +P at g^k to block j and then steps the pair to
+    g^(k + exps[j]) (x) P mats[j]; a letter g_j^-1 first steps the pair by
+    the inverse image and then contributes -P."""
+    ell = len(mats[0]) if mats else 1
+    one = frac_identity(ell)
+    rows = [[{} for _ in range(len(exps) * ell)] for _ in range(ell)]
+    P = one
+    k = 0
+    for j, e in word.syllables:
+        step = mats[j] if e > 0 else invs[j]
+        shift = exps[j] if e > 0 else -exps[j]
+        fixed = step == one
+        block = [row[j * ell:(j + 1) * ell] for row in rows]
+        for _ in range(abs(e)):
+            if e < 0:
+                P = P if fixed else mat_mul(P, step)
+                k += shift
+            for Pr, cells in zip(P, block):
+                for x, cell in zip(Pr, cells):
+                    if x:
+                        cell[k] = cell.get(k, 0) + (x if e > 0 else -x)
+            if e > 0:
+                P = P if fixed else mat_mul(P, step)
+                k += shift
+    return rows

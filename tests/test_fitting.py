@@ -92,7 +92,7 @@ def test_fitting_on_hand_built_matrix():
         (L("g - 1"), L("0"), L("g - 1")),
         (L("0"), L("g - 4"), L("g - 4")),
     )
-    Q = AlexanderMatrix(entries=rows, n_relators=2, n_generators=3, block_dim=1, prime=3)
+    Q = AlexanderMatrix.from_entries(entries=rows, n_relators=2, n_generators=3, block_dim=1, prime=3)
     res = fitting_delta(Q, 1)
     assert res.delta == L("g^2 - 5*g + 4")
     assert res.minor_count == 3
@@ -168,7 +168,7 @@ def test_interrupted_elimination_leaves_the_snapshots_sound(monkeypatch, name, s
         tuple(LaurentPoly({2: 1, 1: -(i + 2 * j + shift), 0: i * j - 3}) for j in range(4))
         for i in range(5)
     )
-    Q = AlexanderMatrix(entries=rows, n_relators=5, n_generators=4, block_dim=1, prime=3)
+    Q = AlexanderMatrix.from_entries(entries=rows, n_relators=5, n_generators=4, block_dim=1, prime=3)
     real = getattr(fitting, name)
     calls = []
 

@@ -18,10 +18,12 @@ from propfox import (
 )
 from propfox import LaurentPoly, alexander_matrix, corpus
 from propfox.fox import _relation_matrix
+from propfox.laurent import integer_matrix
 from propfox.matrices import frac_identity, freeze, mat_mul
 
 from laurent_fox import (
     LaurentTensorRep,
+    fraction_fox_pass,
     geometric_sum,
     laurent_alexander_matrix,
     laurent_evaluate_word,
@@ -197,11 +199,10 @@ def test_fox_derivative_matrix_is_a_block_of_the_relation_matrix(eg41, eg44rep):
 
 
 def test_relation_matrix_entries_match_the_checked_constructor():
-    # The relation matrix takes the Fox pass's sums without the checks of
-    # LaurentPoly.__init__; on every corpus matrix its entries must equal the
-    # checked constructor's, with only nonzero Fraction coefficients.
-    from propfox.fox import _fox_pass
-
+    # The relation matrix is built by the integer Fox pass; on every corpus
+    # matrix its entries must equal the checked constructor's on the sums of
+    # the Fraction pass, with only nonzero Fraction coefficients, and its
+    # scale must be the least common denominator of those entries.
     for entry in corpus.ENTRIES:
         pres = corpus.load_presentation(entry.presentation)
         if entry.representation is None:
@@ -211,9 +212,11 @@ def test_relation_matrix_entries_match_the_checked_constructor():
         checked = [
             LaurentPoly(cell)
             for rel in pres.relators
-            for row in _fox_pass(pres.alpha, rep.images, rep.inverses, rel.flatten())
+            for row in fraction_fox_pass(pres.alpha, rep.images, rep.inverses, rel.flatten())
             for cell in row
         ]
-        built = [f for row in alexander_matrix(pres, rep).entries for f in row]
+        Q = alexander_matrix(pres, rep)
+        built = [f for row in Q.entries for f in row]
         assert built == checked, entry.entry_id
         assert all(type(c) is Fraction and c for f in built for c in f.terms.values())
+        assert Q.scale == integer_matrix(Q.entries)[0], entry.entry_id

@@ -4,15 +4,16 @@ Every suite runs at least 500 derandomized examples. The strategies bias
 toward short words and small numbers so each example stays exact and fast.
 """
 
-import dataclasses
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from propfox import (
     CrossedHom,
+    DivisionByZero,
     LaurentPoly,
     Presentation,
     Relator,
@@ -55,6 +56,7 @@ import fitting_oracle
 from fitting_oracle import _fitting_by_enumeration, oneshot_divisor_and_content
 from laurent_fox import (
     LaurentTensorRep,
+    fraction_fox_pass,
     geometric_sum,
     laurent_alexander_matrix,
     laurent_evaluate_word,
@@ -341,6 +343,33 @@ def test_one_pass_matrix_matches_laurent_route(case, a):
 
 
 @SUITE
+@given(weighted_presentations(), small_fractions)
+def test_integer_relation_matrix_matches_the_fraction_pass(case, a):
+    pres, rep = case
+    Q = _relation_matrix.__wrapped__(pres, rep)
+    assert Q.entries == tuple(
+        tuple(LaurentPoly(cell) for cell in row)
+        for rel in pres.relators
+        for row in fraction_fox_pass(pres.alpha, rep.images, rep.inverses, rel.flatten())
+    )
+    # The scale is the least common denominator, the one integer_matrix
+    # reads off the entries, so the integer form is unique: the matrix built
+    # again, or from its entries, compares and hashes equal.
+    assert (Q.scale, Q.rows) == integer_matrix(Q.entries)
+    dims = (Q.n_relators, Q.n_generators, Q.block_dim, Q.prime)
+    for again in (_relation_matrix.__wrapped__(pres, rep), AlexanderMatrix.from_entries(Q.entries, *dims)):
+        assert again == Q and hash(again) == hash(Q)
+    # Horner on the integer form against each entry's eval_at, a = 0 included
+    try:
+        values = tuple(tuple(f.eval_at(a) for f in row) for row in Q.entries)
+    except DivisionByZero:
+        with pytest.raises(DivisionByZero):
+            Q.specialize(a)
+    else:
+        assert Q.specialize(a) == values
+
+
+@SUITE
 @given(st.integers(min_value=-12, max_value=12))
 def test_geometric_sum_matches_direct(n):
     M = freeze([[Fraction(4), Fraction(1)], [Fraction(0), Fraction(1)]])
@@ -371,7 +400,7 @@ def test_geometric_sum_matches_direct(n):
 def test_delta_chain_divides(rows):
     from propfox.fox import AlexanderMatrix, _relation_matrix
 
-    Q = AlexanderMatrix(
+    Q = AlexanderMatrix.from_entries(
         entries=tuple(tuple(r) for r in rows),
         n_relators=2,
         n_generators=3,
@@ -427,7 +456,7 @@ def small_laurent_matrices(draw):
     if n_rows >= 2 and draw(st.booleans()):
         f, h = draw(entry), draw(entry)
         rows[-1] = [f * a + h * b for a, b in zip(rows[0], rows[n_rows - 2])]
-    return AlexanderMatrix(
+    return AlexanderMatrix.from_entries(
         entries=tuple(tuple(row) for row in rows),
         n_relators=n_rows,
         n_generators=n_cols,
@@ -453,7 +482,7 @@ def test_fitting_in_any_ask_order_matches_the_oracles(Q, data):
     rows = tuple(
         tuple(f.scale(Fraction(Q.prime) ** e) for f in row) for row, e in zip(Q.entries, scales)
     )
-    Q = dataclasses.replace(Q, entries=rows)
+    Q = AlexanderMatrix.from_entries(rows, Q.n_relators, Q.n_generators, Q.block_dim, Q.prime)
     # Every d once, in a drawn order, with some asked again. The call goes
     # past fitting_delta's result cache, so each answer, repeats included, is
     # read off the elimination snapshots left by the calls before it.
@@ -483,7 +512,7 @@ def late_exit_matrices(draw):
     shared = draw(st.integers(min_value=1, max_value=n_rows - 1))
     rows = [[draw(entry) for _ in range(n_cols)] for _ in range(n_rows)]
     rows[:shared] = [[factor * f for f in row] for row in rows[:shared]]
-    return AlexanderMatrix(
+    return AlexanderMatrix.from_entries(
         entries=tuple(tuple(row) for row in rows),
         n_relators=n_rows,
         n_generators=n_cols,
