@@ -39,7 +39,7 @@ from .errors import (
 from .extensions import build_extension, cocycle_space, verify_factors
 from .fitting import fitting_delta, iwasawa_delta
 from .fox import Representation, alexander_matrix, parse_representation
-from .laurent import LaurentPoly, format_laurent
+from .laurent import LaurentPoly, coefficient_texts, format_laurent
 from .presentation import parse_presentation, validate_presentation
 from .scalars import MAX_MODULUS_BITS, format_rational, parse_int, parse_rational
 from .zeros import filter_unit_ball, zero_report
@@ -91,7 +91,7 @@ def _load_rep(args, pres) -> Representation:
 def _poly_json(f: LaurentPoly) -> dict:
     return {
         "text": format_laurent(f),
-        "coefficients": {str(e): format_rational(f.coeff(e)) for e in sorted(f.terms)},
+        "coefficients": {str(e): text for e, text in coefficient_texts(f)},
     }
 
 

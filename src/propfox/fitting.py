@@ -33,7 +33,8 @@ just as valid that the two routes may continue from differently; the
 normalized divisor, an invariant of the matrix, is the same. Bareiss
 divides exactly in Z[g^(+-1)]; its pivots compare contents that all carry
 the same power of L, so it picks the same pivots as over the rationals.
-Only the results go back to LaurentPoly.
+The divisor is returned as a LaurentPoly that holds its normal zpoly value
+over the leading coefficient, with no Fraction built per coefficient.
 
 No step of either elimination depends on r: each one picks its pivot from
 the whole block that is left. So the state after k steps is the same for
@@ -72,12 +73,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, lcm, prod
 from math import gcd as igcd
 
 from .errors import DivisionByZero, InternalInconsistency
 from .fox import AlexanderMatrix, alexander_matrix
-from .laurent import LaurentPoly, associate, from_integer_form, integer_matrix
+from .laurent import LaurentPoly, normalize_associate
 from .matrices import frac_rank_nullspace
 from .presentation import Presentation
 from .scalars import Rational, valuation
@@ -99,12 +100,13 @@ from .zpoly import (
 
 def det_laurent(rows) -> LaurentPoly:
     """Exact determinant of a square Laurent matrix, by fraction-free
-    elimination on L times the matrix, L the least common denominator of
-    its coefficients, divided by L^k at the end for k rows."""
+    elimination on the integer forms with each row brought to the common
+    denominator of its entries, divided by their product at the end."""
     if not rows:
         return LaurentPoly.one()
-    L, M = integer_matrix(rows)
-    return from_integer_form(_det(M), L ** len(rows))
+    dens = [lcm(*(f.den for f in row)) for row in rows]
+    M = [[scale(f.form, L // f.den) for f in row] for row, L in zip(rows, dens)]
+    return LaurentPoly.from_form(_det(M), prod(dens))
 
 
 def _det(M) -> tuple:
@@ -143,19 +145,19 @@ def fitting_delta(Q: AlexanderMatrix, d: int) -> FittingResult:
     if r > Q.n_rows:
         return FittingResult(d, LaurentPoly.zero(), None, 0)
     p, L, M = Q.prime, Q.scale, Q.rows
-    delta = _divisor(M, r, _SMITH_SNAPSHOTS, M)
+    delta = normalize_associate(LaurentPoly.from_form(_divisor(M, r, _SMITH_SNAPSHOTS, M)))
     mu = _content_minimum(M, r, p, _BAREISS_SNAPSHOTS, M)
     if mu is not None:
         mu -= r * valuation(L, p)
     # Every entry is p-integral exactly when p does not divide L.
-    if not (mu == 0 and delta == ONE and L % p):
-        return FittingResult(d, associate(delta), mu, comb(Q.n_rows, r) * comb(Q.n_cols, r))
+    if not (mu == 0 and delta.is_one() and L % p):
+        return FittingResult(d, delta, mu, comb(Q.n_rows, r) * comb(Q.n_cols, r))
     fold = _scan_by_row_sets(M, d, r, p)
-    if (fold.delta, fold.mu_content) != (associate(delta), mu):
+    if (fold.delta, fold.mu_content) != (delta, mu):
         raise InternalInconsistency(
             f"row-set fold and elimination disagree for d={d}: "
             f"the fold gives ({fold.delta}, {fold.mu_content}), "
-            f"elimination gives ({associate(delta)}, {mu})"
+            f"elimination gives ({delta}, {mu})"
         )
     return fold
 
@@ -168,7 +170,7 @@ def _scan_by_row_sets(M, d: int, r: int, p: int) -> FittingResult:
     r-minors."""
     n_cols = len(M[0])
     per_row_set = comb(n_cols, r)
-    g, mu = ZERO, None
+    g, mu, count = ZERO, None, comb(len(M), r) * per_row_set
     for i, rs in enumerate(combinations(range(len(M)), r)):
         rows = tuple(M[k] for k in rs)
         g_next = g if g == ONE else gcd_all([g, _divisor(rows, r, {}, None)])
@@ -180,9 +182,10 @@ def _scan_by_row_sets(M, d: int, r: int, p: int) -> FittingResult:
                 for cs in combinations(range(n_cols), r)
             )
             g, mu, count = _fold_minors(p, dets, g, mu)
-            return FittingResult(d, associate(g), mu, i * per_row_set + count)
+            count += i * per_row_set
+            break
         g, mu = g_next, mu_next
-    return FittingResult(d, associate(g), mu, comb(len(M), r) * per_row_set)
+    return FittingResult(d, normalize_associate(LaurentPoly.from_form(g)), mu, count)
 
 
 def _fold_minors(p: int, dets, g: tuple, mu: int | None):

@@ -15,7 +15,8 @@ from exponents to integers over one running denominator per relator. The
 relation matrix keeps that integer form: L, the least common denominator of
 all its coefficients, and L times each entry as a zpoly value. The divisor
 layer reads the form as it is held, specialization evaluates it by Horner's
-rule on integers, and the LaurentPoly entries are built only when read.
+rule on integers, and each LaurentPoly entry, when read, wraps its row's
+zpoly value over L with no Fraction per coefficient.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 
+from . import zpoly
 from .errors import DivisionByZero, HypothesisViolated, ParseError, UnknownGenerator
-from .laurent import from_integer_form, integer_matrix
+from .laurent import LaurentPoly
 from .matrices import (
     frac_identity,
     frac_inverse,
@@ -268,10 +270,12 @@ def fox_derivative_matrix(pres: Presentation, phi: Representation, word: Word, g
     """Derivative of the word with respect to generator `gen`, pushed through
     g^alpha (x) phi: a dim x dim matrix over the Laurent ring."""
     _check_shape(pres, phi)
+    if not 0 <= gen < pres.n_generators:
+        raise ValueError(f"no generator {gen}: the presentation has {pres.n_generators}")
     ell = phi.dim
     D, rows = _fox_pass(pres.alpha, phi.images, phi.inverses, word)
     return tuple(
-        tuple(from_integer_form(_dense(cell, 1, 1), D) for cell in row[gen * ell:(gen + 1) * ell])
+        tuple(LaurentPoly.from_form(_dense(cell, 1, 1), D) for cell in row[gen * ell:(gen + 1) * ell])
         for row in rows
     )
 
@@ -284,8 +288,8 @@ class AlexanderMatrix:
     The matrix is held in one integer form: rows are zpoly values, scale
     times the Laurent entries, and scale is the least common denominator of
     all their coefficients. That form is unique, so equality and hashing
-    read only these integer fields. The LaurentPoly entries are built on
-    first use; from_entries builds a matrix from them."""
+    read only these integer fields. The LaurentPoly entries wrap the rows
+    over scale on first use; from_entries builds a matrix from them."""
 
     scale: int
     rows: tuple
@@ -298,13 +302,14 @@ class AlexanderMatrix:
     def from_entries(
         entries, n_relators: int, n_generators: int, block_dim: int, prime: int
     ) -> "AlexanderMatrix":
-        scale, rows = integer_matrix(entries)
-        return AlexanderMatrix(scale, rows, n_relators, n_generators, block_dim, prime)
+        L = lcm(1, *(f.den for row in entries for f in row))
+        rows = tuple(tuple(zpoly.scale(f.form, L // f.den) for f in row) for row in entries)
+        return AlexanderMatrix(L, rows, n_relators, n_generators, block_dim, prime)
 
     @cached_property
     def entries(self) -> tuple:
         """The LaurentPoly entries, rows[i][j] / scale."""
-        return tuple(tuple(from_integer_form(f, self.scale) for f in row) for row in self.rows)
+        return tuple(tuple(LaurentPoly.from_form(f, self.scale) for f in row) for row in self.rows)
 
     @property
     def n_rows(self) -> int:

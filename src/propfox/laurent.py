@@ -1,153 +1,166 @@
 """Laurent polynomials in one variable g over the rationals.
 
-A value is a finite map exponent -> nonzero rational coefficient. Exponents
-may be negative; the units of this ring are exactly the monomials c*g^k with
-c != 0, and "equal up to a unit" is the equivalence that matters for GCD
-output, which normalize_associate picks a representative of: an honest
-polynomial with nonzero constant term and leading coefficient 1.
+A value is one integer form over one denominator: den and form, with form a
+zpoly value (integer coefficients in ascending order from a shift) and den
+the least positive common denominator of the coefficients form / den, so
+gcd(den, every coefficient of form) = 1. That normal form is unique, so
+equality and hashing read only these two fields, and every ring operation
+is the zpoly operation on the forms followed by one gcd that reduces den.
+terms and coeff are Fraction views of the coefficients, built on first use.
+
+Exponents may be negative; the units of this ring are exactly the monomials
+c*g^k with c != 0, and "equal up to a unit" is the equivalence that matters
+for GCD output, which normalize_associate picks a representative of: an
+honest polynomial with nonzero constant term and leading coefficient 1.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import zpoly
 from .errors import DivisionByZero, NotAUnit
-from .scalars import format_rational, parse_rational, valuation
+from .scalars import parse_rational, valuation
 
 SYMBOL = "g"
 
 
 class LaurentPoly:
-    """Immutable by convention: every operation builds a fresh term map."""
+    """Immutable by convention: every operation builds a fresh value."""
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("den", "form", "_terms")
 
     def __init__(self, terms=None):
-        t = {}
-        if terms:
-            for k, c in (terms.items() if isinstance(terms, dict) else terms):
-                c = Fraction(c)
-                if c != 0:
-                    c0 = t.get(k)
-                    c = c if c0 is None else c0 + c
-                    if c != 0:
-                        t[int(k)] = c
-                    elif int(k) in t:
-                        del t[int(k)]
-        self.terms = t
-        self._hash = None
+        """The polynomial of a map, or of (exponent, coefficient) pairs, with
+        rational coefficients; the coefficients of a repeated exponent add."""
+        sums = {}
+        for k, c in (terms.items() if isinstance(terms, dict) else terms or ()):
+            k = int(k)
+            sums[k] = sums.get(k, 0) + (c if type(c) is int else Fraction(c))
+        live = {k: c for k, c in sums.items() if c}
+        # The least common denominator leaves no common factor with the
+        # coefficients: each prime of it divides some denominator exactly as
+        # often, and that coefficient's numerator not at all.
+        den = lcm(1, *(c.denominator for c in live.values()))
+        form = zpoly.ZERO
+        if live:
+            low = min(live)
+            coeffs = [0] * (max(live) - low + 1)
+            for k, c in live.items():
+                coeffs[k - low] = c.numerator * (den // c.denominator)
+            form = low, tuple(coeffs)
+        self.den, self.form, self._terms = den, form, None
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def from_sums(terms: dict) -> "LaurentPoly":
-        """The polynomial of a map from int exponents to Fraction
-        coefficients, taken without the conversions of __init__; zero
-        coefficients are dropped."""
+    def from_form(form: tuple, den: int = 1) -> "LaurentPoly":
+        """The polynomial form / den, for a zpoly value form and a nonzero
+        integer den."""
+        c = den if den == 1 else gcd(den, *form[1])
+        if den < 0:
+            c = -c
+        if c != 1:
+            den //= c
+            form = form[0], tuple(x // c for x in form[1])
         r = LaurentPoly.__new__(LaurentPoly)
-        r.terms = {k: c for k, c in terms.items() if c}
-        r._hash = None
+        r.den, r.form, r._terms = den, form, None
         return r
 
     @staticmethod
     def zero() -> "LaurentPoly":
-        return LaurentPoly()
+        return LaurentPoly.from_form(zpoly.ZERO)
 
     @staticmethod
     def one() -> "LaurentPoly":
-        return LaurentPoly({0: Fraction(1)})
+        return LaurentPoly.from_form(zpoly.ONE)
 
     @staticmethod
     def const(c) -> "LaurentPoly":
-        return LaurentPoly({0: Fraction(c)})
+        return LaurentPoly({0: c})
 
     @staticmethod
     def monomial(exp: int, coeff=1) -> "LaurentPoly":
-        return LaurentPoly({exp: Fraction(coeff)})
+        return LaurentPoly({exp: coeff})
 
     @staticmethod
     def gamma(exp: int = 1) -> "LaurentPoly":
         """The distinguished unit g^exp."""
-        return LaurentPoly({exp: Fraction(1)})
+        return LaurentPoly.from_form((exp, (1,)))
 
     # -- structure ---------------------------------------------------------
 
+    @property
+    def terms(self) -> dict:
+        """The nonzero coefficients as a map exponent -> Fraction."""
+        if self._terms is None:
+            low, c = self.form
+            den = self.den
+            # Fraction(x) takes no gcd, unlike Fraction(x, 1).
+            self._terms = {
+                low + i: Fraction(x) if den == 1 else Fraction(x, den) for i, x in enumerate(c) if x
+            }
+        return self._terms
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.form[1]
 
     def min_exp(self) -> int:
-        if not self.terms:
+        if not self.form[1]:
             raise ValueError("zero has no exponent range")
-        return min(self.terms)
+        return self.form[0]
 
     def max_exp(self) -> int:
-        if not self.terms:
+        if not self.form[1]:
             raise ValueError("zero has no exponent range")
-        return max(self.terms)
+        return self.form[0] + len(self.form[1]) - 1
 
     def coeff(self, exp: int) -> Fraction:
-        return self.terms.get(exp, Fraction(0))
+        low, c = self.form
+        return Fraction(c[exp - low], self.den) if 0 <= exp - low < len(c) else Fraction(0)
 
     def is_unit(self) -> bool:
-        return len(self.terms) == 1
+        return len(self.form[1]) == 1
 
     def is_one(self) -> bool:
-        return self.terms == {0: Fraction(1)}
+        return self.den == 1 and self.form == zpoly.ONE
 
     def __eq__(self, other):
-        return isinstance(other, LaurentPoly) and self.terms == other.terms
+        return isinstance(other, LaurentPoly) and self.den == other.den and self.form == other.form
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
-        return self._hash
+        return hash((self.den, self.form))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.form[1])
 
     # -- arithmetic ----------------------------------------------------------
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-        r = LaurentPoly.__new__(LaurentPoly)
-        r.terms = out
-        r._hash = None
-        return r
+    def _combine(self, other, op) -> "LaurentPoly":
+        """op on the forms brought to the common denominator."""
+        a, b = self.den, other.den
+        if a == b:
+            return LaurentPoly.from_form(op(self.form, other.form), a)
+        m = lcm(a, b)
+        return LaurentPoly.from_form(
+            op(zpoly.scale(self.form, m // a), zpoly.scale(other.form, m // b)), m
+        )
 
-    def __neg__(self):
-        r = LaurentPoly.__new__(LaurentPoly)
-        r.terms = {k: -c for k, c in self.terms.items()}
-        r._hash = None
-        return r
+    def __add__(self, other):
+        return self._combine(other, zpoly.add)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, zpoly.sub)
+
+    def __neg__(self):
+        return LaurentPoly.from_form(zpoly.neg(self.form), self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(other)
-        out: dict[int, Fraction] = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k = k1 + k2
-                s = out.get(k, 0) + c1 * c2
-                if s:
-                    out[k] = s
-                elif k in out:
-                    del out[k]
-        r = LaurentPoly.__new__(LaurentPoly)
-        r.terms = out
-        r._hash = None
-        return r
+            return self.scale(other)
+        return LaurentPoly.from_form(zpoly.mul(self.form, other.form), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -155,31 +168,25 @@ class LaurentPoly:
         c = Fraction(c)
         if c == 0:
             return LaurentPoly.zero()
-        r = LaurentPoly.__new__(LaurentPoly)
-        r.terms = {k: v * c for k, v in self.terms.items()}
-        r._hash = None
-        return r
+        return LaurentPoly.from_form(zpoly.scale(self.form, c.numerator), self.den * c.denominator)
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by the unit g^k."""
-        r = LaurentPoly.__new__(LaurentPoly)
-        r.terms = {e + k: c for e, c in self.terms.items()}
-        r._hash = None
-        return r
+        low, c = self.form
+        return LaurentPoly.from_form((low + k, c), self.den) if c else self
 
     def invert_unit(self) -> "LaurentPoly":
-        if len(self.terms) != 1:
+        low, c = self.form
+        if len(c) != 1:
             raise NotAUnit(f"not a monomial, cannot invert: {self}")
-        ((k, c),) = self.terms.items()
-        return LaurentPoly({-k: Fraction(1) / c})
+        return LaurentPoly.from_form((-low, (self.den,)), c[0])
 
     def eval_at(self, a) -> Fraction:
         a = Fraction(a)
-        if not a and self.terms and self.min_exp() < 0:
+        if not a and self.form[0] < 0:
             raise DivisionByZero("negative powers evaluated at 0")
-        den = math.lcm(*(c.denominator for c in self.terms.values()))
-        u, v = zpoly.value_at(integer_form(self, den), a.numerator, a.denominator)
-        return Fraction(u, v * den)
+        u, v = zpoly.value_at(self.form, a.numerator, a.denominator)
+        return Fraction(u, v * self.den)
 
     def __repr__(self):
         return f"LaurentPoly({format_laurent(self)!r})"
@@ -188,35 +195,20 @@ class LaurentPoly:
 # -- polynomial division and GCD -------------------------------------------
 
 
-def _poly_divmod(f: LaurentPoly, d: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
-    """Standard division for honest polynomials (min exponents >= 0)."""
-    if d.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    if (not f.is_zero() and f.min_exp() < 0) or d.min_exp() < 0:
-        raise ValueError("polynomial division needs nonnegative exponents")
-    q = LaurentPoly.zero()
-    r = f
-    dd = d.max_exp()
-    lc = d.coeff(dd)
-    while not r.is_zero() and r.max_exp() >= dd:
-        k = r.max_exp() - dd
-        c = r.coeff(r.max_exp()) / lc
-        t = LaurentPoly.monomial(k, c)
-        q = q + t
-        r = r - t * d
-    return q, r
-
-
 def laurent_divmod(f: LaurentPoly, d: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
     """Euclidean division in the Laurent ring: f = q*d + r with the span
-    (max_exp - min_exp) of r below that of d, or r = 0."""
+    (max_exp - min_exp) of r below that of d, or r = 0, where q is the
+    quotient of the division that shifts f and d to lowest exponent 0.
+
+    With f = F / a and d = D / b, the pseudo-division c*F = Q*D + R gives
+    q = Q*b / (c*a) and r = R / (c*a)."""
     if d.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    if f.is_zero():
-        return LaurentPoly.zero(), LaurentPoly.zero()
-    sf, sd = f.min_exp(), d.min_exp()
-    q, r = _poly_divmod(f.shift(-sf), d.shift(-sd))
-    return q.shift(sf - sd), r.shift(sf)
+    c, q, r = zpoly.pseudo_divmod(f.form, d.form)
+    return (
+        LaurentPoly.from_form(zpoly.scale(q, d.den), c * f.den),
+        LaurentPoly.from_form(r, c * f.den),
+    )
 
 
 def div_exact(f: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
@@ -230,13 +222,8 @@ def div_exact(f: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
 def laurent_divides(d: LaurentPoly, f: LaurentPoly) -> bool:
     if d.is_zero():
         return f.is_zero()
-    if f.is_zero():
-        return True
-    try:
-        div_exact(f, d)
-        return True
-    except ValueError:
-        return False
+    # c*F = Q*D + R: the rational remainder is R / (c * f.den).
+    return not zpoly.pseudo_divmod(f.form, d.form)[2][1]
 
 
 def normalize_associate(f: LaurentPoly) -> LaurentPoly:
@@ -245,10 +232,8 @@ def normalize_associate(f: LaurentPoly) -> LaurentPoly:
     unit c*g^k."""
     if f.is_zero():
         return f
-    low = f.min_exp()
-    shifted = f if low == 0 else f.shift(-low)
-    lc = shifted.coeff(shifted.max_exp())
-    return shifted if lc == 1 else -shifted if lc == -1 else shifted.scale(1 / lc)
+    c = zpoly.normal(f.form)[1]
+    return LaurentPoly.from_form((0, c), c[-1])
 
 
 def gcd_many(fs) -> LaurentPoly:
@@ -256,68 +241,37 @@ def gcd_many(fs) -> LaurentPoly:
 
     The empty collection and the all-zero collection both give 0 (the GCD in
     the ideal sense: the generator of the zero ideal). The gcd is taken on
-    integer forms (zpoly.gcd_all).
+    the integer forms (zpoly.gcd_all).
     """
-    return associate(zpoly.gcd_all(primitive_form(f) for f in fs))
-
-
-# -- integer forms -------------------------------------------------------------
-
-
-def primitive_form(f: LaurentPoly) -> tuple:
-    """f as a primitive zpoly value: scaled by the least common denominator
-    of its coefficients, then divided by the gcd of the numerators."""
-    return zpoly.primitive(integer_form(f, math.lcm(*(c.denominator for c in f.terms.values()))))
-
-
-def integer_form(f: LaurentPoly, scale: int) -> tuple:
-    """scale * f as a zpoly value; scale must clear every denominator of f."""
-    if not f.terms:
-        return zpoly.ZERO
-    low = min(f.terms)
-    c = [0] * (max(f.terms) - low + 1)
-    for e, x in f.terms.items():
-        c[e - low] = x.numerator * (scale // x.denominator)
-    return low, tuple(c)
-
-
-def integer_matrix(rows) -> tuple[int, tuple]:
-    """(L, L * rows as zpoly values), with L the least common denominator of
-    every coefficient of the matrix."""
-    scale = math.lcm(1, *(c.denominator for row in rows for f in row for c in f.terms.values()))
-    return scale, tuple(tuple(integer_form(f, scale) for f in row) for row in rows)
-
-
-def from_integer_form(a: tuple, scale: int = 1) -> LaurentPoly:
-    """The Laurent polynomial a / scale."""
-    low, c = a
-    if scale == 1:
-        # Fraction(x) takes no gcd, unlike Fraction(x, 1).
-        return LaurentPoly.from_sums({low + i: Fraction(x) for i, x in enumerate(c)})
-    return LaurentPoly.from_sums({low + i: Fraction(x, scale) for i, x in enumerate(c)})
-
-
-def associate(a: tuple) -> LaurentPoly:
-    """The canonical associate (see normalize_associate) of a zpoly value."""
-    if not a[1]:
-        return LaurentPoly.zero()
-    c = zpoly.normal(a)[1]
-    return from_integer_form((0, c), c[-1])
+    return normalize_associate(LaurentPoly.from_form(zpoly.gcd_all(f.form for f in fs)))
 
 
 def content_valuation(f: LaurentPoly, p: int) -> int | None:
-    """v_p of the rational content (GCD of the coefficients); None for 0."""
+    """v_p of the rational content (GCD of the coefficients); None for 0.
+    The content of form / den is content(form) / den, as den shares no
+    factor with the coefficients of form."""
     if f.is_zero():
         return None
-    num = 0
-    den = 1
-    for c in f.terms.values():
-        num = math.gcd(num, abs(c.numerator))
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    return valuation(Fraction(num, den), p)
+    return zpoly.content_valuation(f.form, p) - valuation(f.den, p)
 
 
 # -- text form ---------------------------------------------------------------
+
+
+def coefficient_texts(f: LaurentPoly) -> list[tuple[int, str]]:
+    """(exponent, coefficient as "n" or "n/d" in lowest terms) for each
+    nonzero term, in ascending order: format_rational of each coefficient,
+    read off the integer form."""
+    low, c = f.form
+    den = f.den
+    if den == 1:
+        return [(low + i, str(x)) for i, x in enumerate(c) if x]
+    out = []
+    for i, x in enumerate(c):
+        if x:
+            g = gcd(x, den)
+            out.append((low + i, str(x // g) if g == den else f"{x // g}/{den // g}"))
+    return out
 
 
 def format_laurent(f: LaurentPoly) -> str:
@@ -325,18 +279,18 @@ def format_laurent(f: LaurentPoly) -> str:
     if f.is_zero():
         return "0"
     parts = []
-    for exp in sorted(f.terms, reverse=True):
-        c = f.terms[exp]
-        mag = abs(c)
+    for exp, text in reversed(coefficient_texts(f)):
+        negative = text[0] == "-"
+        mag = text[1:] if negative else text
         if exp == 0:
-            body = format_rational(mag)
+            body = mag
         else:
             gpart = SYMBOL if exp == 1 else f"{SYMBOL}^{exp}"
-            body = gpart if mag == 1 else f"{format_rational(mag)}*{gpart}"
+            body = gpart if mag == "1" else f"{mag}*{gpart}"
         if not parts:
-            parts.append(body if c > 0 else f"-{body}")
+            parts.append(f"-{body}" if negative else body)
         else:
-            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+            parts.append(f"- {body}" if negative else f"+ {body}")
     return " ".join(parts)
 
 

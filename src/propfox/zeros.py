@@ -1,17 +1,20 @@
 """Zero sets of determinant divisors, over the rationals and over the
 p-adic integers.
 
-Rational zeros come from the classical divisor test on a primitive integer
-form of the polynomial, at a cost that grows as the square roots of its
+Both kinds of zero are read off the primitive part of the integer form that
+the LaurentPoly holds, as an ascending list of int coefficients: the unit
+c*g^k drops out, so the constant term is nonzero. Rational zeros come from
+the classical divisor test, at a cost that grows as the square roots of the
 constant and leading coefficients. p-adic zeros are residues mod p^N
 produced by lifting. The residues mod p are the roots of
 gcd(f mod p, x^p - x), split apart by further gcds (modp.roots), at a cost
-polynomial in the degree and in log p rather than linear in p. Simple residues lift uniquely by Newton iteration, while
-residues that are multiple mod p are resolved by the substitution
-x = r + p*y, read off the Taylor shift F(r + x), and a recursion on the
-precision budget. A residue whose lifted zero count falls short of its
-multiplicity mod p is reported as an obstruction: the missing zeros live in
-a ramified extension (or need more precision), not in Z_p.
+polynomial in the degree and in log p rather than linear in p. Simple
+residues lift uniquely by Newton iteration, while residues that are multiple
+mod p are resolved by the substitution x = r + p*y, read off the Taylor
+shift F(r + x), and a recursion on the precision budget. A residue whose
+lifted zero count falls short of its multiplicity mod p is reported as an
+obstruction: the missing zeros live in a ramified extension (or need more
+precision), not in Z_p.
 """
 
 from __future__ import annotations
@@ -21,16 +24,8 @@ from fractions import Fraction
 
 from . import modp, zpoly
 from .errors import IdenticallyZero
-from .laurent import LaurentPoly, from_integer_form, primitive_form
+from .laurent import LaurentPoly
 from .scalars import unit_ball_check, valuation
-
-
-def _dense_int_coeffs(f: LaurentPoly) -> list[int]:
-    """Ascending primitive integer coefficients of f with the power-of-gamma
-    unit stripped, so the constant term is nonzero."""
-    if f.is_zero():
-        raise IdenticallyZero("the zero polynomial vanishes everywhere")
-    return list(primitive_form(f)[1])
 
 
 def _divisors(n: int) -> list[int]:
@@ -61,7 +56,9 @@ def _divide_linear(coeffs: list, a: Fraction) -> tuple[list, Fraction]:
 def rational_roots(f: LaurentPoly) -> list[tuple[Fraction, int]]:
     """All rational zeros of f with multiplicities, sorted by value. The
     gamma-power unit is stripped first, so 0 is never a zero."""
-    coeffs = _dense_int_coeffs(f)
+    if f.is_zero():
+        raise IdenticallyZero("the zero polynomial vanishes everywhere")
+    coeffs = list(zpoly.primitive(f.form)[1])
     if len(coeffs) == 1:
         return []
     candidates = {
@@ -145,12 +142,12 @@ def _zp_roots(coeffs: list[int], p: int, budget: int) -> tuple[list[int], list[i
     return sorted(set(roots)), sorted(set(obstructions))
 
 
-def _squarefree_part(f: LaurentPoly) -> LaurentPoly:
-    """f divided by gcd(F, F'), F the primitive integer form of f; f itself
-    when that gcd is 1."""
-    F = primitive_form(f)
-    g = zpoly.gcd_all([F, (0, tuple(i * c for i, c in enumerate(F[1]))[1:])])
-    return f if g == zpoly.ONE else from_integer_form(zpoly.divexact(F, g))
+def _squarefree_part(coeffs: list[int]) -> list[int]:
+    """The primitive ascending coefficients F divided by gcd(F, F'); F
+    itself when that gcd is 1. The quotient is primitive (Gauss)."""
+    F = (0, tuple(coeffs))
+    g = zpoly.gcd_all([F, (0, tuple(_derivative(coeffs)))])
+    return coeffs if g == zpoly.ONE else list(zpoly.divexact(F, g)[1])
 
 
 def hensel_roots(f: LaurentPoly, p: int, budget: int) -> tuple[list[int], list[int]]:
@@ -169,12 +166,12 @@ def hensel_roots(f: LaurentPoly, p: int, budget: int) -> tuple[list[int], list[i
         raise IdenticallyZero("the zero polynomial vanishes everywhere")
     if budget < 1:
         raise ValueError(f"precision budget must be at least 1, got {budget}")
-    coeffs = _dense_int_coeffs(f)
+    coeffs = list(zpoly.primitive(f.form)[1])
     if len(coeffs) == 1:
         return [], []
     fbar = [c % p for c in coeffs]
     if coeffs[-1] % p == 0 or len(modp.gcd(fbar, modp.derivative(fbar, p), p)) > 1:
-        coeffs = _dense_int_coeffs(_squarefree_part(f))
+        coeffs = _squarefree_part(coeffs)
     return _zp_roots(coeffs, p, budget)
 
 

@@ -1,10 +1,11 @@
 """The reference routes that fitting_delta and the integer divisor layer
-are checked against, all on LaurentPoly values with Fraction coefficients.
-
-gcd_pair is Euclid's algorithm over the rationals, the gcd route the
+are checked against, all on the dict-of-Fraction ring of laurent_oracle,
+with its gcd by Euclid's algorithm over the rationals, the gcd route the
 integer heuristic gcd replaced. _smith_step, _pivot_to and det_laurent are
 the rational Smith step, its pivot choice and the fraction-free determinant
-that propfox.fitting ran before it moved to integer forms.
+that propfox.fitting ran before it moved to integer forms. The routes that
+take a relation matrix read its entries through laurent_oracle.oracle and
+return their divisors as LaurentPoly values.
 
 _smith_divisor and _least_content are the one-shot eliminations: each call
 starts again from the original entries and runs exactly r - 1 steps, with no
@@ -15,71 +16,58 @@ column set) order.
 
 from itertools import combinations
 
-from propfox import FittingResult, LaurentPoly, content_valuation, normalize_associate
-from propfox.laurent import _poly_divmod, div_exact, laurent_divmod
+from propfox import FittingResult, LaurentPoly
+from laurent_oracle import (
+    FractionLaurent,
+    content_valuation,
+    div_exact,
+    gcd_many,
+    laurent_divmod,
+    normalize_associate,
+    oracle,
+    to_laurent,
+)
 
 
-def gcd_pair(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """The canonical associate of gcd(a, b) by Euclid's algorithm over the
-    rationals."""
-    a = normalize_associate(a)
-    b = normalize_associate(b)
-    while not b.is_zero():
-        _, r = _poly_divmod(a, b)
-        a, b = b, normalize_associate(r)
-    return a
-
-
-def gcd_many(fs) -> LaurentPoly:
-    acc = LaurentPoly.zero()
-    for f in fs:
-        if f.is_zero():
-            continue
-        acc = gcd_pair(acc, f) if not acc.is_zero() else normalize_associate(f)
-        if acc.is_one():
-            break
-    return acc
-
-
-def det_laurent(rows) -> LaurentPoly:
+def det_laurent(rows) -> FractionLaurent:
     """Exact determinant of a square Laurent matrix. Pulls the lowest
     variable power out of each row first, then runs fraction-free
     elimination, so intermediate entries never leave the polynomial ring."""
     k = len(rows)
     if k == 0:
-        return LaurentPoly.one()
+        return FractionLaurent.one()
     shift = 0
-    M: list[list[LaurentPoly]] = []
+    M: list[list[FractionLaurent]] = []
     for row in rows:
         nonzero = [f for f in row if not f.is_zero()]
         if not nonzero:
-            return LaurentPoly.zero()
+            return FractionLaurent.zero()
         low = min(f.min_exp() for f in nonzero)
         shift += low
         M.append([f.shift(-low) for f in row])
     sign = 1
-    prev = LaurentPoly.one()
+    prev = FractionLaurent.one()
     for c in range(k - 1):
         piv = next((i for i in range(c, k) if not M[i][c].is_zero()), None)
         if piv is None:
-            return LaurentPoly.zero()
+            return FractionLaurent.zero()
         if piv != c:
             M[c], M[piv] = M[piv], M[c]
             sign = -sign
         for i in range(c + 1, k):
             for j in range(c + 1, k):
                 M[i][j] = div_exact(M[c][c] * M[i][j] - M[i][c] * M[c][j], prev)
-            M[i][c] = LaurentPoly.zero()
+            M[i][c] = FractionLaurent.zero()
         prev = M[c][c]
     det = M[k - 1][k - 1]
     return det.shift(shift) if sign > 0 else (-det).shift(shift)
 
 
-def _span(f: LaurentPoly) -> int:
+def _span(f: FractionLaurent) -> int:
     return f.max_exp() - f.min_exp()
 
 
-def _pivot_to(M: list[list[LaurentPoly]], k: int, key) -> bool:
+def _pivot_to(M: list[list[FractionLaurent]], k: int, key) -> bool:
     """Swap a nonzero entry of least key in the block from (k, k) on into
     position (k, k). False when that block is zero."""
     found = min(
@@ -100,7 +88,7 @@ def _pivot_to(M: list[list[LaurentPoly]], k: int, key) -> bool:
     return True
 
 
-def _smith_step(M: list[list[LaurentPoly]], k: int) -> LaurentPoly | None:
+def _smith_step(M: list[list[FractionLaurent]], k: int) -> FractionLaurent | None:
     """Bring M to diag(..., s, M') at position (k, k) by Euclidean row and
     column operations, with s dividing every entry of M'. Returns s, or None
     when the block from (k, k) on is zero."""
@@ -109,7 +97,7 @@ def _smith_step(M: list[list[LaurentPoly]], k: int) -> LaurentPoly | None:
         # Scale the pivot row by a unit so that the pivot is monic with
         # constant term: the quotients below then keep small coefficients.
         piv = M[k][k]
-        unit = LaurentPoly.monomial(-piv.min_exp(), 1 / piv.coeff(piv.max_exp()))
+        unit = FractionLaurent.monomial(-piv.min_exp(), 1 / piv.coeff(piv.max_exp()))
         M[k] = [unit * f for f in M[k]]
         piv = M[k][k]
         reduced = True
@@ -148,15 +136,15 @@ def _smith_step(M: list[list[LaurentPoly]], k: int) -> LaurentPoly | None:
     return None
 
 
-def _smith_divisor(entries, r: int) -> LaurentPoly:
+def _smith_divisor(entries, r: int) -> FractionLaurent:
     """Product of the first r Smith invariant factors, normalized; 0 when
     the rank is below r."""
     M = [list(row) for row in entries]
-    product = LaurentPoly.one()
+    product = FractionLaurent.one()
     for k in range(r - 1):
         pivot = _smith_step(M, k)
         if pivot is None:
-            return LaurentPoly.zero()
+            return FractionLaurent.zero()
         product = product * pivot
     rest = gcd_many(f for row in M[r - 1 :] for f in row[r - 1 :])
     return normalize_associate(product * rest)
@@ -174,7 +162,7 @@ def _least_content(entries, r: int, p: int) -> int | None:
     def valuation(f):
         return content_valuation(f, p)
 
-    prev = LaurentPoly.one()
+    prev = FractionLaurent.one()
     for k in range(r - 1):
         if not _pivot_to(M, k, valuation):
             return None
@@ -196,7 +184,12 @@ def oneshot_divisor_and_content(Q, d):
         return LaurentPoly.one(), 0
     if r > Q.n_rows:
         return LaurentPoly.zero(), None
-    return _smith_divisor(Q.entries, r), _least_content(Q.entries, r, Q.prime)
+    entries = _entries(Q)
+    return to_laurent(_smith_divisor(entries, r)), _least_content(entries, r, Q.prime)
+
+
+def _entries(Q):
+    return tuple(tuple(oracle(f) for f in row) for row in Q.entries)
 
 
 def _fitting_by_enumeration(Q, d):
@@ -210,19 +203,20 @@ def _fitting_by_enumeration(Q, d):
     if r > Q.n_rows:
         return FittingResult(d, LaurentPoly.zero(), None, 0)
     p = Q.prime
+    entries = _entries(Q)
     integral = all(
-        f.is_zero() or content_valuation(f, p) >= 0 for row in Q.entries for f in row
+        f.is_zero() or content_valuation(f, p) >= 0 for row in entries for f in row
     )
-    g, mu, count = LaurentPoly.zero(), None, 0
+    g, mu, count = FractionLaurent.zero(), None, 0
     for rs in combinations(range(Q.n_rows), r):
         for cs in combinations(range(Q.n_cols), r):
             count += 1
-            det = det_laurent(tuple(tuple(Q.entries[i][j] for j in cs) for i in rs))
+            det = det_laurent(tuple(tuple(entries[i][j] for j in cs) for i in rs))
             if det.is_zero():
                 continue
             g = gcd_many([g, det])
             v = content_valuation(det, p)
             mu = v if mu is None else min(mu, v)
             if integral and mu == 0 and g.is_one():
-                return FittingResult(d, g, mu, count)
-    return FittingResult(d, g, mu, count)
+                return FittingResult(d, to_laurent(g), mu, count)
+    return FittingResult(d, to_laurent(g), mu, count)

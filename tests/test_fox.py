@@ -18,7 +18,6 @@ from propfox import (
 )
 from propfox import LaurentPoly, alexander_matrix, corpus
 from propfox.fox import _relation_matrix
-from propfox.laurent import integer_matrix
 from propfox.matrices import frac_identity, freeze, mat_mul
 
 from laurent_fox import (
@@ -29,6 +28,7 @@ from laurent_fox import (
     laurent_evaluate_word,
     mat_pow,
 )
+from laurent_oracle import integer_matrix
 
 
 def L(text):
@@ -196,6 +196,14 @@ def test_fox_derivative_matrix_is_a_block_of_the_relation_matrix(eg41, eg44rep):
     for j, rel in enumerate(eg41.relators):
         for i in range(eg41.n_generators):
             assert fox_derivative_matrix(eg41, eg44rep, rel.flatten(), i) == Q.block(j, i)
+
+
+@pytest.mark.parametrize("gen", [3, -1, -3])
+def test_fox_derivative_matrix_rejects_a_generator_out_of_range(eg41, gen):
+    # eg41 has 3 generators; a negative index must not wrap around to a block
+    word = eg41.relators[0].flatten()
+    with pytest.raises(ValueError, match="generator"):
+        fox_derivative_matrix(eg41, Representation.trivial(3), word, gen)
 
 
 def test_relation_matrix_entries_match_the_checked_constructor():

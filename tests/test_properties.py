@@ -44,15 +44,15 @@ from propfox import (
     valuation,
     verify_factors,
 )
-from propfox import corpus, fitting, modp
+from propfox import corpus, fitting, modp, zpoly
 from propfox.extensions import mat_vec
 from propfox.fox import AlexanderMatrix, _relation_matrix
-from propfox.laurent import associate, integer_matrix
 from propfox.matrices import frac_identity, freeze, mat_mul
 from propfox.presentation import _is_prime
-from propfox.zeros import _dense_int_coeffs, _divide_linear, _squarefree_part, _taylor_shift, _zp_roots
+from propfox.zeros import _divide_linear, _squarefree_part, _taylor_shift, _zp_roots
 
 import fitting_oracle
+import laurent_oracle
 from fitting_oracle import _fitting_by_enumeration, oneshot_divisor_and_content
 from laurent_fox import (
     LaurentTensorRep,
@@ -62,6 +62,7 @@ from laurent_fox import (
     laurent_evaluate_word,
     mat_pow,
 )
+from laurent_oracle import integer_matrix, oracle
 from zeros_scan import _compose_affine, _deflate, _horner, _mult_mod_p, scan_hensel_roots
 
 SUITE = settings(max_examples=500, derandomize=True, deadline=None)
@@ -557,7 +558,7 @@ def gcd_cases(draw):
 @SUITE
 @given(gcd_cases())
 def test_gcd_matches_the_rational_euclid_oracle(fs):
-    assert gcd_many(fs) == fitting_oracle.gcd_many(fs)
+    assert oracle(gcd_many(fs)) == laurent_oracle.gcd_many(map(oracle, fs))
 
 
 @st.composite
@@ -594,16 +595,17 @@ def test_integer_smith_and_bareiss_match_the_rational_oracles(case):
     # content minimum the rational Bareiss route's less r * v_p(L).
     p, rows = case
     L, M = integer_matrix(rows)
+    fraction_rows = tuple(tuple(oracle(f) for f in row) for row in rows)
     for r in range(1, min(len(rows), len(rows[0])) + 1):
-        delta = associate(fitting._divisor(M, r, {}, None))
-        assert delta == fitting_oracle._smith_divisor(rows, r), r
+        delta = normalize_associate(LaurentPoly.from_form(fitting._divisor(M, r, {}, None)))
+        assert oracle(delta) == fitting_oracle._smith_divisor(fraction_rows, r), r
         mu = fitting._content_minimum(M, r, p, {}, None)
         mu = None if mu is None else mu - r * valuation(L, p)
-        assert mu == fitting_oracle._least_content(rows, r, p), r
+        assert mu == fitting_oracle._least_content(fraction_rows, r, p), r
     if len(rows) == len(rows[0]):
         from propfox import det_laurent
 
-        assert det_laurent(rows) == fitting_oracle.det_laurent(rows)
+        assert oracle(det_laurent(rows)) == fitting_oracle.det_laurent(fraction_rows)
 
 
 # -- minors commute with evaluation ----------------------------------------------
@@ -720,13 +722,13 @@ def test_hensel_roots_match_the_residue_scan(case):
 @given(zp_root_problems())
 def test_squarefree_certificate_matches_the_gcd_route(case):
     f, p, budget = case
-    coeffs = _dense_int_coeffs(f)
+    coeffs = list(zpoly.primitive(f.form)[1])
     if len(coeffs) == 1:
         return
     fbar = [c % p for c in coeffs]
     if coeffs[-1] % p and len(modp.gcd(fbar, modp.derivative(fbar, p), p)) == 1:
-        assert _squarefree_part(f) == f
-    expected = _zp_roots(_dense_int_coeffs(_squarefree_part(f)), p, budget)
+        assert _squarefree_part(coeffs) == coeffs
+    expected = _zp_roots(_squarefree_part(coeffs), p, budget)
     assert hensel_roots(f, p, budget) == expected
 
 

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from propfox import LaurentPoly, zpoly
-from propfox.laurent import from_integer_form
+from propfox import zpoly
+
+from laurent_oracle import FractionLaurent
 
 SUITE = settings(max_examples=500, derandomize=True, deadline=None)
 
@@ -22,8 +23,9 @@ values = st.builds(
 nonzero_values = values.filter(lambda a: a[1])
 
 
-def laurent(a) -> LaurentPoly:
-    return from_integer_form(a)
+def laurent(a) -> FractionLaurent:
+    """The zpoly value a in the dict-of-Fraction ring."""
+    return FractionLaurent({a[0] + i: c for i, c in enumerate(a[1])})
 
 
 @SUITE

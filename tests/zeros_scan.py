@@ -15,9 +15,10 @@ descending lists.
 
 from fractions import Fraction
 
+from propfox import zpoly
 from propfox.errors import IdenticallyZero
 from propfox.scalars import valuation
-from propfox.zeros import _dense_int_coeffs, _squarefree_part
+from propfox.zeros import _squarefree_part
 
 
 def _horner(coeffs: list, x: Fraction) -> Fraction:
@@ -117,7 +118,7 @@ def scan_hensel_roots(f, p, budget):
     """hensel_roots by the scan, on the squarefree part from the rational gcd."""
     if f.is_zero():
         raise IdenticallyZero("the zero polynomial vanishes everywhere")
-    coeffs = _dense_int_coeffs(_squarefree_part(f))[::-1]
+    coeffs = _squarefree_part(list(zpoly.primitive(f.form)[1]))[::-1]
     if len(coeffs) == 1:
         return [], []
     return scan_zp_roots(coeffs, p, budget)
