@@ -31,7 +31,7 @@ from .extensions import (
 )
 from .fitting import fitting_delta, zero_by_both_routes
 from .fox import Representation, alexander_matrix
-from .matrices import frac_inverse, frac_rank_nullspace, frac_solve, freeze
+from .matrices import frac_inverse, freeze, integral_row, rank_nullspace, solve
 from .presentation import Presentation, validate_presentation
 from .scalars import Rational, unit_ball_check
 
@@ -47,10 +47,21 @@ def coboundary_matrix(rho: SpecializedRep):
     return freeze(rows)
 
 
+def _coboundary_rows(rho: SpecializedRep):
+    """The rows of coboundary_matrix, each block times its image's
+    denominator: integer rows with the same nullspace, and the
+    denominator of each row."""
+    return [
+        ([x - den * (r == c) for c, x in enumerate(row)], den)
+        for rows, den in rho.scaled
+        for r, row in enumerate(rows)
+    ]
+
+
 def fixed_space(rho: SpecializedRep):
     """Basis of the common eigenvalue-one eigenspace of the generator
     images."""
-    _, basis = frac_rank_nullspace(coboundary_matrix(rho), rho.dim)
+    _, basis = rank_nullspace([row for row, _ in _coboundary_rows(rho)], rho.dim)
     return basis
 
 
@@ -111,7 +122,10 @@ def is_coboundary(beta: CrossedHom, rho: SpecializedRep):
         raise NotACocycle(
             "the generator assignment violates the relator constraints"
         )
-    return frac_solve(coboundary_matrix(rho), beta.stacked())
+    rows = _coboundary_rows(rho)
+    return solve(
+        [integral_row([*row, den * y]) for (row, den), y in zip(rows, beta.stacked())], rho.dim
+    )
 
 
 def _sym_square_2x2(M):

@@ -13,11 +13,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
 from .errors import DivisionByZero
 from .fitting import fitting_delta, zero_by_both_routes
-from .fox import Representation, _check_shape, alexander_matrix, evaluate_word
-from .matrices import frac_identity, frac_rank_nullspace, freeze
+from .fox import Representation, _check_shape, alexander_matrix, scaled_image
+from .matrices import (
+    frac_identity,
+    from_scaled,
+    is_scaled_identity,
+    lowest_terms,
+    rank_nullspace,
+    to_scaled,
+)
 from .presentation import Presentation, Word
 from .scalars import Rational
 
@@ -73,17 +82,41 @@ class CrossedHom:
 
 
 class SpecializedRep:
-    """Generator images at a rational point a, as rational matrices with
-    their inverses: a^{alpha_i} phi(g_i) from specialize, or the
-    block-triangular [[a^{alpha_i} phi(g_i), beta_i], [0, 1]] from
-    build_extension."""
+    """Generator images at a rational point a, with their inverses:
+    a^{alpha_i} phi(g_i) from specialize, or the block-triangular
+    [[a^{alpha_i} phi(g_i), beta_i], [0, 1]] from build_extension.
+
+    The images are held as scaled matrices, integer rows over one positive
+    denominator in lowest terms (scaled and scaled_invs), which is what
+    word products, relator checks and the point eliminations read. mats
+    and invs are the same images as Fraction matrices: the ones passed in,
+    or built on first use for a representation made by from_scaled."""
 
     def __init__(self, pres: Presentation, a: Fraction, mats: tuple, invs: tuple):
-        self.pres = pres
-        self.a = a
+        self._hold(pres, a, tuple(map(to_scaled, mats)), tuple(map(to_scaled, invs)))
         self.mats = mats
         self.invs = invs
-        self.dim = len(mats[0]) if mats else 1
+
+    @classmethod
+    def from_scaled(cls, pres: Presentation, a: Fraction, scaled: tuple, scaled_invs: tuple):
+        rep = cls.__new__(cls)
+        rep._hold(pres, a, scaled, scaled_invs)
+        return rep
+
+    def _hold(self, pres, a, scaled, scaled_invs):
+        self.pres = pres
+        self.a = a
+        self.scaled = scaled
+        self.scaled_invs = scaled_invs
+        self.dim = len(scaled[0][0]) if scaled else 1
+
+    @cached_property
+    def mats(self) -> tuple:
+        return tuple(map(from_scaled, self.scaled))
+
+    @cached_property
+    def invs(self) -> tuple:
+        return tuple(map(from_scaled, self.scaled_invs))
 
     def identity(self):
         return frac_identity(self.dim)
@@ -95,18 +128,25 @@ class SpecializedRep:
         return verify_factors(self, self.pres).ok
 
 
+def _power_times(S, e: int, n: int, d: int):
+    """The scaled matrix (n / d)^e * S, in lowest terms."""
+    rows, den = S
+    top, bottom = (n ** e, d ** e) if e >= 0 else (d ** -e, n ** -e)
+    if bottom < 0:
+        top, bottom = -top, -bottom
+    return lowest_terms([[x * top for x in row] for row in rows], den * bottom)
+
+
 def specialize(pres: Presentation, phi: Representation, a: Rational) -> SpecializedRep:
     a = _nonzero_point(a)
     _check_shape(pres, phi)
+    n, d = a.numerator, a.denominator
 
     def scaled(images, sign):
-        return tuple(
-            freeze([[a ** (sign * e) * x for x in row] for row in M])
-            for e, M in zip(pres.alpha, images)
-        )
+        return tuple(_power_times(to_scaled(M), sign * e, n, d) for e, M in zip(pres.alpha, images))
 
     # (a^e M)^-1 = a^-e M^-1, with M^-1 computed once per representation
-    return SpecializedRep(pres, a, scaled(phi.images, 1), scaled(phi.inverses, -1))
+    return SpecializedRep.from_scaled(pres, a, scaled(phi.images, 1), scaled(phi.inverses, -1))
 
 
 @dataclass(frozen=True)
@@ -123,38 +163,47 @@ def cocycle_space(pres: Presentation, phi: Representation, a: Rational) -> Cocyc
     matrix, reshaped to one vector per generator."""
     a = _nonzero_point(a)
     Q = alexander_matrix(pres, phi)
-    _, basis = frac_rank_nullspace(Q.specialize(a), Q.n_cols)
+    _, basis = rank_nullspace(Q.rows_at(a), Q.n_cols)
     hom_basis = tuple(CrossedHom.from_flat(vec, Q.block_dim) for vec in basis)
     return CocycleSpace(a=a, ell=Q.block_dim, dim=len(hom_basis), basis=hom_basis)
 
 
-def _corner(M, b):
-    ell = len(M)
-    rows = [tuple(M[r]) + (b[r],) for r in range(ell)]
-    rows.append(tuple(Fraction(0) for _ in range(ell)) + (Fraction(1),))
-    return freeze(rows)
+def _corner(rows, column, den: int):
+    """The scaled matrix [[rows, column], [0, den]] / den, in lowest terms."""
+    out = [[*row, x] for row, x in zip(rows, column)]
+    out.append([0] * len(column) + [den])
+    return lowest_terms(out, den)
 
 
 def _extend(rho: SpecializedRep, beta: CrossedHom) -> SpecializedRep:
     """The images [[rho(g_i), beta_i], [0, 1]], with inverses
     [[rho(g_i)^-1, -rho(g_i)^-1 beta_i], [0, 1]]. Block multiplication is
     the product rule beta(uv) = beta(u) + rho(u) beta(v), so the image of a
-    word holds the value of beta on it in the corner column."""
-    if beta.ell != rho.dim or len(beta.vectors) != len(rho.mats):
+    word holds the value of beta on it in the corner column. With beta_i =
+    b / B for an integer vector b, both are scaled matrices over den * B."""
+    if beta.ell != rho.dim or len(beta.vectors) != len(rho.scaled):
         raise ValueError("crossed homomorphism shape does not match")
-    mats = tuple(_corner(M, b) for M, b in zip(rho.mats, beta.vectors))
-    invs = tuple(
-        _corner(Minv, tuple(-x for x in mat_vec(Minv, b)))
-        for Minv, b in zip(rho.invs, beta.vectors)
-    )
-    return SpecializedRep(rho.pres, rho.a, mats, invs)
+    mats, invs = [], []
+    for (rows, den), (inv_rows, inv_den), vec in zip(rho.scaled, rho.scaled_invs, beta.vectors):
+        B = lcm(*(x.denominator for x in vec))
+        b = [x.numerator * (B // x.denominator) for x in vec]
+        mats.append(_corner([[x * B for x in row] for row in rows], [den * y for y in b], den * B))
+        invs.append(
+            _corner(
+                [[x * B for x in row] for row in inv_rows],
+                [-sum(x * y for x, y in zip(row, b)) for row in inv_rows],
+                inv_den * B,
+            )
+        )
+    return SpecializedRep.from_scaled(rho.pres, rho.a, tuple(mats), tuple(invs))
 
 
 def _corner_column(ext: SpecializedRep, word: Word) -> tuple:
     """The top entries of the last column of the word's image under an
     extension: the value on the word of the crossed homomorphism it
     extends by."""
-    return tuple(row[-1] for row in evaluate_word(ext, word)[:-1])
+    rows, den = scaled_image(ext, word)
+    return tuple(Fraction(row[-1], den) for row in rows[:-1])
 
 
 def build_extension(
@@ -180,12 +229,13 @@ class VerificationReport:
 
 def verify_factors(candidate: SpecializedRep, pres: Presentation) -> VerificationReport:
     """Evaluate every flattened relator through the candidate; each must come
-    out as the identity matrix."""
-    ident = candidate.identity()
+    out as the identity matrix. The check reads the scaled product: in
+    lowest terms it is I exactly when its denominator is 1 and its rows are
+    those of I. The Fraction image is built only for the report."""
     checks = []
     for rel in pres.relators:
-        image = evaluate_word(candidate, rel.flatten())
-        checks.append(RelatorCheck(ok=image == ident, image=image))
+        image = scaled_image(candidate, rel.flatten())
+        checks.append(RelatorCheck(ok=is_scaled_identity(image), image=from_scaled(image)))
     return VerificationReport(ok=all(c.ok for c in checks), relators=tuple(checks))
 
 

@@ -79,7 +79,7 @@ from math import gcd as igcd
 from .errors import DivisionByZero, InternalInconsistency
 from .fox import AlexanderMatrix, alexander_matrix
 from .laurent import LaurentPoly, normalize_associate
-from .matrices import frac_rank_nullspace
+from .matrices import rank_nullspace
 from .presentation import Presentation
 from .scalars import Rational, valuation
 from .zpoly import (
@@ -382,7 +382,7 @@ def _bareiss_step(M: list[list[tuple]], k: int, prev: tuple, key) -> int:
 
 
 def rank_at(Q: AlexanderMatrix, a: Rational) -> int:
-    rank, _ = frac_rank_nullspace(Q.specialize(a))
+    rank, _ = rank_nullspace(Q.rows_at(a), Q.n_cols)
     return rank
 
 

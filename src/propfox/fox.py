@@ -34,6 +34,7 @@ from .matrices import (
     frac_inverse,
     freeze,
     from_scaled,
+    scaled_identity,
     scaled_mul,
     scaled_pow,
     to_scaled,
@@ -146,24 +147,26 @@ def format_representation(rep: Representation, pres: Presentation) -> str:
     return "\n".join(lines) + "\n"
 
 
-def evaluate_word(rep, word: Word):
-    """Image of a word under a SpecializedRep, as exact Fractions: the
-    explicit product of its syllable images rep.mats[g]^e, with rep.invs[g]
-    for e < 0. The product runs on scaled-integer matrices; each generator
-    image is converted once and each distinct syllable power computed once
-    per call."""
-    scaled = {}
+def scaled_image(rep, word: Word):
+    """Image of a word under a SpecializedRep, as a scaled matrix in lowest
+    terms: the explicit product of its syllable images rep.scaled[g]^e,
+    with rep.scaled_invs[g] for e < 0, each distinct syllable power computed
+    once per call."""
     powers = {}
     acc = None
     for g, e in word.syllables:
         power = powers.get((g, e))
         if power is None:
-            key = (g, e > 0)
-            if key not in scaled:
-                scaled[key] = to_scaled(rep.mats[g] if e > 0 else rep.invs[g])
-            power = powers[g, e] = scaled_pow(scaled[key], abs(e))
+            image = rep.scaled[g] if e > 0 else rep.scaled_invs[g]
+            power = powers[g, e] = scaled_pow(image, abs(e))
         acc = power if acc is None else scaled_mul(acc, power)
-    return frac_identity(rep.dim) if acc is None else from_scaled(acc)
+    return scaled_identity(rep.dim) if acc is None else acc
+
+
+def evaluate_word(rep, word: Word):
+    """Image of a word under a SpecializedRep, as exact Fractions: the
+    scaled_image product, converted once."""
+    return from_scaled(scaled_image(rep, word))
 
 
 def _fox_pass(exps, mats, invs, word: Word) -> tuple[int, list]:
@@ -326,17 +329,29 @@ class AlexanderMatrix:
             for r in range(ell)
         )
 
-    def specialize(self, a: Rational):
-        """Evaluate every Laurent entry at the rational point a, by Horner's
-        rule on the integer form."""
+    def _values_at(self, a: Rational) -> list[list[tuple[int, int]]]:
+        """(u, v) per entry with rows[i][j](a) = u / v, by Horner's rule on
+        the integer form."""
         a = Fraction(a)
-        n, d, L = a.numerator, a.denominator, self.scale
+        n, d = a.numerator, a.denominator
         if not n and any(f[0] < 0 for row in self.rows for f in row if f[1]):
             raise DivisionByZero("negative powers evaluated at 0")
-        return tuple(
-            tuple(Fraction(u, v * L) for u, v in (value_at(f, n, d) for f in row))
-            for row in self.rows
-        )
+        return [[value_at(f, n, d) for f in row] for row in self.rows]
+
+    def specialize(self, a: Rational):
+        """Evaluate every Laurent entry at the rational point a."""
+        L = self.scale
+        return tuple(tuple(Fraction(u, v * L) for u, v in row) for row in self._values_at(a))
+
+    def rows_at(self, a: Rational) -> list[list[int]]:
+        """The rows of specialize(a), each times the lcm of its nonzero
+        entries' denominators: integer rows with the same rank, nullspace
+        and reduced row echelon form, and no Fraction per entry."""
+        out = []
+        for row in self._values_at(a):
+            m = lcm(*(v for u, v in row if u))
+            out.append([u * (m // v) if u else 0 for u, v in row])
+        return out
 
 
 def alexander_matrix(pres: Presentation, rep: Representation | None = None) -> AlexanderMatrix:

@@ -8,6 +8,12 @@ equality and hashing read only these two fields, and every ring operation
 is the zpoly operation on the forms followed by one gcd that reduces den.
 terms and coeff are Fraction views of the coefficients, built on first use.
 
+The form is dense: it holds every coefficient from the lowest exponent to
+the highest, zeros included, so time and memory grow linearly with the span
+max_exp - min_exp, not with the number of nonzero terms. For example,
+parse_laurent("g^2000000 + 1") * parse_laurent("g - 1") takes 1.6 s and
+293 MB peak in a fresh interpreter (2-core x86-64, Python 3.11.7).
+
 Exponents may be negative; the units of this ring are exactly the monomials
 c*g^k with c != 0, and "equal up to a unit" is the equivalence that matters
 for GCD output, which normalize_associate picks a representative of: an

@@ -1,11 +1,19 @@
 """Small dense-matrix helpers over exact scalars.
 
 Matrices are tuples of tuples (immutable, hashable when the scalars are).
-The field routines (RREF, inverse, rank, nullspace, solve) work over
-Fraction, and the inverse is the right half of the RREF of [A | I].
 Products of many rational matrices run in scaled form, integer rows over
 one common denominator, with one gcd per product in place of one per scalar
 operation.
+
+Rank, nullspace, solve and inverse run on integer rows, by one
+fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22 (1968);
+Nakos, Turner and Williams, SIGSAM Bull. 31 (1997)). Scaling a row changes
+neither the rank, nor the nullspace, nor the reduced row echelon form, so
+the point layer hands over its rows with their denominators cleared, one
+lcm per row, and never builds a Fraction matrix to eliminate. frac_rref,
+frac_rank_nullspace, frac_solve and frac_inverse are wrappers that clear
+the denominators of a rational matrix row by row and call the integer
+route.
 """
 
 from __future__ import annotations
@@ -17,6 +25,9 @@ from operator import mul
 from .errors import NotInvertible
 
 Matrix = tuple  # tuple of row tuples
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def freeze(rows) -> Matrix:
@@ -52,10 +63,20 @@ def to_scaled(A: Matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
     return tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in A), den
 
 
+def lowest_terms(rows, den: int):
+    """The scaled matrix rows / den, for den > 0, with the gcd of the
+    entries and the denominator divided out."""
+    g = gcd(den, *(x for row in rows for x in row))
+    if g > 1:
+        rows = [[x // g for x in row] for row in rows]
+        den //= g
+    return rows, den
+
+
 def scaled_mul(A, B):
-    """Product of two scaled matrices, with the gcd of the entries and the
-    denominator divided out, which keeps the integers from growing past the
-    size of the exact value."""
+    """Product of two scaled matrices, in lowest terms (as lowest_terms, in
+    line: this is the inner loop of every word product), which keeps the
+    integers from growing past the size of the exact value."""
     rows_a, den_a = A
     rows_b, den_b = B
     cols = tuple(zip(*rows_b))
@@ -83,79 +104,140 @@ def scaled_pow(A, n: int):
         A = scaled_mul(A, A)
 
 
+def scaled_identity(n: int):
+    return [[int(i == j) for j in range(n)] for i in range(n)], 1
+
+
+def is_scaled_identity(A) -> bool:
+    """Whether a scaled matrix in lowest terms is the identity: its
+    denominator is 1 and its rows are those of I."""
+    rows, den = A
+    return den == 1 and all(x == (i == j) for i, row in enumerate(rows) for j, x in enumerate(row))
+
+
 def from_scaled(A) -> Matrix:
     """The Fraction matrix of a scaled matrix."""
     rows, den = A
     return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
 
 
+def integral_row(row) -> list[int]:
+    """A row of ints and Fractions times the lcm of their denominators."""
+    den = lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
+def rref(rows, ncols: int) -> tuple[tuple[int, ...], list[list[int]], int]:
+    """(pivots, R, D) for integer rows of length ncols: the pivot columns of
+    the reduced row echelon form, its nonzero rows times D, and D (1 when
+    there is no pivot).
+
+    Fraction-free Gauss-Jordan elimination: step k takes the first row at or
+    below k with a nonzero entry p in the next column, and replaces every
+    other row by (p * row - row[c] * pivot row) / prev, prev the previous
+    pivot. The division is exact (each entry is a minor of the input), and
+    after the step every earlier pivot entry is p as well, so at the end the
+    pivot rows are D, the last pivot, times the reduced form."""
+    M = [list(r) for r in rows]
+    pivots: list[int] = []
+    prev = 1
+    for c in range(ncols):
+        k = len(pivots)
+        if k == len(M):
+            break
+        piv = next((i for i in range(k, len(M)) if M[i][c]), None)
+        if piv is None:
+            continue
+        M[k], M[piv] = M[piv], M[k]
+        top = M[k]
+        p = top[c]
+        for i, row in enumerate(M):
+            f = row[c]
+            if i == k:
+                continue
+            if f:
+                M[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+            elif p != prev:
+                M[i] = [p * x // prev for x in row]
+        pivots.append(c)
+        prev = p
+    return tuple(pivots), M[: len(pivots)], prev
+
+
+def rank_nullspace(rows, ncols: int) -> tuple[int, tuple[tuple[Fraction, ...], ...]]:
+    """Rank and a nullspace basis of integer rows of length ncols: for each
+    free column, the vector with 1 there, 0 at the other free columns, and
+    the pivot entries solved, -R[i][free] / D at pivot column i (see rref)."""
+    pivots, R, D = rref(rows, ncols)
+    taken = set(pivots)
+    basis = []
+    for fc in range(ncols):
+        if fc in taken:
+            continue
+        v = [_ZERO] * ncols
+        v[fc] = _ONE
+        for row, pc in zip(R, pivots):
+            if row[fc]:
+                v[pc] = Fraction(-row[fc], D)
+        basis.append(tuple(v))
+    return len(pivots), tuple(basis)
+
+
+def solve(rows, ncols: int) -> tuple[Fraction, ...] | None:
+    """One particular solution of A x = b (free variables set to 0) from the
+    integer rows of [A | b], A with ncols columns, or None when the system
+    is inconsistent: when the last column holds a pivot."""
+    pivots, R, D = rref(rows, ncols + 1)
+    if pivots and pivots[-1] == ncols:
+        return None
+    x = [_ZERO] * ncols
+    for row, pc in zip(R, pivots):
+        if row[ncols]:
+            x[pc] = Fraction(row[ncols], D)
+    return tuple(x)
+
+
 def frac_rref(A) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...]]:
     """Reduced row echelon form and pivot column indices."""
-    rows = [list(map(Fraction, r)) for r in A]
+    rows = [integral_row([Fraction(x) for x in r]) for r in A]
     if not rows:
         return (), ()
     ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return freeze(rows), tuple(pivots)
+    pivots, R, D = rref(rows, ncols)
+    zero = (_ZERO,) * ncols
+    reduced = [tuple(Fraction(x, D) for x in row) for row in R]
+    return tuple(reduced) + (zero,) * (len(rows) - len(R)), pivots
 
 
 def frac_inverse(A: Matrix) -> Matrix:
     """The right half of the RREF of [A | I]; NotInvertible unless the
     first n pivots are the columns of A."""
     n = len(A)
-    rref, pivots = frac_rref(tuple(row) + e for row, e in zip(A, frac_identity(n)))
+    rows = [
+        integral_row([Fraction(x) for x in row] + [int(i == j) for j in range(n)])
+        for i, row in enumerate(A)
+    ]
+    pivots, R, D = rref(rows, 2 * n)
     if pivots[:n] != tuple(range(n)):
         raise NotInvertible("matrix is singular")
-    return freeze(row[n:] for row in rref)
+    return tuple(tuple(Fraction(x, D) for x in row[n:]) for row in R)
 
 
 def frac_rank_nullspace(A, ncols: int | None = None) -> tuple[int, tuple[tuple[Fraction, ...], ...]]:
     """Rank and a nullspace basis (free variable set to 1, others 0, pivot
     entries solved; the conventional RREF parametrization). A matrix with no
     rows does not show its column count, so pass ncols for one."""
-    rows = [list(r) for r in A]
+    rows = [integral_row([Fraction(x) for x in r]) for r in A]
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
-    rref, pivots = frac_rref(rows)
-    rank = len(pivots)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rref[r][fc]
-        basis.append(tuple(v))
-    return rank, tuple(basis)
+    return rank_nullspace(rows, ncols)
 
 
-def frac_solve(A, b) -> tuple[Fraction, ...] | None:
+def frac_solve(A, b, ncols: int | None = None) -> tuple[Fraction, ...] | None:
     """One particular solution of A x = b (free variables set to 0), or None
-    when the system is inconsistent."""
-    rows = [list(map(Fraction, r)) + [Fraction(v)] for r, v in zip(A, b)]
-    ncols = len(A[0])
-    rref, pivots = frac_rref(rows)
-    for row in rref:
-        if all(x == 0 for x in row[:ncols]) and row[ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        if pc < ncols:
-            x[pc] = rref[r][ncols]
-    return tuple(x)
+    when the system is inconsistent. A system with no rows does not show its
+    column count, so pass ncols for one; its solution is the zero vector."""
+    rows = [integral_row([Fraction(x) for x in r] + [Fraction(v)]) for r, v in zip(A, b)]
+    if ncols is None:
+        ncols = len(A[0]) if A else 0
+    return solve(rows, ncols)

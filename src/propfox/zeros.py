@@ -5,7 +5,8 @@ Both kinds of zero are read off the primitive part of the integer form that
 the LaurentPoly holds, as an ascending list of int coefficients: the unit
 c*g^k drops out, so the constant term is nonzero. Rational zeros come from
 the classical divisor test, at a cost that grows as the square roots of the
-constant and leading coefficients. p-adic zeros are residues mod p^N
+constant and leading coefficients; each candidate s/q is tested by exact
+division by q*x - s on the integers. p-adic zeros are residues mod p^N
 produced by lifting. The residues mod p are the roots of
 gcd(f mod p, x^p - x), split apart by further gcds (modp.roots), at a cost
 polynomial in the degree and in log p rather than linear in p. Simple
@@ -41,21 +42,28 @@ def _divisors(n: int) -> list[int]:
     return out
 
 
-def _divide_linear(coeffs: list, a: Fraction) -> tuple[list, Fraction]:
-    """Quotient and remainder f(a) of an ascending coefficient list by
-    (x - a), by synthetic division from the top."""
-    acc = 0
+def _divide_root(coeffs: list, s: int, q: int) -> list | None:
+    """The quotient of ascending integer coefficients by q*x - s, for q > 0,
+    or None when q*x - s does not divide them. Exact division from the top:
+    the quotient digits are b_(n-1) = c_n / q and b_(i-1) = (c_i + s b_i) / q,
+    and c_0 + s b_0 must vanish. For primitive coefficients and coprime s,
+    q that is the test for the zero s / q: by Gauss's lemma its quotient is
+    integral, so the first digit q does not divide rejects it."""
     quot = []
-    for c in reversed(coeffs):
-        acc = acc * a + c
-        quot.append(acc)
-    rem = quot.pop()
-    return quot[::-1], rem
+    b = 0
+    for c in reversed(coeffs[1:]):
+        b, r = divmod(c + s * b, q)
+        if r:
+            return None
+        quot.append(b)
+    return quot[::-1] if coeffs[0] + s * b == 0 else None
 
 
 def rational_roots(f: LaurentPoly) -> list[tuple[Fraction, int]]:
     """All rational zeros of f with multiplicities, sorted by value. The
-    gamma-power unit is stripped first, so 0 is never a zero."""
+    gamma-power unit is stripped first, so 0 is never a zero. Each
+    candidate s / q divides the primitive integer form as often as it is a
+    zero; each quotient is again primitive (Gauss)."""
     if f.is_zero():
         raise IdenticallyZero("the zero polynomial vanishes everywhere")
     coeffs = list(zpoly.primitive(f.form)[1])
@@ -69,12 +77,11 @@ def rational_roots(f: LaurentPoly) -> list[tuple[Fraction, int]]:
     }
     roots = []
     for a in sorted(candidates):
-        # a nonzero constant quotient leaves a nonzero remainder
         mult = 0
-        quot, rem = _divide_linear(coeffs, a)
-        while rem == 0:
+        quot = _divide_root(coeffs, a.numerator, a.denominator)
+        while quot is not None:
             mult += 1
-            quot, rem = _divide_linear(quot, a)
+            quot = _divide_root(quot, a.numerator, a.denominator)
         if mult:
             roots.append((a, mult))
     return roots

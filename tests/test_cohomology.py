@@ -182,7 +182,8 @@ def test_theorem_audit_unit_ball_gate(eg41):
 @pytest.fixture
 def point_counts(monkeypatch):
     """Counts of relator verifications, specializations of the relation
-    matrix and nullspace eliminations, wherever the library looks them up."""
+    matrix (to integer rows or to Fractions) and nullspace eliminations,
+    wherever the library looks them up."""
     counts = Counter()
 
     def counted(key, fn):
@@ -195,12 +196,13 @@ def point_counts(monkeypatch):
     monkeypatch.setattr(
         SpecializedRep, "factors_through", counted("verify", SpecializedRep.factors_through)
     )
-    monkeypatch.setattr(
-        AlexanderMatrix, "specialize", counted("specialize", AlexanderMatrix.specialize)
-    )
-    nullspace = counted("nullspace", matrices.frac_rank_nullspace)
+    for name in ("rows_at", "specialize"):
+        monkeypatch.setattr(
+            AlexanderMatrix, name, counted("specialize", getattr(AlexanderMatrix, name))
+        )
+    nullspace = counted("nullspace", matrices.rank_nullspace)
     for module in (cohomology, extensions, fitting):
-        monkeypatch.setattr(module, "frac_rank_nullspace", nullspace)
+        monkeypatch.setattr(module, "rank_nullspace", nullspace)
     return counts
 
 

@@ -83,6 +83,13 @@ def test_solve():
     assert underdetermined == (Fraction(5), Fraction(0))
 
 
+def test_solve_without_rows_is_the_zero_solution():
+    assert frac_solve((), ()) == ()
+    assert frac_solve((), (), 3) == (Fraction(0),) * 3
+    assert frac_solve(F([[0, 0]]), (Fraction(0),)) == (Fraction(0), Fraction(0))
+    assert frac_solve(F([[0, 0]]), (Fraction(1),)) is None
+
+
 def test_mat_mul_rejects_mismatched_inner_dimensions():
     with pytest.raises(ValueError, match="inner dimensions"):
         mat_mul(F([[1, 2]]), F([[1, 2]]))

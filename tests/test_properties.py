@@ -47,9 +47,9 @@ from propfox import (
 from propfox import corpus, fitting, modp, zpoly
 from propfox.extensions import mat_vec
 from propfox.fox import AlexanderMatrix, _relation_matrix
-from propfox.matrices import frac_identity, freeze, mat_mul
+from propfox.matrices import frac_identity, freeze, mat_mul, rank_nullspace
 from propfox.presentation import _is_prime
-from propfox.zeros import _divide_linear, _squarefree_part, _taylor_shift, _zp_roots
+from propfox.zeros import _squarefree_part, _taylor_shift, _zp_roots
 
 import fitting_oracle
 import laurent_oracle
@@ -63,7 +63,16 @@ from laurent_fox import (
     mat_pow,
 )
 from laurent_oracle import integer_matrix, oracle
-from zeros_scan import _compose_affine, _deflate, _horner, _mult_mod_p, scan_hensel_roots
+from matrices_oracle import oracle_inverse, oracle_rank_nullspace
+from zeros_scan import (
+    _compose_affine,
+    _deflate,
+    _divide_linear,
+    _horner,
+    _mult_mod_p,
+    scan_hensel_roots,
+    scan_rational_roots,
+)
 
 SUITE = settings(max_examples=500, derandomize=True, deadline=None)
 
@@ -366,8 +375,17 @@ def test_integer_relation_matrix_matches_the_fraction_pass(case, a):
     except DivisionByZero:
         with pytest.raises(DivisionByZero):
             Q.specialize(a)
+        with pytest.raises(DivisionByZero):
+            Q.rows_at(a)
     else:
         assert Q.specialize(a) == values
+        # the integer rows are positive multiples of the rows of Q(a), with
+        # its rank and nullspace
+        rows = Q.rows_at(a)
+        for row, vals in zip(rows, values):
+            c = next((Fraction(x) / v for x, v in zip(row, vals) if v), Fraction(1))
+            assert c > 0 and list(row) == [c * v for v in vals]
+        assert rank_nullspace(rows, Q.n_cols) == oracle_rank_nullspace(values, Q.n_cols)
 
 
 @SUITE
@@ -787,6 +805,46 @@ def test_taylor_shift_and_linear_division_match_the_descending_helpers(case):
     assert quot[::-1] == (_deflate(desc, a) if len(coeffs) > 1 else [])
 
 
+@st.composite
+def planted_products(draw):
+    """(f, planted): the product of planted linear factors q*x - s, each to
+    a power 1 to 3, with a cofactor g of degree 0 to 3 (which may have
+    rational zeros of its own), times a content, a unit g^k and a rational
+    scalar; planted maps each s / q to the power it was planted with."""
+    planted = {}
+    coeffs = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=4).filter(lambda cs: cs[0] and cs[-1]))
+    for s, q, m in draw(
+        st.lists(
+            st.tuples(st.integers(-12, 12).filter(bool), st.integers(1, 6), st.integers(1, 3)),
+            max_size=3,
+        )
+    ):
+        for _ in range(m):
+            coeffs = _int_mul(coeffs, [-s, q])
+        root = Fraction(s, q)
+        planted[root] = planted.get(root, 0) + m
+    content = draw(st.sampled_from([1, -1, 2, 6]))
+    form = (draw(st.integers(-3, 3)), tuple(content * c for c in coeffs))
+    return LaurentPoly.from_form(form, draw(st.sampled_from([1, 1, 5, 12]))), planted
+
+
+@SUITE
+@given(planted_products())
+@example((LaurentPoly.from_form((0, (-6, 1, 1))), {Fraction(2): 1, Fraction(-3): 1}))
+@example((LaurentPoly.from_form((2, (4, -12, 9)), 7), {Fraction(2, 3): 2}))
+@example((LaurentPoly.from_form((0, (5,))), {}))
+def test_rational_roots_match_the_fraction_route(case):
+    """Exact division by q*x - s finds the roots and multiplicities that
+    synthetic division over Fraction finds, every planted root among them
+    with at least its planted multiplicity."""
+    f, planted = case
+    roots = rational_roots(f)
+    assert roots == scan_rational_roots(f)
+    found = dict(roots)
+    for root, m in planted.items():
+        assert found.get(root, 0) >= m
+
+
 # -- crossed homomorphisms and extensions ------------------------------------------
 
 
@@ -885,6 +943,97 @@ def test_evaluate_word_matches_fraction_syllable_product(rho, w):
     for g, e in w.syllables:
         expected = mat_mul(expected, mat_pow(rho.mats[g] if e > 0 else rho.invs[g], abs(e), ident))
     assert evaluate_word(rho, w) == expected
+
+
+def _point_candidate(pres, phi, a, flat):
+    """(pres, rho, images, inverses): specialize(pres, phi, a), or its
+    extension by flat when flat is not None, with the images and inverses
+    built over Fraction: a^alpha_i phi(g_i) and the corner
+    [[a^alpha_i phi(g_i), b_i], [0, 1]] with inverse [[M^-1, -M^-1 b_i], [0, 1]]."""
+    images = [tuple(tuple(a**e * x for x in row) for row in M) for e, M in zip(pres.alpha, phi.images)]
+    inverses = [oracle_inverse(M) for M in images]
+    if flat is None:
+        return pres, specialize(pres, phi, a), images, inverses
+    beta = CrossedHom.from_flat(flat, phi.dim)
+    last = (Fraction(0),) * phi.dim + (Fraction(1),)
+    images = [tuple((*row, y) for row, y in zip(M, b)) + (last,) for M, b in zip(images, beta.vectors)]
+    inverses = [
+        tuple((*row, -sum(x * y for x, y in zip(row, b))) for row in M) + (last,)
+        for M, b in zip(inverses, beta.vectors)
+    ]
+    return pres, build_extension(pres, phi, a, beta), images, inverses
+
+
+two_generator_words = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=1), st.integers(min_value=-3, max_value=3).filter(bool)),
+    max_size=4,
+).map(Word.of)
+
+
+@st.composite
+def point_candidates(draw):
+    """A presentation on two generators with weights 1, -1 or 2 and one to
+    three relators, and a one- or two-dimensional upper triangular
+    representation specialized at a point, or extended there by a random
+    assignment (see _point_candidate). A relator is a random word, a
+    commutator, which every scalar image kills, or one generator power,
+    whose scalar image at a = 1/2 can be I/2^k: the identity's rows over a
+    denominator."""
+    ell = draw(st.integers(min_value=1, max_value=2))
+    diagonal = st.sampled_from([Fraction(1), Fraction(2), Fraction(-1), Fraction(1, 3), Fraction(3, 2)])
+    images = []
+    for _ in range(2):
+        if ell == 1:
+            images.append(((draw(diagonal),),))
+        else:
+            images.append(((draw(diagonal), draw(small_fractions)), (Fraction(0), draw(diagonal))))
+    relators = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        kind = draw(st.sampled_from(["word", "commutator", "power"]))
+        if kind == "word":
+            w = draw(two_generator_words)
+        elif kind == "commutator":
+            u, v = draw(two_generator_words), draw(two_generator_words)
+            w = u.inverse() * v.inverse() * u * v
+        else:
+            w = Word.of([(draw(st.integers(min_value=0, max_value=1)), draw(st.sampled_from([1, -1, 2])))])
+        relators.append(Relator(w))
+    alpha = tuple(draw(st.sampled_from([1, -1, 2])) for _ in range(2))
+    pres = Presentation(3, ("a", "b"), tuple(relators), alpha)
+    a = draw(st.sampled_from([Fraction(1, 2), Fraction(2), Fraction(-1, 3), Fraction(1), Fraction(3, 4)]))
+    flat = None
+    if draw(st.booleans()):
+        flat = tuple(draw(st.lists(small_fractions, min_size=2 * ell, max_size=2 * ell)))
+    return _point_candidate(pres, Representation(ell, tuple(images)), a, flat)
+
+
+@SUITE
+@given(point_candidates())
+@example(
+    _point_candidate(
+        Presentation(3, ("a", "b"), (Relator(Word.of([(0, 1)])),), (1, 1)),
+        Representation(1, (((Fraction(1),),), ((Fraction(1),),))),
+        Fraction(1, 2),
+        None,
+    )
+)
+def test_relator_checks_match_fraction_products(case):
+    """The scaled images are the Fraction images, and each relator check
+    reports the Fraction product of its syllables, ok exactly when that
+    product is the identity."""
+    pres, rho, images, inverses = case
+    assert rho.mats == tuple(images) and rho.invs == tuple(inverses)
+    ident = frac_identity(rho.dim)
+    report = verify_factors(rho, pres)
+    expected_ok = []
+    for rel, check in zip(pres.relators, report.relators, strict=True):
+        expected = ident
+        for g, e in rel.flatten().syllables:
+            expected = mat_mul(expected, mat_pow(images[g] if e > 0 else inverses[g], abs(e), ident))
+        assert check.image == expected
+        assert check.ok == (expected == ident)
+        expected_ok.append(check.ok)
+    assert report.ok == all(expected_ok)
 
 
 @SUITE

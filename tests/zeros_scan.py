@@ -10,7 +10,10 @@ rule in the polynomial ring. So the two routes differ in how the residues
 mod p, the squarefree part, the multiplicity and the substitution are found;
 they share only the primitive integer form and the rational squarefree part.
 _horner and _deflate are the synthetic division that rational_roots used on
-descending lists.
+descending lists. _divide_linear and scan_rational_roots are the Fraction
+route of rational_roots, which tests each candidate zero by synthetic
+division by x - a over Fraction; rational_roots divides the integer form by
+q*x - s exactly.
 """
 
 from fractions import Fraction
@@ -35,6 +38,63 @@ def _deflate(coeffs: list, a: Fraction) -> list:
     for c in coeffs[1:-1]:
         out.append(c + a * out[-1])
     return out
+
+
+def _divide_linear(coeffs: list, a: Fraction) -> tuple[list, Fraction]:
+    """Quotient and remainder f(a) of an ascending coefficient list by
+    (x - a), by synthetic division from the top."""
+    acc = 0
+    quot = []
+    for c in reversed(coeffs):
+        acc = acc * a + c
+        quot.append(acc)
+    rem = quot.pop()
+    return quot[::-1], rem
+
+
+def _divisors_by_factoring(n: int) -> list[int]:
+    """The positive divisors of n != 0, from its factorization by trial
+    division."""
+    n = abs(n)
+    divisors = [1]
+    p = 2
+    while n > 1:
+        if p * p > n:
+            p = n
+        k = 0
+        while n % p == 0:
+            n //= p
+            k += 1
+        divisors = [d * p**i for d in divisors for i in range(k + 1)]
+        p += 1
+    return divisors
+
+
+def scan_rational_roots(f):
+    """rational_roots by Fraction synthetic division: every candidate
+    +-s/q, s dividing the constant and q the leading coefficient of the
+    primitive integer form, divided out while the remainder is 0."""
+    if f.is_zero():
+        raise IdenticallyZero("the zero polynomial vanishes everywhere")
+    coeffs = list(zpoly.primitive(f.form)[1])
+    if len(coeffs) == 1:
+        return []
+    candidates = {
+        Fraction(sign * s, q)
+        for s in _divisors_by_factoring(coeffs[0])
+        for q in _divisors_by_factoring(coeffs[-1])
+        for sign in (1, -1)
+    }
+    roots = []
+    for a in sorted(candidates):
+        mult = 0
+        quot, rem = _divide_linear(coeffs, a)
+        while rem == 0:
+            mult += 1
+            quot, rem = _divide_linear(quot, a)
+        if mult:
+            roots.append((a, mult))
+    return roots
 
 
 def _poly_mod(coeffs: list[int], x: int, mod: int) -> int:
