@@ -31,26 +31,22 @@ from .extensions import (
 )
 from .fitting import fitting_delta, zero_by_both_routes
 from .fox import Representation, alexander_matrix
-from .matrices import frac_inverse, freeze, integral_row, rank_nullspace, solve
+from .matrices import frac_inverse, freeze, integral_row, rank_nullspace, solve, to_scaled
 from .presentation import Presentation, validate_presentation
 from .scalars import Rational, unit_ball_check
 
 
 def coboundary_matrix(rho: SpecializedRep):
     """The stacked blocks rho(g_i) - I, one block per generator: the matrix
-    of v -> (values of the principal crossed homomorphism of v)."""
-    ell = rho.dim
-    rows = []
-    for M in rho.mats:
-        for r in range(ell):
-            rows.append(tuple(M[r][c] - (1 if r == c else 0) for c in range(ell)))
-    return freeze(rows)
+    of v -> (values of the principal crossed homomorphism of v), as the
+    Fraction view of _coboundary_rows."""
+    return tuple(tuple(Fraction(x, den) for x in row) for row, den in _coboundary_rows(rho))
 
 
 def _coboundary_rows(rho: SpecializedRep):
-    """The rows of coboundary_matrix, each block times its image's
-    denominator: integer rows with the same nullspace, and the
-    denominator of each row."""
+    """The blocks rho(g_i) - I, each block times its image's denominator:
+    integer rows with the same nullspace, and the denominator of each
+    row."""
     return [
         ([x - den * (r == c) for c, x in enumerate(row)], den)
         for rows, den in rho.scaled
@@ -163,7 +159,8 @@ def symmetric_square_cocycle(ext2: SpecializedRep) -> SymSquareReport:
     images = tuple(_sym_square_2x2(M) for M in ext2.mats)
     a = ext2.a
     coeff = tuple(freeze([row[:2] for row in S[:2]]) for S in images)
-    rho1 = SpecializedRep(ext2.pres, a, coeff, tuple(frac_inverse(M) for M in coeff))
+    inverses = tuple(to_scaled(frac_inverse(M)) for M in coeff)
+    rho1 = SpecializedRep(ext2.pres, a, tuple(map(to_scaled, coeff)), inverses)
     beta = CrossedHom(2, tuple((S[0][2], S[1][2]) for S in images))
     try:
         witness = is_coboundary(beta, rho1)
@@ -174,7 +171,7 @@ def symmetric_square_cocycle(ext2: SpecializedRep) -> SymSquareReport:
     return SymSquareReport(
         a=a,
         images=images,
-        coeff_images=rho1.mats,
+        coeff_images=coeff,
         beta=beta,
         trivial=witness is not None,
         witness=witness,

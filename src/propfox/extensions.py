@@ -25,7 +25,6 @@ from .matrices import (
     is_scaled_identity,
     lowest_terms,
     rank_nullspace,
-    to_scaled,
 )
 from .presentation import Presentation, Word
 from .scalars import Rational
@@ -86,24 +85,13 @@ class SpecializedRep:
     a^{alpha_i} phi(g_i) from specialize, or the block-triangular
     [[a^{alpha_i} phi(g_i), beta_i], [0, 1]] from build_extension.
 
-    The images are held as scaled matrices, integer rows over one positive
-    denominator in lowest terms (scaled and scaled_invs), which is what
-    word products, relator checks and the point eliminations read. mats
-    and invs are the same images as Fraction matrices: the ones passed in,
-    or built on first use for a representation made by from_scaled."""
+    The constructor takes the images as scaled matrices, integer rows
+    over one positive denominator in lowest terms (scaled and scaled_invs),
+    which is what word products, relator checks and the point eliminations
+    read. mats and invs are the same images as Fraction matrices, built on
+    first use."""
 
-    def __init__(self, pres: Presentation, a: Fraction, mats: tuple, invs: tuple):
-        self._hold(pres, a, tuple(map(to_scaled, mats)), tuple(map(to_scaled, invs)))
-        self.mats = mats
-        self.invs = invs
-
-    @classmethod
-    def from_scaled(cls, pres: Presentation, a: Fraction, scaled: tuple, scaled_invs: tuple):
-        rep = cls.__new__(cls)
-        rep._hold(pres, a, scaled, scaled_invs)
-        return rep
-
-    def _hold(self, pres, a, scaled, scaled_invs):
+    def __init__(self, pres: Presentation, a: Fraction, scaled: tuple, scaled_invs: tuple):
         self.pres = pres
         self.a = a
         self.scaled = scaled
@@ -141,12 +129,11 @@ def specialize(pres: Presentation, phi: Representation, a: Rational) -> Speciali
     a = _nonzero_point(a)
     _check_shape(pres, phi)
     n, d = a.numerator, a.denominator
-
-    def scaled(images, sign):
-        return tuple(_power_times(to_scaled(M), sign * e, n, d) for e, M in zip(pres.alpha, images))
-
+    mats, invs = phi.scaled
     # (a^e M)^-1 = a^-e M^-1, with M^-1 computed once per representation
-    return SpecializedRep.from_scaled(pres, a, scaled(phi.images, 1), scaled(phi.inverses, -1))
+    images = tuple(_power_times(S, e, n, d) for e, S in zip(pres.alpha, mats))
+    inverses = tuple(_power_times(S, -e, n, d) for e, S in zip(pres.alpha, invs))
+    return SpecializedRep(pres, a, images, inverses)
 
 
 @dataclass(frozen=True)
@@ -195,7 +182,7 @@ def _extend(rho: SpecializedRep, beta: CrossedHom) -> SpecializedRep:
                 inv_den * B,
             )
         )
-    return SpecializedRep.from_scaled(rho.pres, rho.a, tuple(mats), tuple(invs))
+    return SpecializedRep(rho.pres, rho.a, tuple(mats), tuple(invs))
 
 
 def _corner_column(ext: SpecializedRep, word: Word) -> tuple:

@@ -30,7 +30,6 @@ from . import zpoly
 from .errors import DivisionByZero, HypothesisViolated, ParseError, UnknownGenerator
 from .laurent import LaurentPoly
 from .matrices import (
-    frac_identity,
     frac_inverse,
     freeze,
     from_scaled,
@@ -64,6 +63,12 @@ class Representation:
     @cached_property
     def inverses(self) -> tuple:
         return tuple(frac_inverse(M) for M in self.images)
+
+    @cached_property
+    def scaled(self) -> tuple:
+        """(images, inverses) as scaled matrices, converted once: what
+        the Fox walk and specialization read."""
+        return tuple(map(to_scaled, self.images)), tuple(map(to_scaled, self.inverses))
 
     def is_trivial(self) -> bool:
         return self.dim == 1 and all(M[0][0] == 1 for M in self.images)
@@ -169,32 +174,29 @@ def evaluate_word(rep, word: Word):
     return from_scaled(scaled_image(rep, word))
 
 
-def _fox_pass(exps, mats, invs, word: Word) -> tuple[int, list]:
+def _fox_pass(exps, rep: Representation, word: Word) -> tuple[int, list]:
     """The derivatives of the word by every generator, in one walk over its
     letters, as (D, rows): dim rows of n_generators * dim maps from int
     exponents to int coefficients, some of them zero sums, all over the one
     denominator D, column block i holding the derivative by g_i. Generator
-    g_i maps to g^exps[i] (x) mats[i], and invs[i] is the inverse of
-    mats[i].
+    g_i maps to g^exps[i] (x) rep.images[i]; the walk reads both images and
+    inverses from rep.scaled, converted once per representation.
 
     The image of the prefix read so far is one graded pair g^k (x) P, with
     P a scaled-integer matrix (integer rows over one denominator). A letter
     g_j contributes +P at g^k to block j and then steps the pair to
-    g^(k + exps[j]) (x) P mats[j]; a letter g_j^-1 first steps the pair by
-    the inverse image and then contributes -P. When the denominator of P
+    g^(k + exps[j]) (x) P images[j]; a letter g_j^-1 first steps the pair
+    by the inverse image and then contributes -P. When the denominator of P
     does not divide D, every map is first brought to their lcm. Within a
     syllable whose image is the identity P stays fixed, so its letters add
     the same integers at exponents k, k + shift, ..."""
-    ell = len(mats[0]) if mats else 1
+    ell = rep.dim
+    mats, invs = rep.scaled
     rows = [[{} for _ in range(len(exps) * ell)] for _ in range(ell)]
-    one = to_scaled(frac_identity(ell))
-    steps = {}
+    one = scaled_identity(ell)
     P, D, k = one, 1, 0
     for j, e in word.syllables:
-        key = (j, e > 0)
-        if key not in steps:
-            steps[key] = to_scaled(mats[j] if e > 0 else invs[j])
-        step = steps[key]
+        step = mats[j] if e > 0 else invs[j]
         shift = exps[j] if e > 0 else -exps[j]
         sign = 1 if e > 0 else -1
         block = [row[j * ell:(j + 1) * ell] for row in rows]
@@ -276,7 +278,7 @@ def fox_derivative_matrix(pres: Presentation, phi: Representation, word: Word, g
     if not 0 <= gen < pres.n_generators:
         raise ValueError(f"no generator {gen}: the presentation has {pres.n_generators}")
     ell = phi.dim
-    D, rows = _fox_pass(pres.alpha, phi.images, phi.inverses, word)
+    D, rows = _fox_pass(pres.alpha, phi, word)
     return tuple(
         tuple(LaurentPoly.from_form(_dense(cell, 1, 1), D) for cell in row[gen * ell:(gen + 1) * ell])
         for row in rows
@@ -357,8 +359,9 @@ class AlexanderMatrix:
 def alexander_matrix(pres: Presentation, rep: Representation | None = None) -> AlexanderMatrix:
     """Differentiate every relator (flattened to left * right^-1) by every
     generator under the weighted tensor representation. The hypotheses are
-    checked on every call; the matrix itself is built once per equal
-    (presentation, representation) pair and shared by every later call."""
+    checked on every call, against the report kept on the presentation; the
+    matrix itself is built once per equal (presentation, representation)
+    pair and shared by every later call."""
     report = validate_presentation(pres)
     if not report.ok:
         raise HypothesisViolated("; ".join(report.failures))
@@ -376,10 +379,9 @@ def _relation_matrix(pres: Presentation, rep: Representation) -> AlexanderMatrix
     common denominator of the whole matrix is then L = lcm(D_j), and
     relator j's maps are scaled by L / D_j."""
     _check_shape(pres, rep)
-    invs = rep.inverses
     passes = []
     for rel in pres.relators:
-        D, rows = _fox_pass(pres.alpha, rep.images, invs, rel.flatten())
+        D, rows = _fox_pass(pres.alpha, rep, rel.flatten())
         passes.append((*_least_denominator(D, rows), rows))
     L = lcm(1, *(D for D, _, _ in passes))
     return AlexanderMatrix(

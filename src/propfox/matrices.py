@@ -105,7 +105,7 @@ def scaled_pow(A, n: int):
 
 
 def scaled_identity(n: int):
-    return [[int(i == j) for j in range(n)] for i in range(n)], 1
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1
 
 
 def is_scaled_identity(A) -> bool:

@@ -76,6 +76,9 @@ def reduce_syllables(sylls) -> tuple[tuple[int, int], ...]:
 
 @dataclass(frozen=True)
 class Word:
+    """A reduced word: products and powers assume their operands are, and
+    Word.of reduces any sequence of syllables."""
+
     syllables: tuple[tuple[int, int], ...] = ()
 
     @staticmethod
@@ -86,7 +89,17 @@ class Word:
         return not self.syllables
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word(reduce_syllables(self.syllables + other.syllables))
+        """The reduced product. Both words are reduced, so only the
+        junction can merge or cancel: walk back from it while the facing
+        syllables share a generator."""
+        a, b = self.syllables, other.syllables
+        i, j = len(a), 0
+        while i and j < len(b) and a[i - 1][0] == b[j][0]:
+            e = a[i - 1][1] + b[j][1]
+            if e:
+                return Word(a[:i - 1] + ((b[j][0], e),) + b[j + 1:])
+            i, j = i - 1, j + 1
+        return Word(a[:i] + b[j:])
 
     def inverse(self) -> "Word":
         return Word(tuple((g, -e) for g, e in reversed(self.syllables)))
@@ -141,6 +154,10 @@ class Presentation:
     def n_generators(self) -> int:
         return len(self.generators)
 
+    @cached_property
+    def _validation(self) -> "ValidationReport":
+        return _validate(self)
+
 
 def total_degree(word: Word, pres: Presentation) -> int:
     """Image of the word under the exponent weighting: sum of alpha_i * e."""
@@ -157,7 +174,12 @@ class ValidationReport:
 
 def validate_presentation(pres: Presentation) -> ValidationReport:
     """Check the hypotheses the matrix theory needs: every generator weight
-    is 1 and every relator has total degree 0. Reports, never raises."""
+    is 1 and every relator has total degree 0. Reports, never raises; the
+    report is computed once per presentation and kept on it."""
+    return pres._validation
+
+
+def _validate(pres: Presentation) -> ValidationReport:
     failures: list[str] = []
     alpha_ok = all(e == 1 for e in pres.alpha)
     if not alpha_ok:

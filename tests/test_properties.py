@@ -21,6 +21,7 @@ from propfox import (
     Word,
     alexander_matrix,
     build_extension,
+    coboundary_matrix,
     evaluate_cocycle,
     evaluate_word,
     extension_count_criterion,
@@ -48,7 +49,7 @@ from propfox import corpus, fitting, modp, zpoly
 from propfox.extensions import mat_vec
 from propfox.fox import AlexanderMatrix, _relation_matrix
 from propfox.matrices import frac_identity, freeze, mat_mul, rank_nullspace
-from propfox.presentation import _is_prime
+from propfox.presentation import _is_prime, reduce_syllables
 from propfox.zeros import _squarefree_part, _taylor_shift, _zp_roots
 
 import fitting_oracle
@@ -113,6 +114,30 @@ def _mat_add(A, B):
 @given(words, words, words)
 def test_word_associativity(u, v, w):
     assert (u * v) * w == u * (v * w)
+
+
+@st.composite
+def junction_pairs(draw):
+    """Reduced words (u, v) that meet at a busy junction: v opens with the
+    inverse of the last k syllables of u (all of them is w * w^-1), often
+    followed by a syllable on the generator that exposes, which merges or
+    cancels in part, and then by a random tail."""
+    s = draw(words).syllables
+    k = draw(st.integers(min_value=0, max_value=len(s)))
+    head = [(g, -e) for g, e in reversed(s[len(s) - k:])]
+    if k < len(s) and draw(st.booleans()):
+        head.append((s[len(s) - k - 1][0], draw(st.integers(min_value=-3, max_value=3).filter(bool))))
+    return Word(s), Word.of(head + draw(st.lists(syllables, max_size=6)))
+
+
+@SUITE
+@given(junction_pairs())
+@example((Word.of([(0, 2), (1, -1)]), Word.of([(1, 1), (0, -2)])))
+@example((Word.of([(0, 2), (1, -1)]), Word.of([(1, 1), (0, -1), (2, 1)])))
+def test_word_product_reduces_at_the_junction(pair):
+    u, v = pair
+    assert u * v == Word(reduce_syllables(u.syllables + v.syllables))
+    assert u * u.inverse() == Word() == u.inverse() * u
 
 
 @SUITE
@@ -1018,12 +1043,16 @@ def point_candidates(draw):
     )
 )
 def test_relator_checks_match_fraction_products(case):
-    """The scaled images are the Fraction images, and each relator check
-    reports the Fraction product of its syllables, ok exactly when that
-    product is the identity."""
+    """The scaled images are the Fraction images, the coboundary view is
+    their blocks minus I, and each relator check reports the Fraction
+    product of its syllables, ok exactly when that product is the
+    identity."""
     pres, rho, images, inverses = case
     assert rho.mats == tuple(images) and rho.invs == tuple(inverses)
     ident = frac_identity(rho.dim)
+    assert coboundary_matrix(rho) == tuple(
+        tuple(x - y for x, y in zip(row, unit)) for M in images for row, unit in zip(M, ident)
+    )
     report = verify_factors(rho, pres)
     expected_ok = []
     for rel, check in zip(pres.relators, report.relators, strict=True):
