@@ -30,6 +30,7 @@ from .errors import (
     GoldenMismatch,
     HypothesisViolated,
     IdenticallyZero,
+    InputTooLarge,
     NotACocycle,
     NotAUnit,
     NotInvertible,
@@ -469,6 +470,9 @@ def main(argv=None) -> int:
         return 2
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return 2
+    except InputTooLarge as exc:
+        print(f"input too large: {exc}", file=sys.stderr)
         return 2
     except HypothesisViolated as exc:
         print(f"hypothesis violated: {exc}", file=sys.stderr)

@@ -74,6 +74,11 @@ class GoldenMismatch(PropfoxError):
     expectation."""
 
 
+class InputTooLarge(PropfoxError):
+    """A short input asks for more than a bound in propfox.scalars allows:
+    a relation matrix spanning more than MAX_MATRIX_SPAN coefficients."""
+
+
 class UsageError(PropfoxError):
     """Bad command-line usage (unknown flag, missing argument, bad number)."""
 

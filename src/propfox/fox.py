@@ -9,6 +9,16 @@ graded pair g^k (x) P with P rational: one walk over a word's letters gives
 its derivatives by every generator, with one matrix product per letter and
 no Laurent multiplication.
 
+The walk and every word image read the word's runs (Word.runs): blocks of
+at most 8 syllables, each repeated count times. A word image raises each
+block's product to its count by squaring. The walk reads a run's block
+once when the block's image is exactly the identity, since P then comes
+back to itself after every copy, and adds each contribution at every
+copy's offset (the block's degree apart, or times count when that degree
+is 0). A syllable whose image is the identity is the one-syllable case, a
+run of |e| copies of one letter. So a power (x1*x0^-1)^n costs the walk
+one block, not n, whenever phi(x1) = phi(x0).
+
 The walk runs on integers throughout. P is a scaled-integer matrix (integer
 rows over one denominator), and each coefficient gathers in a sparse map
 from exponents to integers over one running denominator per relator. The
@@ -27,19 +37,26 @@ from functools import cached_property, lru_cache
 from math import gcd, lcm
 
 from . import zpoly
-from .errors import DivisionByZero, HypothesisViolated, ParseError, UnknownGenerator
+from .errors import (
+    DivisionByZero,
+    HypothesisViolated,
+    InputTooLarge,
+    ParseError,
+    UnknownGenerator,
+)
 from .laurent import LaurentPoly
 from .matrices import (
     frac_inverse,
     freeze,
     from_scaled,
+    is_scaled_identity,
     scaled_identity,
     scaled_mul,
     scaled_pow,
     to_scaled,
 )
 from .presentation import Presentation, Word, validate_presentation
-from .scalars import Rational, parse_int, parse_rational
+from .scalars import MAX_MATRIX_SPAN, Rational, parse_int, parse_rational
 from .zpoly import ZERO, value_at
 
 
@@ -54,6 +71,15 @@ class Representation:
         for M in self.images:
             if len(M) != self.dim or any(len(row) != self.dim for row in M):
                 raise ValueError("representation matrix has the wrong shape")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # hashing reads every Fraction image; the relation-matrix memo
+        # hashes the representation on every call
+        return hash((self.dim, self.images))
 
     @staticmethod
     def trivial(n_generators: int) -> "Representation":
@@ -152,19 +178,35 @@ def format_representation(rep: Representation, pres: Presentation) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _product(mats, invs, sylls, powers: dict):
+    """The scaled product of the syllable images mats[g]^e, with invs[g]^-e
+    for e < 0, each distinct syllable power computed once per powers dict;
+    None for no syllables."""
+    acc = None
+    for g, e in sylls:
+        power = powers.get((g, e))
+        if power is None:
+            power = powers[g, e] = scaled_pow(mats[g] if e > 0 else invs[g], abs(e))
+        acc = power if acc is None else scaled_mul(acc, power)
+    return acc
+
+
 def scaled_image(rep, word: Word):
     """Image of a word under a SpecializedRep, as a scaled matrix in lowest
-    terms: the explicit product of its syllable images rep.scaled[g]^e,
-    with rep.scaled_invs[g] for e < 0, each distinct syllable power computed
+    terms, read off the word's runs (Word.runs): the product of each
+    block's syllable images rep.scaled[g]^e (rep.scaled_invs[g] for e < 0)
+    is raised to the run's count by squaring, and the runs' images are
+    multiplied in order. Every product is in lowest terms, so this is the
+    one scaled matrix of the syllable-by-syllable product, at a cost of
+    O(blocks * log count) products, each distinct syllable power computed
     once per call."""
     powers = {}
     acc = None
-    for g, e in word.syllables:
-        power = powers.get((g, e))
-        if power is None:
-            image = rep.scaled[g] if e > 0 else rep.scaled_invs[g]
-            power = powers[g, e] = scaled_pow(image, abs(e))
-        acc = power if acc is None else scaled_mul(acc, power)
+    for block, count in word.runs:
+        image = _product(rep.scaled, rep.scaled_invs, block, powers)
+        if count > 1:
+            image = scaled_pow(image, count)
+        acc = image if acc is None else scaled_mul(acc, image)
     return scaled_identity(rep.dim) if acc is None else acc
 
 
@@ -187,39 +229,70 @@ def _fox_pass(exps, rep: Representation, word: Word) -> tuple[int, list]:
     g_j contributes +P at g^k to block j and then steps the pair to
     g^(k + exps[j]) (x) P images[j]; a letter g_j^-1 first steps the pair
     by the inverse image and then contributes -P. When the denominator of P
-    does not divide D, every map is first brought to their lcm. Within a
-    syllable whose image is the identity P stays fixed, so its letters add
-    the same integers at exponents k, k + shift, ..."""
+    does not divide D, every map is first brought to their lcm.
+
+    The walk reads the word's runs (Word.runs): blocks of at most
+    presentation._RUN_BLOCK syllables, each repeated count times. A
+    syllable g_j^e is in turn a run of |e| copies of one letter. When the
+    image of a run's unit (the product of its block's steps, or the
+    letter's step) is exactly the identity, P returns to itself after every
+    copy, so the walk reads the unit once and adds each contribution at
+    every copy's offset: s apart for the unit's degree shift s, or once
+    with its coefficient times count when s = 0. Any other run is walked
+    copy by copy."""
     ell = rep.dim
     mats, invs = rep.scaled
     rows = [[{} for _ in range(len(exps) * ell)] for _ in range(ell)]
+    cols = [[row[j * ell:(j + 1) * ell] for row in rows] for j in range(len(exps))]
     one = scaled_identity(ell)
+    fixed = [M == one for M in mats]
     P, D, k = one, 1, 0
-    for j, e in word.syllables:
-        step = mats[j] if e > 0 else invs[j]
-        shift = exps[j] if e > 0 else -exps[j]
-        sign = 1 if e > 0 else -1
-        block = [row[j * ell:(j + 1) * ell] for row in rows]
-        if step == one:
-            D = _rescale(rows, D, P[1])
-            f = sign * D // P[1]
-            if shift:
-                first = k if e > 0 else k + shift
-                _add_image(P, block, f, range(first, first + abs(e) * shift, shift))
-            else:
-                _add_image(P, block, f * abs(e), (k,))
-            k += shift * abs(e)
-            continue
-        for _ in range(abs(e)):
-            if e < 0:
-                P = scaled_mul(P, step)
-                k += shift
-            D = _rescale(rows, D, P[1])
-            _add_image(P, block, sign * D // P[1], (k,))
-            if e > 0:
-                P = scaled_mul(P, step)
-                k += shift
+    for block, count in word.runs:
+        walks, times, offs, stride = count, 1, _ONCE, 0
+        if count > 1 and is_scaled_identity(_product(mats, invs, block, {})):
+            stride = sum(exps[j] * e for j, e in block)
+            walks, (times, offs) = 1, _copies(times, offs, count, stride)
+        for _ in range(walks):
+            for j, e in block:
+                step, shift, sign = (mats[j], exps[j], 1) if e > 0 else (invs[j], -exps[j], -1)
+                letters, t, o = abs(e), times, offs
+                if fixed[j] and letters > 1:
+                    letters, (t, o) = 1, _copies(times, offs, letters, shift)
+                for _ in range(letters):
+                    if e < 0:
+                        P = P if fixed[j] else scaled_mul(P, step)
+                        k += shift
+                    D = _rescale(rows, D, P[1])
+                    _add_image(P, cols[j], sign * t * D // P[1], k, o)
+                    if e > 0:
+                        P = P if fixed[j] else scaled_mul(P, step)
+                        k += shift
+                k += shift * (abs(e) - letters)
+        k += stride * (count - walks)
     return D, rows
+
+
+# the offsets of a unit walked once: the one range {0}
+_ONCE = (range(1),)
+
+
+def _copies(times: int, offs, count: int, stride: int) -> tuple:
+    """(times, offs) for count copies, stride apart, of a unit whose
+    contributions are each added times times at every offset in the ranges
+    of offs. With stride 0 the copies land on the same exponents, so only
+    the factor grows. Otherwise each range is copied count times, or each
+    of its offsets widened to a range of count, whichever makes fewer
+    ranges: a syllable replicated inside a replicated block holds the
+    smaller of the two counts, never their product."""
+    if not stride:
+        return times * count, offs
+    out = []
+    for r in offs:
+        if len(r) < count:
+            out += [range(o, o + count * stride, stride) for o in r]
+        else:
+            out += [range(r.start + c * stride, r.stop + c * stride, r.step) for c in range(count)]
+    return times, out
 
 
 def _rescale(rows, D: int, den: int) -> int:
@@ -234,15 +307,16 @@ def _rescale(rows, D: int, den: int) -> int:
     return D * m
 
 
-def _add_image(P, block, f: int, ks) -> None:
-    """Add f times each entry of the scaled matrix P at every exponent of
-    ks to the matching map of block."""
+def _add_image(P, block, f: int, k: int, offs) -> None:
+    """Add f times each entry of the scaled matrix P at every exponent
+    k + o, for o in the ranges of offs, to the matching map of block."""
     for Pr, cells in zip(P[0], block):
         for x, cell in zip(Pr, cells):
             if x:
                 v = x * f
-                for t in ks:
-                    cell[t] = cell.get(t, 0) + v
+                for r in offs:
+                    for t in range(r.start + k, r.stop + k, r.step):
+                        cell[t] = cell.get(t, 0) + v
 
 
 def _least_denominator(D: int, rows) -> tuple[int, int]:
@@ -271,12 +345,42 @@ def _check_shape(pres: Presentation, phi: Representation) -> None:
         raise ValueError("representation does not match the generator count")
 
 
+def _degree_range(alpha, word: Word) -> tuple[int, int]:
+    """The least and greatest prefix degree of the word (0 for the empty
+    prefix), read off its runs: a run's copies repeat one block's prefix
+    degrees, each copy shifted by the block's degree."""
+    lo = hi = k = 0
+    for block, count in word.runs:
+        b_lo = b_hi = t = 0
+        for g, e in block:
+            t += alpha[g] * e
+            b_lo, b_hi = min(b_lo, t), max(b_hi, t)
+        rest = t * (count - 1)
+        lo, hi = min(lo, k + b_lo + min(0, rest)), max(hi, k + b_hi + max(0, rest))
+        k += t * count
+    return lo, hi
+
+
+def _check_span(alpha, words, n_generators: int, dim: int) -> None:
+    """Refuse a Fox pass whose derivatives could hold more than
+    MAX_MATRIX_SPAN coefficients: each word's entries lie between its least
+    and greatest prefix degree, and there are n_generators * dim^2 of them."""
+    degrees = sum(hi - lo + 1 for lo, hi in (_degree_range(alpha, w) for w in words))
+    span = n_generators * dim * dim * degrees
+    if span > MAX_MATRIX_SPAN:
+        raise InputTooLarge(
+            f"the relation matrix spans {span} coefficients: "
+            f"the limit is {MAX_MATRIX_SPAN} (scalars.MAX_MATRIX_SPAN)"
+        )
+
+
 def fox_derivative_matrix(pres: Presentation, phi: Representation, word: Word, gen: int):
     """Derivative of the word with respect to generator `gen`, pushed through
     g^alpha (x) phi: a dim x dim matrix over the Laurent ring."""
     _check_shape(pres, phi)
     if not 0 <= gen < pres.n_generators:
         raise ValueError(f"no generator {gen}: the presentation has {pres.n_generators}")
+    _check_span(pres.alpha, (word,), pres.n_generators, phi.dim)
     ell = phi.dim
     D, rows = _fox_pass(pres.alpha, phi, word)
     return tuple(
@@ -302,6 +406,16 @@ class AlexanderMatrix:
     n_generators: int
     block_dim: int
     prime: int
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # the fitting_delta memo hashes its matrix on every call
+        return hash(
+            (self.scale, self.rows, self.n_relators, self.n_generators, self.block_dim, self.prime)
+        )
 
     @staticmethod
     def from_entries(
@@ -377,11 +491,14 @@ def _relation_matrix(pres: Presentation, rep: Representation) -> AlexanderMatrix
 
     Each relator's pass is reduced to its least denominator D_j; the least
     common denominator of the whole matrix is then L = lcm(D_j), and
-    relator j's maps are scaled by L / D_j."""
+    relator j's maps are scaled by L / D_j. Nothing is built when the
+    matrix would span more than MAX_MATRIX_SPAN coefficients."""
     _check_shape(pres, rep)
+    words = tuple(rel.flatten() for rel in pres.relators)
+    _check_span(pres.alpha, words, pres.n_generators, rep.dim)
     passes = []
-    for rel in pres.relators:
-        D, rows = _fox_pass(pres.alpha, rep, rel.flatten())
+    for word in words:
+        D, rows = _fox_pass(pres.alpha, rep, word)
         passes.append((*_least_denominator(D, rows), rows))
     L = lcm(1, *(D for D, _, _ in passes))
     return AlexanderMatrix(

@@ -30,6 +30,9 @@ from .errors import DuplicateGenerator, ParseError, UnknownGenerator, ZeroExpone
 from .scalars import parse_int
 
 _EXP_LIMIT = 2 ** 63
+# The longest block Word.runs repeats: enough for the commutators of powers
+# of two-syllable words that the Iwasawa-theoretic examples are built from.
+_RUN_BLOCK = 8
 _PRIME_LIMIT = 2 ** 64
 # The first twelve primes as Miller-Rabin bases decide primality exactly for
 # every n < 3.3 * 10^24, well past _PRIME_LIMIT.
@@ -77,7 +80,11 @@ def reduce_syllables(sylls) -> tuple[tuple[int, int], ...]:
 @dataclass(frozen=True)
 class Word:
     """A reduced word: products and powers assume their operands are, and
-    Word.of reduces any sequence of syllables."""
+    Word.of reduces any sequence of syllables.
+
+    runs, computed once per word, compresses the syllables into repeated
+    blocks of at most _RUN_BLOCK syllables; the Fox walk and every word
+    image read it, so a power w^n costs them one block, not n copies."""
 
     syllables: tuple[tuple[int, int], ...] = ()
 
@@ -122,6 +129,46 @@ class Word:
     def letter_length(self) -> int:
         return sum(abs(e) for _, e in self.syllables)
 
+    @cached_property
+    def runs(self) -> tuple[tuple[tuple[tuple[int, int], ...], int], ...]:
+        """The syllables as (block, count) pairs: each block repeated count
+        times, in order, gives back the syllables. Greedy: at each position
+        take the block of at most _RUN_BLOCK syllables whose consecutive
+        copies cover the most syllables, the shortest on a tie. A block
+        that does not repeat counts as covering one syllable, so a syllable
+        with no repeat is its own run and cannot swallow the start of the
+        next run.
+
+        The period-L stretch from i is found by matching s[j] against
+        s[j + L]; each scan stops within the syllables the chosen run
+        covers, so the decomposition costs O(_RUN_BLOCK * syllables)
+        comparisons. When L divides L' and the period-L stretch already
+        holds L' syllables, the period-L' stretch ends where it does and
+        covers no more, so it is not scanned again: a run of a two-syllable
+        block is read once, not four times."""
+        s = self.syllables
+        n = len(s)
+        out = []
+        i = 0
+        while i < n:
+            best, copies = 1, 1
+            stretches = []  # (L, length of the period-L stretch from i)
+            for L in range(1, min(_RUN_BLOCK, (n - i) // 2) + 1):
+                if s[i] != s[i + L]:
+                    continue
+                m = next((m for d, m in stretches if not L % d and m >= L), None)
+                if m is None:
+                    j = i
+                    while j + L < n and s[j] == s[j + L]:
+                        j += 1
+                    m = j - i + L
+                    stretches.append((L, m))
+                if m >= 2 * L and m // L * L > best * copies:
+                    best, copies = L, m // L
+            out.append((s[i:i + best], copies))
+            i += best * copies
+        return tuple(out)
+
 
 @dataclass(frozen=True)
 class Relator:
@@ -153,6 +200,17 @@ class Presentation:
     @property
     def n_generators(self) -> int:
         return len(self.generators)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # every relation-matrix memo lookup hashes the presentation, and
+        # hashing reads every syllable, so it is computed once. It reads
+        # only integers: str hashes differ between processes, and a cached
+        # hash travels with a pickled presentation.
+        return hash((self.prime, len(self.generators), self.relators, self.alpha))
 
     @cached_property
     def _validation(self) -> "ValidationReport":

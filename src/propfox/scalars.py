@@ -22,6 +22,11 @@ MAX_LITERAL_DIGITS = 4300
 # in the modulus's size, so prec * p.bit_length() is bounded
 MAX_MODULUS_BITS = 2**17
 
+# the Fox pass stores every coefficient of the relation matrix, and a short
+# relator such as a^N*b^-N spans N exponents, so the number of coefficients
+# the matrix can span is bounded before anything is built
+MAX_MATRIX_SPAN = 2**22
+
 
 def parse_int(text: str) -> int:
     """int(text) for an input literal of at most MAX_LITERAL_DIGITS digits."""

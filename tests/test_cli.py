@@ -219,6 +219,39 @@ def test_exit_codes(capsys, tmp_path):
     assert code == 1
 
 
+def test_a_relation_matrix_past_the_span_bound_is_refused(tmp_path):
+    """a^10^7 * b^-10^7, a 54-byte file, spans 2 * (10^7 + 1) coefficients:
+    an input error naming the bound, before any of them is built, where
+    the unbounded pass ran out of memory."""
+    path = tmp_path / "long.pres"
+    path.write_text("prime 3\ngenerators a b\nrelator a^10000000*b^-10000000\n")
+    proc = run_cli_process("delta", str(path), "--d", "1", timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr == (
+        b"input too large: the relation matrix spans 20000002 coefficients: "
+        b"the limit is 4194304 (scalars.MAX_MATRIX_SPAN)\n"
+    )
+
+
+# extend --at -1 --json on the 200,000-fold commutator below, with the file
+# path replaced by PROBE, as the syllable-by-syllable word products gave it
+LONG_COMMUTATOR_EXTEND_SHA256 = "5312c9e62b1352bbe878e53b2b2367015ad65129a83f1799b59ffd6b1243308e"
+
+
+def test_extend_on_a_long_commutator_keeps_its_bytes(tmp_path, capsys):
+    path = tmp_path / "commutator.pres"
+    path.write_text(
+        "prime 3\ngenerators x0 x1\n"
+        "relator x0^4*x1^-4\nrelator x0^6*x1^-6\nrelator [x0^2,(x1*x0^-1)^200000]\n"
+    )
+    code, out, err = run_cli(capsys, "extend", str(path), "--at", "-1", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["results"]["sample"]["verified"] is True
+    digest = hashlib.sha256(out.replace(str(path), "PROBE").encode()).hexdigest()
+    assert digest == LONG_COMMUTATOR_EXTEND_SHA256
+
+
 def test_oversized_prime_is_a_parse_error(tmp_path):
     """A 401-digit prime is refused by the 2^64 bound, not by a float
     overflow in the primality test."""

@@ -20,6 +20,7 @@ from propfox import (
     specialize,
     verify_factors,
 )
+from propfox import fox, matrices
 from propfox.extensions import mat_vec
 
 
@@ -191,3 +192,28 @@ def test_verify_factors_on_long_powers_is_fast():
     elapsed = time.perf_counter() - start
     assert report.ok
     assert elapsed < 2.0
+
+
+def test_verify_factors_on_a_long_commutator_makes_logarithmically_many_products(monkeypatch):
+    """The relator [x0^2, (x1*x0^-1)^n] with n = 200,000 has 4n syllables
+    in two runs of a two-syllable block, so its image takes O(log n)
+    scaled products, counted here, where one product per syllable took
+    about 4n."""
+    n = 200_000
+    pres = parse_presentation(
+        "prime 3\ngenerators x0 x1\n"
+        f"relator x0^4*x1^-4\nrelator x0^6*x1^-6\nrelator [x0^2,(x1*x0^-1)^{n}]\n"
+    )
+    cand = build_extension(pres, Representation.trivial(2), Fraction(-1), hom1(1, 0))
+    calls = 0
+    product = matrices.scaled_mul
+
+    def counted(A, B):
+        nonlocal calls
+        calls += 1
+        return product(A, B)
+
+    monkeypatch.setattr(matrices, "scaled_mul", counted)
+    monkeypatch.setattr(fox, "scaled_mul", counted)
+    assert verify_factors(cand, pres).ok
+    assert 0 < calls <= 8 * n.bit_length()

@@ -17,7 +17,8 @@ from propfox import (
     parse_word,
 )
 from propfox import LaurentPoly, alexander_matrix, corpus
-from propfox.fox import _relation_matrix
+from propfox.errors import InputTooLarge
+from propfox.fox import _check_span, _degree_range, _relation_matrix
 from propfox.matrices import frac_identity, freeze, mat_mul
 
 from laurent_fox import (
@@ -166,6 +167,42 @@ def test_alexander_matrix_raises_on_every_call(relation_memo):
         with pytest.raises(HypothesisViolated):
             alexander_matrix(bad)
     assert relation_memo.cache_info().misses == 0
+
+
+def test_equal_objects_built_separately_compare_and_hash_equal():
+    """Presentation, Representation and AlexanderMatrix keep their hash
+    after the first call; objects built apart from the same text still
+    compare and hash equal, and a different one compares unequal."""
+    text = "prime 3\ngenerators a b\nrelator [a^2,(b*a^-1)^5]\nrelator a^3*b^-3\n"
+    rep_text = "dim 2\nmatrix a\n4 1\n0 1\nmatrix b\n4 1/2\n0 1\n"
+    built = []
+    for _ in range(2):
+        pres = parse_presentation(text)
+        rep = parse_representation(rep_text, pres)
+        built.append((pres, rep, _relation_matrix.__wrapped__(pres, rep)))
+    for first, second in zip(*built):
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        assert hash(first) == hash(first) == vars(first)["_hash"]
+    other = parse_presentation(text.replace("a^3*b^-3", "a^4*b^-4"))
+    assert other != built[0][0]
+
+
+def test_the_span_bound_admits_a_million_and_refuses_ten_million():
+    """The span is read off each relator's least and greatest prefix
+    degree: a^N * b^-N spans N + 1 exponents in each of its 2 entries.
+    alexander_matrix and fox_derivative_matrix both refuse N = 10^7."""
+    for n, ok in ((1_000_000, True), (10_000_000, False)):
+        pres = parse_presentation(f"prime 3\ngenerators a b\nrelator a^{n}*b^-{n}\n")
+        word = pres.relators[0].flatten()
+        assert _degree_range(pres.alpha, word) == (0, n)
+        if ok:
+            _check_span(pres.alpha, (word,), 2, 1)
+            continue
+        with pytest.raises(InputTooLarge, match="spans 20000002 coefficients: the limit is 4194304"):
+            alexander_matrix(pres)
+        with pytest.raises(InputTooLarge):
+            fox_derivative_matrix(pres, Representation.trivial(2), word, 0)
 
 
 def test_alexander_matrix_default_rep_is_the_trivial_one(eg41):

@@ -47,9 +47,9 @@ from propfox import (
 )
 from propfox import corpus, fitting, modp, zpoly
 from propfox.extensions import mat_vec
-from propfox.fox import AlexanderMatrix, _relation_matrix
+from propfox.fox import AlexanderMatrix, _degree_range, _relation_matrix, scaled_image
 from propfox.matrices import frac_identity, freeze, mat_mul, rank_nullspace
-from propfox.presentation import _is_prime, reduce_syllables
+from propfox.presentation import _RUN_BLOCK, _is_prime, reduce_syllables
 from propfox.zeros import _squarefree_part, _taylor_shift, _zp_roots
 
 import fitting_oracle
@@ -65,6 +65,7 @@ from laurent_fox import (
 )
 from laurent_oracle import integer_matrix, oracle
 from matrices_oracle import oracle_inverse, oracle_rank_nullspace
+from words_oracle import syllable_scaled_image
 from zeros_scan import (
     _compose_affine,
     _deflate,
@@ -442,7 +443,7 @@ def test_geometric_sum_matches_direct(n):
     )
 )
 def test_delta_chain_divides(rows):
-    from propfox.fox import AlexanderMatrix, _relation_matrix
+    from propfox.fox import AlexanderMatrix, _degree_range, _relation_matrix, scaled_image
 
     Q = AlexanderMatrix.from_entries(
         entries=tuple(tuple(r) for r in rows),
@@ -1063,6 +1064,101 @@ def test_relator_checks_match_fraction_products(case):
         assert check.ok == (expected == ident)
         expected_ok.append(check.ok)
     assert report.ok == all(expected_ok)
+
+
+# -- words by runs of a repeated block ---------------------------------------
+
+
+@st.composite
+def powered_words(draw):
+    """u * w^n * v with short u and v, a core w of two to four syllables,
+    often conjugated (x * c * x^-1, whose power is x * c^n * x^-1), and
+    0 < |n| <= 60."""
+    core = draw(st.lists(syllables, min_size=2, max_size=4).map(Word.of))
+    if draw(st.booleans()):
+        x = draw(words)
+        core = x * core * x.inverse()
+    n = draw(st.integers(min_value=-60, max_value=60).filter(bool))
+    return draw(words) * core**n * draw(words)
+
+
+@SUITE
+@given(
+    st.one_of(words, powered_words(), st.tuples(powered_words(), powered_words())),
+    st.tuples(*[st.integers(min_value=-3, max_value=3)] * 3),
+)
+@example(parse_word("[x0^2,(x1*x0^-1)^9]", ("x0", "x1", "x2")), (1, 1, 1))
+def test_runs_expand_to_the_syllables(w, alpha):
+    """Expanding the runs gives back the syllables, in blocks of at most
+    _RUN_BLOCK syllables, and the degree range read off the runs is that
+    of the syllable-by-syllable prefix walk."""
+    if isinstance(w, tuple):
+        w = w[0] * w[1]
+    expanded = tuple(syll for block, count in w.runs for _ in range(count) for syll in block)
+    assert expanded == w.syllables
+    for block, count in w.runs:
+        assert 1 <= len(block) <= _RUN_BLOCK and count >= 1
+        # a block that does not repeat is a single syllable
+        assert count > 1 or len(block) == 1
+    degrees = [0]
+    for g, e in w.syllables:
+        degrees.append(degrees[-1] + alpha[g] * e)
+    assert _degree_range(alpha, w) == (min(degrees), max(degrees))
+
+
+@SUITE
+@given(point_reps(), powered_words())
+def test_scaled_image_matches_the_syllable_product(rho, w):
+    assert scaled_image(rho, w) == syllable_scaled_image(rho, w)
+
+
+@st.composite
+def powered_block_presentations(draw):
+    """Three generators a, b, c and one or two relators u * w^n * v with
+    0 < |n| <= 12. phi(b) is phi(a)^-1, phi(a) or a random image, and
+    phi(c) is I or a random image; a block a^e b^e, a^e b^-e, a^e c^f b^e
+    or a random one of two to four syllables then often has the identity
+    image, with an identity syllable inside when phi(c) = I. The weights
+    give blocks of zero and of nonzero degree."""
+    ell = draw(st.sampled_from([1, 2]))
+    entries = st.lists(small_fractions, min_size=ell * ell, max_size=ell * ell)
+    invertible = entries.map(lambda xs: freeze([xs[r * ell:(r + 1) * ell] for r in range(ell)])).filter(
+        lambda M: (M[0][0] if ell == 1 else M[0][0] * M[1][1] - M[0][1] * M[1][0]) != 0
+    )
+    A = draw(invertible)
+    B = draw(st.sampled_from([oracle_inverse(A), A, draw(invertible)]))
+    C = draw(st.sampled_from([frac_identity(ell), draw(invertible)]))
+    alpha_a = draw(st.sampled_from([1, -1, 2]))
+    alpha = (alpha_a, draw(st.sampled_from([alpha_a, -alpha_a, 1])), draw(st.sampled_from([1, 0, -2])))
+    relators = []
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        e = draw(st.sampled_from([1, -1, 2]))
+        f = draw(st.sampled_from([1, -2]))
+        block = draw(
+            st.sampled_from(
+                [
+                    Word(((0, e), (1, e))),
+                    Word(((0, e), (1, -e))),
+                    Word(((0, e), (2, f), (1, e))),
+                    draw(st.lists(syllables, min_size=2, max_size=4).map(Word.of)),
+                ]
+            )
+        )
+        n = draw(st.integers(min_value=-12, max_value=12).filter(bool))
+        relators.append(Relator(draw(words) * block**n * draw(words), draw(words)))
+    return Presentation(3, ("a", "b", "c"), tuple(relators), alpha), Representation(ell, (A, B, C))
+
+
+@SUITE
+@given(powered_block_presentations())
+def test_relation_matrix_with_powered_blocks_matches_the_fraction_pass(case):
+    pres, rep = case
+    Q = _relation_matrix.__wrapped__(pres, rep)
+    assert Q.entries == tuple(
+        tuple(LaurentPoly(cell) for cell in row)
+        for rel in pres.relators
+        for row in fraction_fox_pass(pres.alpha, rep.images, rep.inverses, rel.flatten())
+    )
 
 
 @SUITE
