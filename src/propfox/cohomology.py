@@ -31,7 +31,7 @@ from .extensions import (
 )
 from .fitting import fitting_delta, zero_by_both_routes
 from .fox import Representation, alexander_matrix
-from .matrices import frac_inverse, freeze, integral_row, rank_nullspace, solve, to_scaled
+from .matrices import freeze, integral_row, rank_nullspace, scaled_inverse, solve, to_scaled
 from .presentation import Presentation, validate_presentation
 from .scalars import Rational, unit_ball_check
 
@@ -159,8 +159,8 @@ def symmetric_square_cocycle(ext2: SpecializedRep) -> SymSquareReport:
     images = tuple(_sym_square_2x2(M) for M in ext2.mats)
     a = ext2.a
     coeff = tuple(freeze([row[:2] for row in S[:2]]) for S in images)
-    inverses = tuple(to_scaled(frac_inverse(M)) for M in coeff)
-    rho1 = SpecializedRep(ext2.pres, a, tuple(map(to_scaled, coeff)), inverses)
+    scaled = tuple(map(to_scaled, coeff))
+    rho1 = SpecializedRep(ext2.pres, a, scaled, tuple(map(scaled_inverse, scaled)))
     beta = CrossedHom(2, tuple((S[0][2], S[1][2]) for S in images))
     try:
         witness = is_coboundary(beta, rho1)

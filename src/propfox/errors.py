@@ -76,7 +76,8 @@ class GoldenMismatch(PropfoxError):
 
 class InputTooLarge(PropfoxError):
     """A short input asks for more than a bound in propfox.scalars allows:
-    a relation matrix spanning more than MAX_MATRIX_SPAN coefficients."""
+    relator words of more than MAX_WORD_SYLLABLES syllables, or a relation
+    matrix spanning more than MAX_MATRIX_SPAN coefficients."""
 
 
 class UsageError(PropfoxError):

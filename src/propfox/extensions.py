@@ -19,13 +19,7 @@ from math import lcm
 from .errors import DivisionByZero
 from .fitting import fitting_delta, zero_by_both_routes
 from .fox import Representation, _check_shape, alexander_matrix, scaled_image
-from .matrices import (
-    frac_identity,
-    from_scaled,
-    is_scaled_identity,
-    lowest_terms,
-    rank_nullspace,
-)
+from .matrices import from_scaled, is_scaled_identity, lowest_terms, rank_nullspace
 from .presentation import Presentation, Word
 from .scalars import Rational
 
@@ -106,9 +100,6 @@ class SpecializedRep:
     def invs(self) -> tuple:
         return tuple(map(from_scaled, self.scaled_invs))
 
-    def identity(self):
-        return frac_identity(self.dim)
-
     def factors_through(self) -> bool:
         """Whether every relator maps to the identity, i.e. the images define
         a representation of the presented group and not just of the free
@@ -129,7 +120,7 @@ def specialize(pres: Presentation, phi: Representation, a: Rational) -> Speciali
     a = _nonzero_point(a)
     _check_shape(pres, phi)
     n, d = a.numerator, a.denominator
-    mats, invs = phi.scaled
+    mats, invs = phi.scaled, phi.scaled_invs
     # (a^e M)^-1 = a^-e M^-1, with M^-1 computed once per representation
     images = tuple(_power_times(S, e, n, d) for e, S in zip(pres.alpha, mats))
     inverses = tuple(_power_times(S, -e, n, d) for e, S in zip(pres.alpha, invs))

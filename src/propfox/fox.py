@@ -46,11 +46,11 @@ from .errors import (
 )
 from .laurent import LaurentPoly
 from .matrices import (
-    frac_inverse,
     freeze,
     from_scaled,
     is_scaled_identity,
     scaled_identity,
+    scaled_inverse,
     scaled_mul,
     scaled_pow,
     to_scaled,
@@ -87,14 +87,16 @@ class Representation:
         return Representation(1, tuple(one for _ in range(n_generators)))
 
     @cached_property
-    def inverses(self) -> tuple:
-        return tuple(frac_inverse(M) for M in self.images)
+    def scaled(self) -> tuple:
+        """The images as scaled matrices, converted once: what the Fox
+        walk, word images and specialization read, as on SpecializedRep."""
+        return tuple(map(to_scaled, self.images))
 
     @cached_property
-    def scaled(self) -> tuple:
-        """(images, inverses) as scaled matrices, converted once: what
-        the Fox walk and specialization read."""
-        return tuple(map(to_scaled, self.images)), tuple(map(to_scaled, self.inverses))
+    def scaled_invs(self) -> tuple:
+        """The inverses of the images as scaled matrices, by the integer
+        elimination; NotInvertible when an image is singular."""
+        return tuple(map(scaled_inverse, self.scaled))
 
     def is_trivial(self) -> bool:
         return self.dim == 1 and all(M[0][0] == 1 for M in self.images)
@@ -165,7 +167,7 @@ def parse_representation(text: str, pres: Presentation) -> Representation:
     if missing:
         raise ParseError("missing matrix for: " + " ".join(missing))
     rep = Representation(dim, tuple(images[i] for i in range(len(pres.generators))))
-    rep.inverses  # noqa: B018 - force the invertibility check at parse time
+    rep.scaled_invs  # noqa: B018 - force the invertibility check at parse time
     return rep
 
 
@@ -221,8 +223,9 @@ def _fox_pass(exps, rep: Representation, word: Word) -> tuple[int, list]:
     letters, as (D, rows): dim rows of n_generators * dim maps from int
     exponents to int coefficients, some of them zero sums, all over the one
     denominator D, column block i holding the derivative by g_i. Generator
-    g_i maps to g^exps[i] (x) rep.images[i]; the walk reads both images and
-    inverses from rep.scaled, converted once per representation.
+    g_i maps to g^exps[i] (x) rep.images[i]; the walk reads the images and
+    their inverses from rep.scaled and rep.scaled_invs, converted once per
+    representation.
 
     The image of the prefix read so far is one graded pair g^k (x) P, with
     P a scaled-integer matrix (integer rows over one denominator). A letter
@@ -241,7 +244,7 @@ def _fox_pass(exps, rep: Representation, word: Word) -> tuple[int, list]:
     with its coefficient times count when s = 0. Any other run is walked
     copy by copy."""
     ell = rep.dim
-    mats, invs = rep.scaled
+    mats, invs = rep.scaled, rep.scaled_invs
     rows = [[{} for _ in range(len(exps) * ell)] for _ in range(ell)]
     cols = [[row[j * ell:(j + 1) * ell] for row in rows] for j in range(len(exps))]
     one = scaled_identity(ell)

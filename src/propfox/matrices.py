@@ -10,10 +10,10 @@ fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22 (1968);
 Nakos, Turner and Williams, SIGSAM Bull. 31 (1997)). Scaling a row changes
 neither the rank, nor the nullspace, nor the reduced row echelon form, so
 the point layer hands over its rows with their denominators cleared, one
-lcm per row, and never builds a Fraction matrix to eliminate. frac_rref,
-frac_rank_nullspace, frac_solve and frac_inverse are wrappers that clear
-the denominators of a rational matrix row by row and call the integer
-route.
+lcm per row, and never builds a Fraction matrix to eliminate. That
+elimination is the only one here: scaled_inverse inverts a scaled matrix
+through it, and Fraction matrices are built only as views of results
+(from_scaled).
 """
 
 from __future__ import annotations
@@ -32,27 +32,6 @@ _ONE = Fraction(1)
 
 def freeze(rows) -> Matrix:
     return tuple(tuple(r) for r in rows)
-
-
-def mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    n = len(B)
-    Bt = tuple(zip(*B))
-    out = []
-    for ra in A:
-        if len(ra) != n:
-            raise ValueError("inner dimensions disagree")
-        row = []
-        for cb in Bt:
-            acc = ra[0] * cb[0]
-            for a, b in zip(ra[1:], cb[1:]):
-                acc = acc + a * b
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def frac_identity(n: int) -> Matrix:
-    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
 
 
 def to_scaled(A: Matrix) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -164,6 +143,26 @@ def rref(rows, ncols: int) -> tuple[tuple[int, ...], list[list[int]], int]:
     return tuple(pivots), M[: len(pivots)], prev
 
 
+def scaled_inverse(S):
+    """The inverse of a scaled square matrix (rows, den), in lowest terms
+    with a positive denominator, or NotInvertible when it is singular.
+
+    rref of [rows | I] gives D [I | rows^-1] when the first n pivots are
+    the columns of rows, so (rows / den)^-1 = den R[:, n:] / D. D, the
+    last pivot, may be negative, and the signs are turned so that the
+    denominator is positive."""
+    rows, den = S
+    n = len(rows)
+    pivots, R, D = rref([[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows)], 2 * n)
+    if pivots[:n] != tuple(range(n)):
+        raise NotInvertible("matrix is singular")
+    if D < 0:
+        den = -den
+        D = -D
+    inv, inv_den = lowest_terms([[den * x for x in row[n:]] for row in R], D)
+    return freeze(inv), inv_den
+
+
 def rank_nullspace(rows, ncols: int) -> tuple[int, tuple[tuple[Fraction, ...], ...]]:
     """Rank and a nullspace basis of integer rows of length ncols: for each
     free column, the vector with 1 there, 0 at the other free columns, and
@@ -195,49 +194,3 @@ def solve(rows, ncols: int) -> tuple[Fraction, ...] | None:
         if row[ncols]:
             x[pc] = Fraction(row[ncols], D)
     return tuple(x)
-
-
-def frac_rref(A) -> tuple[tuple[tuple[Fraction, ...], ...], tuple[int, ...]]:
-    """Reduced row echelon form and pivot column indices."""
-    rows = [integral_row([Fraction(x) for x in r]) for r in A]
-    if not rows:
-        return (), ()
-    ncols = len(rows[0])
-    pivots, R, D = rref(rows, ncols)
-    zero = (_ZERO,) * ncols
-    reduced = [tuple(Fraction(x, D) for x in row) for row in R]
-    return tuple(reduced) + (zero,) * (len(rows) - len(R)), pivots
-
-
-def frac_inverse(A: Matrix) -> Matrix:
-    """The right half of the RREF of [A | I]; NotInvertible unless the
-    first n pivots are the columns of A."""
-    n = len(A)
-    rows = [
-        integral_row([Fraction(x) for x in row] + [int(i == j) for j in range(n)])
-        for i, row in enumerate(A)
-    ]
-    pivots, R, D = rref(rows, 2 * n)
-    if pivots[:n] != tuple(range(n)):
-        raise NotInvertible("matrix is singular")
-    return tuple(tuple(Fraction(x, D) for x in row[n:]) for row in R)
-
-
-def frac_rank_nullspace(A, ncols: int | None = None) -> tuple[int, tuple[tuple[Fraction, ...], ...]]:
-    """Rank and a nullspace basis (free variable set to 1, others 0, pivot
-    entries solved; the conventional RREF parametrization). A matrix with no
-    rows does not show its column count, so pass ncols for one."""
-    rows = [integral_row([Fraction(x) for x in r]) for r in A]
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    return rank_nullspace(rows, ncols)
-
-
-def frac_solve(A, b, ncols: int | None = None) -> tuple[Fraction, ...] | None:
-    """One particular solution of A x = b (free variables set to 0), or None
-    when the system is inconsistent. A system with no rows does not show its
-    column count, so pass ncols for one; its solution is the zero vector."""
-    rows = [integral_row([Fraction(x) for x in r] + [Fraction(v)]) for r, v in zip(A, b)]
-    if ncols is None:
-        ncols = len(A[0]) if A else 0
-    return solve(rows, ncols)

@@ -17,7 +17,10 @@ Word grammar: word := term {'*' term}; term := atom ['^' int];
 atom := ident | '(' word ')' | '[' word ',' word ']', where [x, y] is the
 commutator x^-1 * y^-1 * x * y and int is a nonzero 64-bit integer.
 The prime must be below 2^64; it is tested by deterministic Miller-Rabin.
-Integer literals have at most 4300 digits (scalars.MAX_LITERAL_DIGITS).
+Integer literals have at most 4300 digits (scalars.MAX_LITERAL_DIGITS), and
+the relator words of a presentation hold at most 2^21 syllables together
+(scalars.MAX_WORD_SYLLABLES), so a short power such as (a*b)^1000000000000
+is refused before it is built.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DuplicateGenerator, ParseError, UnknownGenerator, ZeroExponent
-from .scalars import parse_int
+from .errors import DuplicateGenerator, InputTooLarge, ParseError, UnknownGenerator, ZeroExponent
+from .scalars import MAX_WORD_SYLLABLES, parse_int
 
 _EXP_LIMIT = 2 ** 63
 # The longest block Word.runs repeats: enough for the commutators of powers
@@ -111,20 +114,50 @@ class Word:
     def inverse(self) -> "Word":
         return Word(tuple((g, -e) for g, e in reversed(self.syllables)))
 
-    def __pow__(self, n: int) -> "Word":
-        """w^n in time linear in the length of the result. Split
-        w = u * c * u^-1 with the core c cyclically reduced; then
-        w^n = u * c^n * u^-1, where c^n is one syllable when c is, and n
-        copies of c otherwise."""
-        if n == 0:
-            return Word()
-        s = (self if n > 0 else self.inverse()).syllables
+    def _conjugator_length(self) -> int:
+        """t with w = u * c * u^-1, u the first t syllables and the core c
+        cyclically reduced: its ends are not inverse syllables."""
+        s = self.syllables
         t = 0
         while len(s) - 2 * t > 1 and s[t] == (s[-1 - t][0], -s[-1 - t][1]):
             t += 1
+        return t
+
+    def __pow__(self, n: int) -> "Word":
+        """w^n in time linear in the length of the result, never reducing
+        it again. Split w = u * c * u^-1 (_conjugator_length); then
+        w^n = u * c^n * u^-1, and the only merge left is at the seam
+        between copies of c. c^n is one syllable when c is, and n copies of
+        c when the ends of c have different generators. Otherwise the ends
+        merge into one syllable m = c[-1] * c[0], nonzero because c is
+        cyclically reduced, and c^n is c[:-1], then n - 1 copies of
+        m * c[1:-1], then c[-1]."""
+        if n == 0 or not self.syllables:
+            return Word()
+        s = (self if n > 0 else self.inverse()).syllables
+        n = abs(n)
+        t = self._conjugator_length()
         core = s[t:len(s) - t]
-        body = ((core[0][0], core[0][1] * abs(n)),) if len(core) == 1 else core * abs(n)
-        return Word(reduce_syllables(s[:t] + body + s[len(s) - t:]))
+        if len(core) == 1:
+            body = ((core[0][0], core[0][1] * n),)
+        elif core[0][0] != core[-1][0]:
+            body = core * n
+        else:
+            m = (core[0][0], core[-1][1] + core[0][1])
+            body = core[:-1] + ((m,) + core[1:-1]) * (n - 1) + core[-1:]
+        return Word(s[:t] + body + s[len(s) - t:])
+
+    def _power_length(self, n: int) -> int:
+        """The number of syllables of w^n, without building it."""
+        if n == 0 or not self.syllables:
+            return 0
+        s = self.syllables
+        t = self._conjugator_length()
+        c = len(s) - 2 * t
+        if c == 1:
+            return len(s)
+        seam = s[t][0] == s[-1 - t][0]
+        return 2 * t + (c - seam) * abs(n) + seam
 
     def letter_length(self) -> int:
         return sum(abs(e) for _, e in self.syllables)
@@ -263,11 +296,18 @@ _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|-?\d+|[*^()\[\],]|\S")
 
 
 class _WordParser:
-    def __init__(self, text: str, gen_index: dict[str, int], line: int, col_offset: int):
+    """Reads one word. Every word it builds, with the used syllables of the
+    words read before it, stays within MAX_WORD_SYLLABLES: a power is
+    refused by its exact length and a commutator by its length before
+    reduction, both before they are built, and a product and the whole
+    word once built."""
+
+    def __init__(self, text: str, gen_index: dict[str, int], line: int, col_offset: int, used: int = 0):
         self.text = text
         self.gen_index = gen_index
         self.line = line
         self.col_offset = col_offset
+        self.used = used
         self.tokens: list[tuple[str, int]] = []
         for m in _TOKEN_RE.finditer(text):
             self.tokens.append((m.group(), m.start()))
@@ -281,6 +321,14 @@ class _WordParser:
             self.tokens[self.pos][1] if self.pos < len(self.tokens) else len(self.text)
         )
         raise cls(msg, self.line, self._col(at))
+
+    def check_length(self, length: int, at: int) -> None:
+        if self.used + length > MAX_WORD_SYLLABLES:
+            raise InputTooLarge(
+                f"line {self.line}, col {self._col(at)}: the words would hold "
+                f"{self.used + length} syllables: the limit is {MAX_WORD_SYLLABLES} "
+                "(scalars.MAX_WORD_SYLLABLES)"
+            )
 
     def peek(self) -> str | None:
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
@@ -301,13 +349,15 @@ class _WordParser:
         w = self.word()
         if self.pos != len(self.tokens):
             self.error(f"trailing input {self.peek()!r}")
+        self.check_length(len(w.syllables), 0)
         return w
 
     def word(self) -> Word:
         w = self.term()
         while self.peek() == "*":
-            self.take()
+            _, at = self.take()
             w = w * self.term()
+            self.check_length(len(w.syllables), at)
         return w
 
     def term(self) -> Word:
@@ -323,6 +373,7 @@ class _WordParser:
             e = int(tok)
             if e == 0:
                 self.error("exponent 0 is not allowed", at, ZeroExponent)
+            self.check_length(w._power_length(e), at)
             w = w ** e
         return w
 
@@ -340,6 +391,7 @@ class _WordParser:
             self.expect(",")
             y = self.word()
             self.expect("]")
+            self.check_length(2 * (len(x.syllables) + len(y.syllables)), at)
             return x.inverse() * y.inverse() * x * y
         if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
             idx = self.gen_index.get(tok)
@@ -361,6 +413,14 @@ def parse_presentation(text: str) -> Presentation:
     gen_index: dict[str, int] = {}
     alpha: dict[int, int] = {}
     relators: list[Relator] = []
+    used = 0  # syllables of the relator words so far, for MAX_WORD_SYLLABLES
+
+    def relator_word(text: str, lineno: int, offset: int) -> Word:
+        nonlocal used
+        w = _WordParser(text, gen_index, lineno, offset, used).parse()
+        used += len(w.syllables)
+        return w
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         if not line.strip():
@@ -411,9 +471,9 @@ def parse_presentation(text: str) -> Presentation:
             if rest.count("=") > 1:
                 raise ParseError("more than one '=' in a relator", lineno, 1)
             left_text, eq, right_text = rest.partition("=")
-            left = parse_word(left_text, generators, lineno, rest_offset)
+            left = relator_word(left_text, lineno, rest_offset)
             if eq:
-                right = parse_word(right_text, generators, lineno, rest_offset + len(left_text) + 1)
+                right = relator_word(right_text, lineno, rest_offset + len(left_text) + 1)
             else:
                 right = Word()
             relators.append(Relator(left, right))

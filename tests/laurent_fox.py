@@ -13,7 +13,8 @@ integer pass in propfox.fox replaced, kept as a second oracle.
 from propfox.errors import NotInvertible
 from propfox.fox import AlexanderMatrix, Representation
 from propfox.laurent import LaurentPoly
-from propfox.matrices import frac_identity, mat_mul
+
+from matrices_oracle import mat_mul, oracle_identity, oracle_inverse
 
 
 def mat_add(A, B):
@@ -86,7 +87,7 @@ class LaurentTensorRep:
         self.exps = pres.alpha
         self.dim = phi.dim
         self.phi_mats = phi.images
-        self.phi_invs = phi.inverses
+        self.phi_invs = tuple(map(oracle_inverse, phi.images))
 
     def identity(self):
         return identity(self.dim, LaurentPoly.one(), LaurentPoly.zero())
@@ -99,7 +100,7 @@ class LaurentTensorRep:
 
     def syllable_image(self, i: int, e: int):
         base = self.phi_mats[i] if e >= 0 else self.phi_invs[i]
-        return _laurent_wrap(mat_pow(base, abs(e), frac_identity(self.dim)), self.exps[i] * e)
+        return _laurent_wrap(mat_pow(base, abs(e), oracle_identity(self.dim)), self.exps[i] * e)
 
 
 def laurent_evaluate_word(rep: LaurentTensorRep, word):
@@ -155,7 +156,7 @@ def fraction_fox_pass(exps, mats, invs, word) -> list:
     g^(k + exps[j]) (x) P mats[j]; a letter g_j^-1 first steps the pair by
     the inverse image and then contributes -P."""
     ell = len(mats[0]) if mats else 1
-    one = frac_identity(ell)
+    one = oracle_identity(ell)
     rows = [[{} for _ in range(len(exps) * ell)] for _ in range(ell)]
     P = one
     k = 0

@@ -3,12 +3,37 @@ integer elimination of propfox.matrices is checked against.
 
 Plain Gauss-Jordan over Fraction: each pivot row is divided by its pivot
 and the pivot column cleared from every other row, with one Fraction per
-scalar operation. It shares no code with propfox.matrices.
+scalar operation. It shares no code with propfox.matrices. The plain
+matrix product and identity the other oracles need live here too, so no
+oracle takes a product or an inverse from the library.
 """
 
 from fractions import Fraction
 
 from propfox.errors import NotInvertible
+
+
+def mat_mul(A, B):
+    """The product of two matrices over any ring."""
+    n = len(B)
+    Bt = tuple(zip(*B))
+    out = []
+    for ra in A:
+        if len(ra) != n:
+            raise ValueError("inner dimensions disagree")
+        row = []
+        for cb in Bt:
+            acc = ra[0] * cb[0]
+            for a, b in zip(ra[1:], cb[1:]):
+                acc = acc + a * b
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def oracle_identity(n: int):
+    """The n x n identity over Fraction."""
+    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
 
 
 def oracle_rref(A):

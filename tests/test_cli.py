@@ -234,6 +234,27 @@ def test_a_relation_matrix_past_the_span_bound_is_refused(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    ("relator", "syllables"),
+    [("(a*b)^1000000000000", 2000000000000), ("[a,b]^3000000", 12000000)],
+    ids=["product-power", "commutator-power"],
+)
+def test_a_relator_word_past_the_syllable_bound_is_refused(tmp_path, relator, syllables):
+    """A power of a short word is refused before it is built, where
+    building it ran out of memory: an input error naming the bound. The
+    second relator has degree 0 and spans 2 exponents, so the span bound
+    admits it."""
+    path = tmp_path / "power.pres"
+    path.write_text(f"prime 3\ngenerators a b\nrelator {relator}\n")
+    proc = run_cli_process("validate", str(path), timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr == (
+        f"input too large: line 3, col 15: the words would hold {syllables} syllables: "
+        "the limit is 2097152 (scalars.MAX_WORD_SYLLABLES)\n"
+    ).encode()
+
+
 # extend --at -1 --json on the 200,000-fold commutator below, with the file
 # path replaced by PROBE, as the syllable-by-syllable word products gave it
 LONG_COMMUTATOR_EXTEND_SHA256 = "5312c9e62b1352bbe878e53b2b2367015ad65129a83f1799b59ffd6b1243308e"

@@ -19,7 +19,7 @@ from propfox import (
 from propfox import LaurentPoly, alexander_matrix, corpus
 from propfox.errors import InputTooLarge
 from propfox.fox import _check_span, _degree_range, _relation_matrix
-from propfox.matrices import frac_identity, freeze, mat_mul
+from propfox.matrices import freeze
 
 from laurent_fox import (
     LaurentTensorRep,
@@ -30,6 +30,7 @@ from laurent_fox import (
     mat_pow,
 )
 from laurent_oracle import integer_matrix
+from matrices_oracle import mat_mul, oracle_identity, oracle_inverse
 
 
 def L(text):
@@ -66,7 +67,7 @@ def test_trivial_representation():
 
 def test_geometric_sum_positive():
     M = freeze([[Fraction(4), Fraction(1)], [Fraction(0), Fraction(1)]])
-    ident = frac_identity(2)
+    ident = oracle_identity(2)
     for n in range(0, 9):
         direct = ident
         total = None
@@ -84,10 +85,8 @@ def test_geometric_sum_positive():
 
 def test_geometric_sum_negative():
     M = freeze([[Fraction(4), Fraction(1)], [Fraction(0), Fraction(1)]])
-    ident = frac_identity(2)
-    from propfox.matrices import frac_inverse
-
-    Minv = frac_inverse(M)
+    ident = oracle_identity(2)
+    Minv = oracle_inverse(M)
     for n in range(1, 6):
         # the negative branch is minus the sum of the inverse powers -n..-1
         direct = None
@@ -257,7 +256,7 @@ def test_relation_matrix_entries_match_the_checked_constructor():
         checked = [
             LaurentPoly(cell)
             for rel in pres.relators
-            for row in fraction_fox_pass(pres.alpha, rep.images, rep.inverses, rel.flatten())
+            for row in fraction_fox_pass(pres.alpha, rep.images, tuple(map(oracle_inverse, rep.images)), rel.flatten())
             for cell in row
         ]
         Q = alexander_matrix(pres, rep)

@@ -56,11 +56,6 @@ EXPORTED = [
     "format_representation",
     "format_word",
     "fox_derivative_matrix",
-    "frac_identity",
-    "frac_inverse",
-    "frac_rank_nullspace",
-    "frac_rref",
-    "frac_solve",
     "gcd_many",
     "h1_report",
     "hensel_roots",

@@ -20,6 +20,9 @@ from propfox import (
     validate_presentation,
 )
 
+from propfox.errors import InputTooLarge
+from propfox.scalars import MAX_WORD_SYLLABLES
+
 GENS = ("a", "b", "c")
 
 
@@ -170,6 +173,22 @@ def test_power_of_a_conjugate_keeps_the_conjugator():
     assert W("(a*b*c^2*a^-1)^2") == Word.of([(0, 1), (1, 1), (2, 2), (1, 1), (2, 2), (0, -1)])
     assert W(f"(a*b^3*a^-1)^{huge}") == Word.of([(0, 1), (1, 3 * huge), (0, -1)])
     assert W("(a^2*b*a^3)^-2") == Word.of([(0, -3), (1, -1), (0, -5), (1, -1), (0, -2)])
+
+
+def test_the_syllable_bound_covers_all_relator_words():
+    """MAX_WORD_SYLLABLES bounds the relator words of a presentation
+    together, so that many lines at the bound are refused as one."""
+    at_bound = "[a,b]^524288"  # 4 * 524288 = 2^21 syllables
+    assert len(W(at_bound).syllables) == MAX_WORD_SYLLABLES
+    pres = parse_presentation(f"prime 3\ngenerators a b c\nrelator {at_bound}\n")
+    assert len(pres.relators[0].left.syllables) == MAX_WORD_SYLLABLES
+    for extra in ("relator c", f"relator {at_bound}", "relator a = c"):
+        with pytest.raises(InputTooLarge, match=r"line 4, col \d+: the words would hold"):
+            parse_presentation(f"prime 3\ngenerators a b c\nrelator {at_bound}\n{extra}\n")
+    with pytest.raises(InputTooLarge, match="2097156 syllables"):
+        W("[a,b]^524289")
+    with pytest.raises(InputTooLarge, match="2097153 syllables"):
+        W("[a,b]^524288*c")
 
 
 def test_presentation_rejects_alpha_of_wrong_length():

@@ -48,7 +48,7 @@ from propfox import (
 from propfox import corpus, fitting, modp, zpoly
 from propfox.extensions import mat_vec
 from propfox.fox import AlexanderMatrix, _degree_range, _relation_matrix, scaled_image
-from propfox.matrices import frac_identity, freeze, mat_mul, rank_nullspace
+from propfox.matrices import freeze, rank_nullspace
 from propfox.presentation import _RUN_BLOCK, _is_prime, reduce_syllables
 from propfox.zeros import _squarefree_part, _taylor_shift, _zp_roots
 
@@ -64,7 +64,7 @@ from laurent_fox import (
     mat_pow,
 )
 from laurent_oracle import integer_matrix, oracle
-from matrices_oracle import oracle_inverse, oracle_rank_nullspace
+from matrices_oracle import mat_mul, oracle_identity, oracle_inverse, oracle_rank_nullspace
 from words_oracle import syllable_scaled_image
 from zeros_scan import (
     _compose_affine,
@@ -165,6 +165,14 @@ def test_power_of_conjugate_matches_iterated_product(u, c, n):
     for _ in range(abs(n)):
         direct = direct * (w if n >= 0 else w.inverse())
     assert w**n == direct
+
+
+@SUITE
+@given(words, words, st.integers(min_value=-6, max_value=6))
+def test_power_length_is_the_length_of_the_power(u, c, n):
+    """The parser bounds a power by _power_length before building it."""
+    for w in (c, u * c * u.inverse()):
+        assert w._power_length(n) == len((w**n).syllables)
 
 
 # -- parse/print round trips -------------------------------------------------
@@ -386,7 +394,7 @@ def test_integer_relation_matrix_matches_the_fraction_pass(case, a):
     assert Q.entries == tuple(
         tuple(LaurentPoly(cell) for cell in row)
         for rel in pres.relators
-        for row in fraction_fox_pass(pres.alpha, rep.images, rep.inverses, rel.flatten())
+        for row in fraction_fox_pass(pres.alpha, rep.images, tuple(map(oracle_inverse, rep.images)), rel.flatten())
     )
     # The scale is the least common denominator, the one integer_matrix
     # reads off the entries, so the integer form is unique: the matrix built
@@ -418,10 +426,8 @@ def test_integer_relation_matrix_matches_the_fraction_pass(case, a):
 @given(st.integers(min_value=-12, max_value=12))
 def test_geometric_sum_matches_direct(n):
     M = freeze([[Fraction(4), Fraction(1)], [Fraction(0), Fraction(1)]])
-    ident = frac_identity(2)
-    from propfox.matrices import frac_inverse
-
-    Minv = frac_inverse(M)
+    ident = oracle_identity(2)
+    Minv = oracle_inverse(M)
     total = tuple(tuple(Fraction(0) for _ in row) for row in ident)
     if n >= 0:
         for t in range(n):
@@ -964,7 +970,7 @@ def words_with_repeats(draw):
 @example(specialize(EG41, EG44, Fraction(-3, 2)), Word())
 @example(build_extension(EG41, TRIVIAL3, Fraction(1, 4), CrossedHom.from_flat((1, 2, 3), 1)), Word())
 def test_evaluate_word_matches_fraction_syllable_product(rho, w):
-    ident = frac_identity(rho.dim)
+    ident = oracle_identity(rho.dim)
     expected = ident
     for g, e in w.syllables:
         expected = mat_mul(expected, mat_pow(rho.mats[g] if e > 0 else rho.invs[g], abs(e), ident))
@@ -1050,7 +1056,7 @@ def test_relator_checks_match_fraction_products(case):
     identity."""
     pres, rho, images, inverses = case
     assert rho.mats == tuple(images) and rho.invs == tuple(inverses)
-    ident = frac_identity(rho.dim)
+    ident = oracle_identity(rho.dim)
     assert coboundary_matrix(rho) == tuple(
         tuple(x - y for x, y in zip(row, unit)) for M in images for row, unit in zip(M, ident)
     )
@@ -1127,7 +1133,7 @@ def powered_block_presentations(draw):
     )
     A = draw(invertible)
     B = draw(st.sampled_from([oracle_inverse(A), A, draw(invertible)]))
-    C = draw(st.sampled_from([frac_identity(ell), draw(invertible)]))
+    C = draw(st.sampled_from([oracle_identity(ell), draw(invertible)]))
     alpha_a = draw(st.sampled_from([1, -1, 2]))
     alpha = (alpha_a, draw(st.sampled_from([alpha_a, -alpha_a, 1])), draw(st.sampled_from([1, 0, -2])))
     relators = []
@@ -1157,7 +1163,7 @@ def test_relation_matrix_with_powered_blocks_matches_the_fraction_pass(case):
     assert Q.entries == tuple(
         tuple(LaurentPoly(cell) for cell in row)
         for rel in pres.relators
-        for row in fraction_fox_pass(pres.alpha, rep.images, rep.inverses, rel.flatten())
+        for row in fraction_fox_pass(pres.alpha, rep.images, tuple(map(oracle_inverse, rep.images)), rel.flatten())
     )
 
 
