@@ -76,7 +76,10 @@ def _int_at_least(low: int):
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text()
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: byte {exc.start}: {exc.reason}")
 
 
 def _load_pres(args):

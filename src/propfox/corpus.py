@@ -43,7 +43,7 @@ from .zeros import filter_unit_ball, hensel_roots, rational_roots, zero_report
 
 
 def _data_text(name: str) -> str:
-    return (resources.files("propfox") / "corpus_data" / name).read_text()
+    return (resources.files("propfox") / "corpus_data" / name).read_text(encoding="utf-8")
 
 
 def load_presentation(name: str) -> Presentation:

@@ -11,22 +11,23 @@ no Laurent multiplication.
 
 The walk and every word image read the word's runs (Word.runs): blocks of
 at most 8 syllables, each repeated count times. A word image raises each
-block's product to its count by squaring. The walk reads a run's block
-once when the block's image is exactly the identity, since P then comes
-back to itself after every copy, and adds each contribution at every
-copy's offset (the block's degree apart, or times count when that degree
-is 0). A syllable whose image is the identity is the one-syllable case, a
-run of |e| copies of one letter. So a power (x1*x0^-1)^n costs the walk
-one block, not n, whenever phi(x1) = phi(x0).
+block's product to its count by squaring. The walk has one replication
+rule. It reads a run of one syllable g^e as |e| copies of the one-letter
+block g^(+-1), and reads any run's block once when the block's image is
+exactly the identity, since P then comes back to itself after every copy;
+each contribution is added at every copy's offset (the block's degree
+apart, or times count when that degree is 0). Any other run is walked
+copy by copy. So a^n costs the walk one letter whenever phi(a) = I, and a
+power (x1*x0^-1)^n one block, not n, whenever phi(x1) = phi(x0).
 
 The walk runs on integers throughout. P is a scaled-integer matrix (integer
 rows over one denominator), and each coefficient gathers in a sparse map
 from exponents to integers over one running denominator per relator. The
 relation matrix keeps that integer form: L, the least common denominator of
 all its coefficients, and L times each entry as a zpoly value. The divisor
-layer reads the form as it is held, specialization evaluates it by Horner's
-rule on integers, and each LaurentPoly entry, when read, wraps its row's
-zpoly value over L with no Fraction per coefficient.
+layer reads the form as it is held, specialization evaluates it on the
+integers (zpoly.value_at), and each LaurentPoly entry, when read, wraps its
+row's zpoly value over L with no Fraction per coefficient.
 """
 
 from __future__ import annotations
@@ -180,15 +181,12 @@ def format_representation(rep: Representation, pres: Presentation) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _product(mats, invs, sylls, powers: dict):
+def _product(mats, invs, sylls):
     """The scaled product of the syllable images mats[g]^e, with invs[g]^-e
-    for e < 0, each distinct syllable power computed once per powers dict;
-    None for no syllables."""
+    for e < 0; None for no syllables."""
     acc = None
     for g, e in sylls:
-        power = powers.get((g, e))
-        if power is None:
-            power = powers[g, e] = scaled_pow(mats[g] if e > 0 else invs[g], abs(e))
+        power = scaled_pow(mats[g] if e > 0 else invs[g], abs(e))
         acc = power if acc is None else scaled_mul(acc, power)
     return acc
 
@@ -200,12 +198,10 @@ def scaled_image(rep, word: Word):
     is raised to the run's count by squaring, and the runs' images are
     multiplied in order. Every product is in lowest terms, so this is the
     one scaled matrix of the syllable-by-syllable product, at a cost of
-    O(blocks * log count) products, each distinct syllable power computed
-    once per call."""
-    powers = {}
+    O(blocks * log count) products."""
     acc = None
     for block, count in word.runs:
-        image = _product(rep.scaled, rep.scaled_invs, block, powers)
+        image = _product(rep.scaled, rep.scaled_invs, block)
         if count > 1:
             image = scaled_pow(image, count)
         acc = image if acc is None else scaled_mul(acc, image)
@@ -235,14 +231,14 @@ def _fox_pass(exps, rep: Representation, word: Word) -> tuple[int, list]:
     does not divide D, every map is first brought to their lcm.
 
     The walk reads the word's runs (Word.runs): blocks of at most
-    presentation._RUN_BLOCK syllables, each repeated count times. A
-    syllable g_j^e is in turn a run of |e| copies of one letter. When the
-    image of a run's unit (the product of its block's steps, or the
-    letter's step) is exactly the identity, P returns to itself after every
-    copy, so the walk reads the unit once and adds each contribution at
-    every copy's offset: s apart for the unit's degree shift s, or once
-    with its coefficient times count when s = 0. Any other run is walked
-    copy by copy."""
+    presentation._RUN_BLOCK syllables, each repeated count times, where a
+    run of the one syllable g_j^e is read as |e| copies of the one-letter
+    block g_j^(+-1). When the image of a run's block is exactly the
+    identity (the flag fixed[j] for one letter, the block's product for a
+    longer block), P returns to itself after every copy, so the walk reads
+    the block once and adds each contribution at every copy's offset: s
+    apart for the block's degree s, or once with its coefficient times
+    count when s = 0. Any other run is walked copy by copy."""
     ell = rep.dim
     mats, invs = rep.scaled, rep.scaled_invs
     rows = [[{} for _ in range(len(exps) * ell)] for _ in range(ell)]
@@ -251,51 +247,33 @@ def _fox_pass(exps, rep: Representation, word: Word) -> tuple[int, list]:
     fixed = [M == one for M in mats]
     P, D, k = one, 1, 0
     for block, count in word.runs:
-        walks, times, offs, stride = count, 1, _ONCE, 0
-        if count > 1 and is_scaled_identity(_product(mats, invs, block, {})):
-            stride = sum(exps[j] * e for j, e in block)
-            walks, (times, offs) = 1, _copies(times, offs, count, stride)
+        if len(block) == 1:
+            [(j, e)] = block
+            block, count = ((j, 1 if e > 0 else -1),), abs(e)
+        walks, times, offs, rest = count, 1, range(1), 0
+        if count > 1 and (
+            fixed[block[0][0]] if len(block) == 1 else is_scaled_identity(_product(mats, invs, block))
+        ):
+            s = sum(exps[j] * e for j, e in block)
+            walks, rest = 1, s * (count - 1)
+            if s:
+                offs = range(0, count * s, s)
+            else:
+                times = count
         for _ in range(walks):
             for j, e in block:
                 step, shift, sign = (mats[j], exps[j], 1) if e > 0 else (invs[j], -exps[j], -1)
-                letters, t, o = abs(e), times, offs
-                if fixed[j] and letters > 1:
-                    letters, (t, o) = 1, _copies(times, offs, letters, shift)
-                for _ in range(letters):
+                for _ in range(abs(e)):
                     if e < 0:
                         P = P if fixed[j] else scaled_mul(P, step)
                         k += shift
                     D = _rescale(rows, D, P[1])
-                    _add_image(P, cols[j], sign * t * D // P[1], k, o)
+                    _add_image(P, cols[j], sign * times * D // P[1], k, offs)
                     if e > 0:
                         P = P if fixed[j] else scaled_mul(P, step)
                         k += shift
-                k += shift * (abs(e) - letters)
-        k += stride * (count - walks)
+        k += rest
     return D, rows
-
-
-# the offsets of a unit walked once: the one range {0}
-_ONCE = (range(1),)
-
-
-def _copies(times: int, offs, count: int, stride: int) -> tuple:
-    """(times, offs) for count copies, stride apart, of a unit whose
-    contributions are each added times times at every offset in the ranges
-    of offs. With stride 0 the copies land on the same exponents, so only
-    the factor grows. Otherwise each range is copied count times, or each
-    of its offsets widened to a range of count, whichever makes fewer
-    ranges: a syllable replicated inside a replicated block holds the
-    smaller of the two counts, never their product."""
-    if not stride:
-        return times * count, offs
-    out = []
-    for r in offs:
-        if len(r) < count:
-            out += [range(o, o + count * stride, stride) for o in r]
-        else:
-            out += [range(r.start + c * stride, r.stop + c * stride, r.step) for c in range(count)]
-    return times, out
 
 
 def _rescale(rows, D: int, den: int) -> int:
@@ -310,16 +288,16 @@ def _rescale(rows, D: int, den: int) -> int:
     return D * m
 
 
-def _add_image(P, block, f: int, k: int, offs) -> None:
+def _add_image(P, block, f: int, k: int, offs: range) -> None:
     """Add f times each entry of the scaled matrix P at every exponent
-    k + o, for o in the ranges of offs, to the matching map of block."""
+    k + o, for o in offs, to the matching map of block."""
+    ts = range(k + offs.start, k + offs.stop, offs.step)
     for Pr, cells in zip(P[0], block):
         for x, cell in zip(Pr, cells):
             if x:
                 v = x * f
-                for r in offs:
-                    for t in range(r.start + k, r.stop + k, r.step):
-                        cell[t] = cell.get(t, 0) + v
+                for t in ts:
+                    cell[t] = cell.get(t, 0) + v
 
 
 def _least_denominator(D: int, rows) -> tuple[int, int]:
@@ -449,8 +427,8 @@ class AlexanderMatrix:
         )
 
     def _values_at(self, a: Rational) -> list[list[tuple[int, int]]]:
-        """(u, v) per entry with rows[i][j](a) = u / v, by Horner's rule on
-        the integer form."""
+        """(u, v) per entry with rows[i][j](a) = u / v, by zpoly.value_at
+        on the integer form."""
         a = Fraction(a)
         n, d = a.numerator, a.denominator
         if not n and any(f[0] < 0 for row in self.rows for f in row if f[1]):

@@ -60,10 +60,6 @@ def gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return _monic(a, p)
 
 
-def derivative(a: list[int], p: int) -> list[int]:
-    return _trim([i * c % p for i, c in enumerate(a)][1:])
-
-
 class Modulus:
     """Reduction modulo a fixed monic f of degree n >= 2."""
 

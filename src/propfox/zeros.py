@@ -159,16 +159,8 @@ def _squarefree_part(coeffs: list[int]) -> list[int]:
 
 def hensel_roots(f: LaurentPoly, p: int, budget: int) -> tuple[list[int], list[int]]:
     """Zeros of f in Z_p as residues mod p^budget, and the obstructed mod-p
-    residues, computed on the squarefree part of f.
-
-    The rational gcd of f with f' is skipped when p does not divide the
-    leading coefficient of the primitive integer form F of f and
-    gcd(F mod p, F' mod p) = 1 in F_p[x]. Then F is squarefree over Q, so it
-    is its own squarefree part: a repeated factor of F can be taken primitive
-    in Z[x] of positive degree, dividing F and F' there (Gauss); its leading
-    coefficient divides F's, so it keeps its degree mod p and would divide
-    both reductions.
-    """
+    residues, computed on the squarefree part of the primitive integer form
+    of f (_squarefree_part, one rational gcd with the derivative)."""
     if f.is_zero():
         raise IdenticallyZero("the zero polynomial vanishes everywhere")
     if budget < 1:
@@ -176,10 +168,7 @@ def hensel_roots(f: LaurentPoly, p: int, budget: int) -> tuple[list[int], list[i
     coeffs = list(zpoly.primitive(f.form)[1])
     if len(coeffs) == 1:
         return [], []
-    fbar = [c % p for c in coeffs]
-    if coeffs[-1] % p == 0 or len(modp.gcd(fbar, modp.derivative(fbar, p), p)) > 1:
-        coeffs = _squarefree_part(coeffs)
-    return _zp_roots(coeffs, p, budget)
+    return _zp_roots(_squarefree_part(coeffs), p, budget)
 
 
 @dataclass(frozen=True)

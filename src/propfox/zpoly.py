@@ -35,6 +35,9 @@ ONE = (0, (1,))
 # Evaluation points GCDHEU tries before the remainder sequence answers.
 _HEU_TRIES = 6
 
+# The longest coefficient run value_at evaluates by Horner's rule.
+_HORNER_RUN = 256
+
 
 def _trim(shift: int, c: list) -> tuple:
     """(shift, c) as a value: zero coefficients stripped from both ends."""
@@ -231,21 +234,49 @@ def gcd_all(fs) -> tuple:
     return acc
 
 
+def _horner(c, lo: int, hi: int, n: int, d: int) -> int:
+    """The sum of c_i n^(i - lo) d^(hi - 1 - i) over lo <= i < hi, by
+    Horner's rule."""
+    acc, den = c[hi - 1], 1
+    if d == 1:
+        for x in reversed(c[lo : hi - 1]):
+            acc = acc * n + x
+    else:
+        for x in reversed(c[lo : hi - 1]):
+            den *= d
+            acc = acc * n + x * den
+    return acc
+
+
+def _homogenized(c, lo: int, hi: int, n: int, d: int, npow: dict, dpow: dict) -> int:
+    """The sum H of c_i n^(i - lo) d^(hi - 1 - i) over lo <= i < hi, by
+    binary splitting: with the run split at mid into the h coefficients
+    below it and the r from it on, H = H(lo, mid) d^r + n^h H(mid, hi).
+    npow and dpow keep the powers of n and d, one per length, for the
+    whole evaluation."""
+    if hi - lo <= _HORNER_RUN:
+        return _horner(c, lo, hi, n, d)
+    mid = (lo + hi) // 2
+    h, r = mid - lo, hi - mid
+    if h not in npow:
+        npow[h] = n**h
+    if r not in dpow:
+        dpow[r] = d**r
+    low = _homogenized(c, lo, mid, n, d, npow, dpow)
+    return low * dpow[r] + npow[h] * _homogenized(c, mid, hi, n, d, npow, dpow)
+
+
 def value_at(a: tuple, n: int, d: int) -> tuple[int, int]:
     """(u, v) with a(n / d) = u / v, for d > 0 and n != 0 when a has a
-    negative exponent: Horner's rule on the homogenized coefficients, the
-    sum of c_i n^i d^(m - i) over d^m, times (n / d)^shift."""
+    negative exponent: the sum of c_i n^i d^(m - i) over d^m, times
+    (n / d)^shift. The sum is taken by binary splitting (_homogenized), in
+    time quasi-linear in the size of the result, where Horner's rule alone
+    is quadratic in the degree; runs of at most _HORNER_RUN coefficients go
+    by Horner's rule."""
     shift, c = a
     if not c:
         return 0, 1
-    acc, den = c[-1], 1
-    if d == 1:
-        for x in c[-2::-1]:
-            acc = acc * n + x
-    else:
-        for x in c[-2::-1]:
-            den *= d
-            acc = acc * n + x * den
+    acc, den = _homogenized(c, 0, len(c), n, d, {}, {}), d ** (len(c) - 1)
     if shift >= 0:
         return acc * n**shift, den * d**shift
     return acc * d**-shift, den * n**-shift

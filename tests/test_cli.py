@@ -255,6 +255,22 @@ def test_a_relator_word_past_the_syllable_bound_is_refused(tmp_path, relator, sy
     ).encode()
 
 
+@pytest.mark.parametrize(
+    ("name", "argv"),
+    [("bad.pres", ["validate", "{bad}"]), ("bad.rep", ["matrix", EG41, "--rep", "{bad}"])],
+    ids=["pres", "rep"],
+)
+def test_an_input_file_that_is_not_utf8_is_a_parse_error(tmp_path, name, argv):
+    """A file starting with the UTF-16 byte order mark is unreadable input
+    (exit 2, one stderr line), not a UnicodeDecodeError traceback."""
+    bad = tmp_path / name
+    bad.write_bytes(b"\xff\xfeprime 3\n")
+    proc = run_cli_process(*(arg.format(bad=bad) for arg in argv), timeout=30)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr == f"parse error: {bad} is not UTF-8 text: byte 0: invalid start byte\n".encode()
+
+
 # extend --at -1 --json on the 200,000-fold commutator below, with the file
 # path replaced by PROBE, as the syllable-by-syllable word products gave it
 LONG_COMMUTATOR_EXTEND_SHA256 = "5312c9e62b1352bbe878e53b2b2367015ad65129a83f1799b59ffd6b1243308e"

@@ -16,7 +16,7 @@ from propfox import (
     parse_representation,
     parse_word,
 )
-from propfox import LaurentPoly, alexander_matrix, corpus
+from propfox import LaurentPoly, alexander_matrix, corpus, fox
 from propfox.errors import InputTooLarge
 from propfox.fox import _check_span, _degree_range, _relation_matrix
 from propfox.matrices import freeze
@@ -264,3 +264,33 @@ def test_relation_matrix_entries_match_the_checked_constructor():
         assert built == checked, entry.entry_id
         assert all(type(c) is Fraction and c for f in built for c in f.terms.values())
         assert Q.scale == integer_matrix(Q.entries)[0], entry.entry_id
+
+
+@pytest.mark.parametrize(
+    ("rep_text", "calls"),
+    [(None, 2), ("dim 2\nmatrix a\n2 1\n0 1\nmatrix b\n1 1\n1 2\n", 6000)],
+    ids=["trivial", "dim-2"],
+)
+def test_a_syllable_is_walked_once_when_its_image_is_the_identity(monkeypatch, rep_text, calls):
+    """a^3000 is 3000 copies of the one-letter block a: under the trivial
+    representation each syllable's contributions are added in one call,
+    over a range of 3000 offsets; under images other than I every letter
+    is walked."""
+    pres = parse_presentation("prime 3\ngenerators a b\nrelator a^3000*b^-3000\n")
+    rep = Representation.trivial(2) if rep_text is None else parse_representation(rep_text, pres)
+    count = 0
+    add_image = fox._add_image
+
+    def counted(*args):
+        nonlocal count
+        count += 1
+        return add_image(*args)
+
+    monkeypatch.setattr(fox, "_add_image", counted)
+    Q = _relation_matrix.__wrapped__(pres, rep)
+    assert count == calls
+    assert Q.entries == tuple(
+        tuple(LaurentPoly(cell) for cell in row)
+        for rel in pres.relators
+        for row in fraction_fox_pass(pres.alpha, rep.images, tuple(map(oracle_inverse, rep.images)), rel.flatten())
+    )

@@ -776,7 +776,8 @@ def test_squarefree_certificate_matches_the_gcd_route(case):
     if len(coeffs) == 1:
         return
     fbar = [c % p for c in coeffs]
-    if coeffs[-1] % p and len(modp.gcd(fbar, modp.derivative(fbar, p), p)) == 1:
+    dbar = modp._trim([i * c % p for i, c in enumerate(fbar)][1:])
+    if coeffs[-1] % p and len(modp.gcd(fbar, dbar, p)) == 1:
         assert _squarefree_part(coeffs) == coeffs
     expected = _zp_roots(_squarefree_part(coeffs), p, budget)
     assert hensel_roots(f, p, budget) == expected
@@ -1155,8 +1156,21 @@ def powered_block_presentations(draw):
     return Presentation(3, ("a", "b", "c"), tuple(relators), alpha), Representation(ell, (A, B, C))
 
 
+def _powered_block_case(B, alpha, n):
+    """The relator (a*c^2*b^-1)^n * a^-1 under a = [[2, 1], [0, 1]], b = B
+    and c = I: the identity syllable c^2 sits inside a block whose image
+    is the identity when B is a's image, and not otherwise."""
+    A, B = (freeze([[Fraction(x) for x in row] for row in M]) for M in ([[2, 1], [0, 1]], B))
+    word = Word(((0, 1), (2, 2), (1, -1))) ** n * Word(((0, -1),))
+    rep = Representation(2, (A, B, oracle_identity(2)))
+    return Presentation(3, ("a", "b", "c"), (Relator(word),), alpha), rep
+
+
 @SUITE
 @given(powered_block_presentations())
+@example(_powered_block_case([[2, 1], [0, 1]], (1, 1, 1), 5))
+@example(_powered_block_case([[2, 1], [0, 1]], (1, 2, -1), -4))
+@example(_powered_block_case([[1, 1], [1, 2]], (1, 1, 1), 5))
 def test_relation_matrix_with_powered_blocks_matches_the_fraction_pass(case):
     pres, rep = case
     Q = _relation_matrix.__wrapped__(pres, rep)

@@ -1,8 +1,10 @@
 """The dense integer Laurent form: Kronecker products with signed slots,
 exact and pseudo division, and the verified heuristic gcd."""
 
+from unittest import mock
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from propfox import zpoly
@@ -21,6 +23,37 @@ values = st.builds(
     st.lists(coefficients, max_size=7),
 )
 nonzero_values = values.filter(lambda a: a[1])
+
+
+def horner_value_at(a, n: int, d: int) -> tuple[int, int]:
+    """zpoly.value_at by Horner's rule alone, one step per coefficient:
+    the sum of c_i n^i d^(m - i) over d^m, times (n / d)^shift."""
+    shift, c = a
+    if not c:
+        return 0, 1
+    acc, den = c[-1], 1
+    if d == 1:
+        for x in c[-2::-1]:
+            acc = acc * n + x
+    else:
+        for x in c[-2::-1]:
+            den *= d
+            acc = acc * n + x * den
+    if shift >= 0:
+        return acc * n**shift, den * d**shift
+    return acc * d**-shift, den * n**-shift
+
+
+@st.composite
+def evaluation_problems(draw):
+    """(a, n, d): a value of up to 40 coefficients with a shift from -6 to
+    6, at n / d with d = 1 or d > 1 (n != 0 when a has a negative
+    exponent)."""
+    c = draw(st.lists(coefficients, max_size=40))
+    a = zpoly._trim(draw(st.integers(min_value=-6, max_value=6)), c)
+    d = draw(st.one_of(st.just(1), st.integers(min_value=2, max_value=10**6)))
+    n = draw(st.integers(min_value=-(10**6), max_value=10**6).filter(lambda n: n or a[0] >= 0))
+    return a, n, d
 
 
 def laurent(a) -> FractionLaurent:
@@ -50,6 +83,23 @@ def test_heuristic_gcd_agrees_with_the_remainder_sequence(a, b, c):
         zpoly.divexact(zpoly.primitive(x), g)
     # the common factor divides the gcd over the rationals
     zpoly.divexact(g, zpoly.normal(c))
+
+
+@SUITE
+@given(evaluation_problems())
+@example(((0, (1,) * 256), 4, 3))
+@example(((-3, (1,) * 257), 4, 3))
+@example(((2, (5, -1) * 300), -7, 1))
+@example(((-5, tuple(range(1, 1030))), 3, 2))
+def test_value_at_by_binary_splitting_matches_horner(case):
+    """With the Horner run cut to 1, 3 and 8 coefficients, the drawn values
+    fall on both sides of the split and through several levels of it; the
+    examples do so at the run value_at uses."""
+    a, n, d = case
+    expected = horner_value_at(a, n, d)
+    for run in (1, 3, 8, zpoly._HORNER_RUN):
+        with mock.patch.object(zpoly, "_HORNER_RUN", run):
+            assert zpoly.value_at(a, n, d) == expected
 
 
 def test_signed_slots_carry_negative_and_wide_coefficients():
