@@ -8,9 +8,10 @@ form prints the same data as key: value lines.
 Exit codes: 0 success, 1 usage, 2 unreadable or unparsable input, 3 failed
 presentation hypotheses, 4 domain errors in the requested computation
 (division by zero, non-unit, missing inverse, identically zero divisor),
-5 corpus mismatch, 141 standard output closed by its reader. Internal
-consistency failures are deliberately not caught: they are bugs and should
-produce a traceback.
+5 corpus mismatch, 6 out of memory or past the recursion limit (one stderr
+line naming the subcommand), 141 standard output closed by its reader.
+Internal consistency failures are deliberately not caught: they are bugs and
+should produce a traceback.
 """
 
 from __future__ import annotations
@@ -48,6 +49,8 @@ from .zeros import filter_unit_ball, zero_report
 SCHEMA_VERSION = 1
 # 128 + SIGPIPE: what a shell reports for a writer whose reader went away.
 EXIT_CLOSED_OUTPUT = 141
+# A computation that ran out of memory or past the recursion limit.
+EXIT_EXHAUSTED = 6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -454,8 +457,10 @@ def main(argv=None) -> int:
     if limit:
         sys.set_int_max_str_digits(0)
     parser = build_parser()
+    command = None
     try:
         args = parser.parse_args(argv)
+        command = args.command
         code = args.func(args)
         sys.stdout.flush()
         return code
@@ -486,6 +491,10 @@ def main(argv=None) -> int:
     except GoldenMismatch as exc:
         print(f"corpus mismatch: {exc}", file=sys.stderr)
         return 5
+    except (MemoryError, RecursionError) as exc:
+        what = "ran out of memory" if isinstance(exc, MemoryError) else "passed the recursion limit"
+        print(f"resources exhausted: {command or 'propfox'} {what}", file=sys.stderr)
+        return EXIT_EXHAUSTED
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)

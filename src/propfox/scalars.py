@@ -18,6 +18,12 @@ _RATIONAL_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))$|^([+-]?\d+)$")
 # bounded, at Python's default int-to-str limit
 MAX_LITERAL_DIGITS = 4300
 
+# integers of more bits than this are printed by divide and conquer through
+# the decimal module (_decimal_str), whose leaves are integers of at most
+# _DECIMAL_LEAF_BITS bits
+_DECIMAL_BITS = 2**15
+_DECIMAL_LEAF_BITS = 128
+
 # zeros works mod p^prec, and each Newton step's inverse takes time quadratic
 # in the modulus's size, so prec * p.bit_length() is bounded
 MAX_MODULUS_BITS = 2**17
@@ -59,8 +65,48 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(parse_int(m.group(1)), den)
 
 
+def _decimal_str(n: int) -> str:
+    """str(n) for n >= 0, by divide and conquer: with n split at bit h into
+    hi * 2^h + lo, its decimal value is hi's times 2^h plus lo's, and
+    decimal multiplies exactly in time quasi-linear in the digits. The
+    powers 2^h are kept, one per split width."""
+    import decimal
+
+    powers: dict[int, decimal.Decimal] = {}
+
+    def two_to(h: int) -> decimal.Decimal:
+        if h not in powers:
+            if h <= _DECIMAL_LEAF_BITS:
+                powers[h] = decimal.Decimal(1 << h)
+            else:
+                powers[h] = two_to(h // 2) * two_to(h - h // 2)
+        return powers[h]
+
+    def convert(m: int, bits: int) -> decimal.Decimal:
+        if bits <= _DECIMAL_LEAF_BITS:
+            return decimal.Decimal(m)
+        h = bits // 2
+        hi = m >> h
+        return convert(hi, bits - h) * two_to(h) + convert(m - (hi << h), h)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        return str(convert(n, n.bit_length()))
+
+
+def _int_str(n: int) -> str:
+    """str(n). Before Python 3.12 str takes time quadratic in the digits,
+    so past _DECIMAL_BITS bits the digits come from _decimal_str."""
+    if n.bit_length() <= _DECIMAL_BITS:
+        return str(n)
+    return "-" + _decimal_str(-n) if n < 0 else _decimal_str(n)
+
+
 def format_rational(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    num = _int_str(q.numerator)
+    return num if q.denominator == 1 else f"{num}/{_int_str(q.denominator)}"
 
 
 def _int_valuation(n: int, p: int) -> int:

@@ -14,6 +14,18 @@ complements and correcting for the borrows, and an integer is read back as
 its balanced base-2^w digits, in [-2^(w-1), 2^(w-1)). With 2^(w-1) above
 every coefficient of a product, one big-integer product gives them all.
 
+Slots of up to 64 bits are packed and read back by C-level copies, not by
+one call per coefficient. The coefficients go into an array.array of the
+narrowest signed item that holds a slot (8, 16, 32 or 64 bits, with the
+typecodes read off each item size on the host), whose bytes give the
+integer in one int.from_bytes call; its digits come back through one
+to_bytes call and one array.tolist call. Array items are in the host's
+byte order, so on a big-endian host they are byte-swapped to the little
+endian order of the integer. A slot of 24, 40, 48 or 56 bits lies in the
+next wider item: its bytes are cut to the slot, or sign-extended from it,
+by one strided copy per byte position (_resize). Slots wider than 64 bits
+are packed and read one coefficient at a time.
+
 gcd is the heuristic gcd of Char, Geddes and Gonnet (J. Symbolic Comput. 7,
 1989). For primitive a, b and an integer xi >= 2 min(|a|, |b|) + 2 (max
 norms), the primitive part h of the balanced xi-adic expansion of
@@ -25,6 +37,8 @@ _HEU_TRIES points the primitive Euclidean remainder sequence answers.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from math import gcd as igcd
 
 from .scalars import valuation
@@ -37,6 +51,20 @@ _HEU_TRIES = 6
 
 # The longest coefficient run value_at evaluates by Horner's rule.
 _HORNER_RUN = 256
+
+# The signed array typecode of each item size in bytes, read off the host.
+_CODES = {array(code).itemsize: code for code in "bhilq"}
+# For a slot of up to the widest item's bytes: the size of the narrowest
+# item that holds it, and that item's typecode.
+_ITEM = {
+    size: min((k, code) for k, code in _CODES.items() if k >= size)
+    for size in range(1, max(_CODES) + 1)
+}
+# Array items are in the host's byte order; the Kronecker integers are read
+# and written little-endian.
+_SWAP = sys.byteorder == "big"
+# Byte b to the byte that sign-extends a two's complement whose top byte is b.
+_SIGN = bytes(255 if b >= 128 else 0 for b in range(256))
 
 
 def _trim(shift: int, c: list) -> tuple:
@@ -55,12 +83,34 @@ def _ones(n: int, size: int) -> int:
     return int.from_bytes((b"\x01" + bytes(size - 1)) * n, "little")
 
 
+def _resize(data, src: int, dst: int) -> bytearray:
+    """data's little-endian two's complements of src bytes each as ones of
+    dst bytes: cut to their low bytes, or sign-extended. One strided copy
+    per byte position."""
+    out = bytearray(len(data) // src * dst)
+    for k in range(min(src, dst)):
+        out[k::dst] = data[k::src]
+    if dst > src:
+        sign = data[src - 1 :: src].translate(_SIGN)
+        for k in range(src, dst):
+            out[k::dst] = sign
+    return out
+
+
 def _pack(c, w: int) -> int:
     """c evaluated at 2^w, for w a multiple of 8 and |c_i| < 2^(w-1). The
     slots hold the w-bit two's complements, whose top bits mark the
     negative coefficients; each of those borrows 2^w from the slot above."""
     size = w // 8
-    v = int.from_bytes(b"".join([x.to_bytes(size, "little", signed=True) for x in c]), "little")
+    if size in _ITEM:
+        item, code = _ITEM[size]
+        a = array(code, c)
+        if _SWAP:
+            a.byteswap()
+        data = a.tobytes() if item == size else _resize(a.tobytes(), item, size)
+    else:
+        data = b"".join([x.to_bytes(size, "little", signed=True) for x in c])
+    v = int.from_bytes(data, "little")
     return v - (((v >> (w - 1)) & _ones(len(c), size)) << w)
 
 
@@ -74,7 +124,14 @@ def _digits(v: int, w: int) -> list[int]:
     n = v.bit_length() // w + 2
     run = _ones(n, size) << (w - 1)
     data = ((v + run) ^ run).to_bytes(n * size, "little")
-    out = [int.from_bytes(data[i : i + size], "little", signed=True) for i in range(0, n * size, size)]
+    if size in _ITEM:
+        item, code = _ITEM[size]
+        a = array(code, data if item == size else _resize(data, size, item))
+        if _SWAP:
+            a.byteswap()
+        out = a.tolist()
+    else:
+        out = [int.from_bytes(data[i : i + size], "little", signed=True) for i in range(0, n * size, size)]
     while out and not out[-1]:
         out.pop()
     return out

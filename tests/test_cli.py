@@ -446,6 +446,25 @@ def test_corpus_mismatch_exit_code(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "handler, argv, exc, what",
+    [
+        ("_cmd_delta", ("delta", EG41, "--d", "1"), MemoryError, "ran out of memory"),
+        ("_cmd_corpus", ("corpus", "run"), RecursionError, "passed the recursion limit"),
+    ],
+    ids=["memory", "recursion"],
+)
+def test_exhausted_resources_exit_6_with_one_line(capsys, monkeypatch, handler, argv, exc, what):
+    def exhausted(args):
+        raise exc()
+
+    monkeypatch.setattr(cli, handler, exhausted)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_EXHAUSTED == 6
+    assert out == ""
+    assert err == f"resources exhausted: {argv[0]} {what}\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("delta", EG41, "--d", "-1"),

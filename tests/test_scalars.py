@@ -1,8 +1,12 @@
 """Rational parsing and p-adic valuations."""
 
+import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from propfox import (
     format_rational,
@@ -10,6 +14,7 @@ from propfox import (
     unit_ball_check,
     valuation,
 )
+from propfox import scalars
 from propfox.scalars import MAX_LITERAL_DIGITS, parse_int
 
 
@@ -40,6 +45,48 @@ def test_literal_digit_bound():
 def test_format_rational():
     assert format_rational(Fraction(7)) == "7"
     assert format_rational(Fraction(-1, 3)) == "-1/3"
+
+
+# Integers on both sides of the decimal threshold, small ones, and powers of
+# ten with their neighbours; each of either sign.
+big_ints = st.builds(
+    lambda sign, n: sign * n,
+    st.sampled_from((1, -1)),
+    st.one_of(
+        st.integers(min_value=0, max_value=2**200),
+        st.integers(min_value=scalars._DECIMAL_BITS - 64, max_value=scalars._DECIMAL_BITS + 64).flatmap(
+            lambda bits: st.integers(min_value=2 ** (bits - 1), max_value=2**bits - 1)
+        ),
+        st.integers(min_value=2**15, max_value=2**16).flatmap(
+            lambda bits: st.integers(min_value=2 ** (bits - 1), max_value=2**bits - 1)
+        ),
+        st.builds(lambda k, d: 10**k + d, st.integers(min_value=0, max_value=12000), st.sampled_from((-1, 0, 1))),
+    ),
+)
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(big_ints, big_ints.filter(lambda d: d > 0))
+@example(10**9864, 1)
+@example(-(10**9865), 10**9866)
+@example(-(2**scalars._DECIMAL_BITS), 2**scalars._DECIMAL_BITS + 1)
+def test_format_rational_matches_str(n, d):
+    """With the threshold at its value and cut to 0 bits (every nonzero
+    integer by divide and conquer), at leaves of 128 and 7 bits."""
+    q = Fraction(n, d)
+    saved = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else 0
+    if saved:
+        sys.set_int_max_str_digits(0)
+    try:
+        expected = str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+        for bits, leaf in ((scalars._DECIMAL_BITS, 128), (0, 128), (0, 7)):
+            with mock.patch.object(scalars, "_DECIMAL_BITS", bits), mock.patch.object(
+                scalars, "_DECIMAL_LEAF_BITS", leaf
+            ):
+                assert format_rational(q) == expected
+    finally:
+        if saved:
+            sys.set_int_max_str_digits(saved)
 
 
 def test_valuation():

@@ -1,6 +1,7 @@
 """The dense integer Laurent form: Kronecker products with signed slots,
 exact and pseudo division, and the verified heuristic gcd."""
 
+import random
 from unittest import mock
 
 import pytest
@@ -100,6 +101,80 @@ def test_value_at_by_binary_splitting_matches_horner(case):
     for run in (1, 3, 8, zpoly._HORNER_RUN):
         with mock.patch.object(zpoly, "_HORNER_RUN", run):
             assert zpoly.value_at(a, n, d) == expected
+
+
+def balanced_digits(v: int, w: int) -> list[int]:
+    """The balanced base-2^w digits of v, lowest first, in [-2^(w-1),
+    2^(w-1)), by one divmod per digit."""
+    out = []
+    while v:
+        v, d = divmod(v, 2**w)
+        if d >= 2 ** (w - 1):
+            d -= 2**w
+            v += 1
+        out.append(d)
+    return out
+
+
+def schoolbook(a, b) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+# Slot widths: every array item width, each width that lies in a wider item
+# (24 to 56 bits) and two of the one-coefficient-at-a-time path.
+SLOT_WIDTHS = (8, 16, 24, 32, 40, 48, 56, 64, 72, 128)
+
+
+def slot_coefficients(rng, n: int, w: int) -> list[int]:
+    """n coefficients of a w-bit slot, about half of them at its edges,
+    +-(2^(w-1) - 1) and -2^(w-1), or zero."""
+    edge = 2 ** (w - 1)
+    return [
+        rng.choice((edge - 1, 1 - edge, -edge, 0)) if rng.random() < 0.5 else rng.randrange(-edge, edge)
+        for _ in range(n)
+    ]
+
+
+def factor(rng, n: int, w: int) -> list[int]:
+    """slot_coefficients with a nonzero top one, as the callers of
+    mul_coeffs pass."""
+    c = slot_coefficients(rng, n, w)
+    c[-1] = c[-1] or 1
+    return c
+
+
+@st.composite
+def slot_problems(draw):
+    """(w, c, v, a, b): coefficients c of a w-bit slot, 1 to 300 of them; an
+    integer v of up to as many w-bit digits, of either sign; and factors a
+    and b of 1 to 300 coefficients whose norms put the product's slot
+    anywhere from 8 to over 64 bits (b is a for a square)."""
+    lengths = st.integers(min_value=1, max_value=300)
+    w = draw(st.sampled_from(SLOT_WIDTHS))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    c = slot_coefficients(rng, draw(lengths), w)
+    v = rng.choice((-1, 1)) * rng.getrandbits(w * len(c))
+    a, b = (factor(rng, draw(lengths), draw(st.integers(min_value=1, max_value=40))) for _ in "ab")
+    return w, c, v, a, a if draw(st.booleans()) else b
+
+
+@SUITE
+@given(slot_problems())
+@example((24, [2**23 - 1, -(2**23), 1 - 2**23], -(2**70), [-(2**23)] * 300, [2**23 - 1] * 300))
+@example((64, [-(2**63)] * 5 + [2**63 - 1], 2**400 - 1, [-(2**39)] * 2, [1]))
+def test_kronecker_kernel_matches_the_definitions(case):
+    """_pack is evaluation at 2^w, _digits the balanced base-2^w digits and
+    mul_coeffs the convolution, at slot widths on both sides of 64 bits."""
+    w, c, v, a, b = case
+    packed = zpoly._pack(c, w)
+    assert packed == sum(x << (w * i) for i, x in enumerate(c))
+    assert zpoly._digits(packed, w) == balanced_digits(packed, w)
+    assert zpoly._digits(v, w) == balanced_digits(v, w)
+    assert zpoly.mul_coeffs(a, b) == schoolbook(a, b)
 
 
 def test_signed_slots_carry_negative_and_wide_coefficients():
