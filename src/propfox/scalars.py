@@ -97,10 +97,15 @@ def _decimal_str(n: int) -> str:
 
 
 def _int_str(n: int) -> str:
-    """str(n). Before Python 3.12 str takes time quadratic in the digits,
-    so past _DECIMAL_BITS bits the digits come from _decimal_str."""
+    """str(n), whatever the interpreter's int-to-str digit limit. Before
+    Python 3.12 str takes time quadratic in the digits, so past
+    _DECIMAL_BITS bits, or past the limit, the digits come from
+    _decimal_str, which the limit does not bound."""
     if n.bit_length() <= _DECIMAL_BITS:
-        return str(n)
+        try:
+            return str(n)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            pass
     return "-" + _decimal_str(-n) if n < 0 else _decimal_str(n)
 
 

@@ -15,16 +15,15 @@ its balanced base-2^w digits, in [-2^(w-1), 2^(w-1)). With 2^(w-1) above
 every coefficient of a product, one big-integer product gives them all.
 
 Slots of up to 64 bits are packed and read back by C-level copies, not by
-one call per coefficient. The coefficients go into an array.array of the
-narrowest signed item that holds a slot (8, 16, 32 or 64 bits, with the
-typecodes read off each item size on the host), whose bytes give the
-integer in one int.from_bytes call; its digits come back through one
-to_bytes call and one array.tolist call. Array items are in the host's
-byte order, so on a big-endian host they are byte-swapped to the little
-endian order of the integer. A slot of 24, 40, 48 or 56 bits lies in the
-next wider item: its bytes are cut to the slot, or sign-extended from it,
-by one strided copy per byte position (_resize). Slots wider than 64 bits
-are packed and read one coefficient at a time.
+one call per coefficient. _slot rounds a width of up to 64 bits up to an
+array item's (8, 16, 32 or 64 bits), so each coefficient fills one item of
+an array.array with the signed typecode of that size (read off the host):
+the array's bytes give the integer in one int.from_bytes call, and its
+digits come back through one to_bytes call and one array.tolist call.
+Array items are in the host's byte order, so on a big-endian host they are
+byte-swapped to the little-endian order of the integer. Past 64 bits a
+slot is the least multiple of 8 bits, packed and read one coefficient at a
+time.
 
 gcd is the heuristic gcd of Char, Geddes and Gonnet (J. Symbolic Comput. 7,
 1989). For primitive a, b and an integer xi >= 2 min(|a|, |b|) + 2 (max
@@ -54,17 +53,9 @@ _HORNER_RUN = 256
 
 # The signed array typecode of each item size in bytes, read off the host.
 _CODES = {array(code).itemsize: code for code in "bhilq"}
-# For a slot of up to the widest item's bytes: the size of the narrowest
-# item that holds it, and that item's typecode.
-_ITEM = {
-    size: min((k, code) for k, code in _CODES.items() if k >= size)
-    for size in range(1, max(_CODES) + 1)
-}
 # Array items are in the host's byte order; the Kronecker integers are read
 # and written little-endian.
 _SWAP = sys.byteorder == "big"
-# Byte b to the byte that sign-extends a two's complement whose top byte is b.
-_SIGN = bytes(255 if b >= 128 else 0 for b in range(256))
 
 
 def _trim(shift: int, c: list) -> tuple:
@@ -83,31 +74,16 @@ def _ones(n: int, size: int) -> int:
     return int.from_bytes((b"\x01" + bytes(size - 1)) * n, "little")
 
 
-def _resize(data, src: int, dst: int) -> bytearray:
-    """data's little-endian two's complements of src bytes each as ones of
-    dst bytes: cut to their low bytes, or sign-extended. One strided copy
-    per byte position."""
-    out = bytearray(len(data) // src * dst)
-    for k in range(min(src, dst)):
-        out[k::dst] = data[k::src]
-    if dst > src:
-        sign = data[src - 1 :: src].translate(_SIGN)
-        for k in range(src, dst):
-            out[k::dst] = sign
-    return out
-
-
 def _pack(c, w: int) -> int:
     """c evaluated at 2^w, for w a multiple of 8 and |c_i| < 2^(w-1). The
     slots hold the w-bit two's complements, whose top bits mark the
     negative coefficients; each of those borrows 2^w from the slot above."""
     size = w // 8
-    if size in _ITEM:
-        item, code = _ITEM[size]
-        a = array(code, c)
+    if size in _CODES:
+        a = array(_CODES[size], c)
         if _SWAP:
             a.byteswap()
-        data = a.tobytes() if item == size else _resize(a.tobytes(), item, size)
+        data = a.tobytes()
     else:
         data = b"".join([x.to_bytes(size, "little", signed=True) for x in c])
     v = int.from_bytes(data, "little")
@@ -124,9 +100,8 @@ def _digits(v: int, w: int) -> list[int]:
     n = v.bit_length() // w + 2
     run = _ones(n, size) << (w - 1)
     data = ((v + run) ^ run).to_bytes(n * size, "little")
-    if size in _ITEM:
-        item, code = _ITEM[size]
-        a = array(code, data if item == size else _resize(data, size, item))
+    if size in _CODES:
+        a = array(_CODES[size], data)
         if _SWAP:
             a.byteswap()
         out = a.tolist()
@@ -137,9 +112,17 @@ def _digits(v: int, w: int) -> list[int]:
     return out
 
 
+def _width(bits: int) -> int:
+    """The least slot width of at least bits bits: an array item's width
+    (8, 16, 32 or 64) up to 64 bits, the least multiple of 8 past that."""
+    if bits > 64:
+        return (bits + 7) // 8 * 8
+    return 8 << max(0, (bits - 1).bit_length() - 3)
+
+
 def _slot(bound: int) -> int:
-    """The least multiple of 8, w, with 2^(w-1) > bound."""
-    return (bound.bit_length() + 8) // 8 * 8
+    """The least slot width w with 2^(w-1) > bound."""
+    return _width(bound.bit_length() + 1)
 
 
 def mul_coeffs(a, b) -> list[int]:
@@ -253,7 +236,7 @@ def _heu_gcd(a: tuple, b: tuple) -> tuple | None:
                 mul_coeffs(h, _digits(qb, w)) == list(b)
             ):
                 return h
-        w = (w * 3 // 2 + 7) // 8 * 8
+        w = _width(w * 3 // 2)
     return None
 
 

@@ -89,6 +89,33 @@ def test_format_rational_matches_str(n, d):
             sys.set_int_max_str_digits(saved)
 
 
+@pytest.mark.parametrize(
+    "q",
+    [
+        Fraction(10**4300),  # 4,301 digits: one past the default limit
+        Fraction(-(10**9000) + 1),  # under 2^15 bits, past the limit
+        Fraction(1, 3**20000),  # 9,543 digits in the denominator
+        Fraction(-(2**scalars._DECIMAL_BITS) - 1, 7),  # past 2^15 bits
+    ],
+)
+def test_format_rational_prints_past_the_int_to_str_limit(q):
+    """At Python's default limit of 4,300 digits, which str obeys and the
+    CLI lifts, format_rational prints every integer on both sides of
+    _DECIMAL_BITS."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no int-to-str digit limit before Python 3.11")
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        expected = str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+        sys.set_int_max_str_digits(4300)
+        with pytest.raises(ValueError):
+            str(q)
+        assert format_rational(q) == expected
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
 def test_valuation():
     assert valuation(Fraction(9), 3) == 2
     assert valuation(Fraction(1, 3), 3) == -1

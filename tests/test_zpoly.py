@@ -124,8 +124,9 @@ def schoolbook(a, b) -> list[int]:
     return out
 
 
-# Slot widths: every array item width, each width that lies in a wider item
-# (24 to 56 bits) and two of the one-coefficient-at-a-time path.
+# Slot widths: every array item width, and widths of the
+# one-coefficient-at-a-time path on both sides of 64 bits (_slot picks none
+# of 24 to 56, but _pack and _digits take any multiple of 8).
 SLOT_WIDTHS = (8, 16, 24, 32, 40, 48, 56, 64, 72, 128)
 
 
@@ -175,6 +176,19 @@ def test_kronecker_kernel_matches_the_definitions(case):
     assert zpoly._digits(packed, w) == balanced_digits(packed, w)
     assert zpoly._digits(v, w) == balanced_digits(v, w)
     assert zpoly.mul_coeffs(a, b) == schoolbook(a, b)
+
+
+def test_slots_round_up_to_array_items_up_to_64_bits():
+    widths = [zpoly._slot(2**k - 1) for k in range(130)]
+    assert sorted(set(widths)) == [8, 16, 32, 64] + list(range(72, 144, 8))
+    for k, w in enumerate(widths):
+        assert 2 ** (w - 1) > 2**k - 1 and (w <= 64 or w - 8 <= k)
+    # GCDHEU's evaluation points, from the first one of a small norm
+    w, points = zpoly._slot(1), []
+    for _ in range(zpoly._HEU_TRIES):
+        points.append(w)
+        w = zpoly._width(w * 3 // 2)
+    assert points == [8, 16, 32, 64, 96, 144]
 
 
 def test_signed_slots_carry_negative_and_wide_coefficients():
