@@ -21,13 +21,14 @@ copy by copy. So a^n costs the walk one letter whenever phi(a) = I, and a
 power (x1*x0^-1)^n one block, not n, whenever phi(x1) = phi(x0).
 
 The walk runs on integers throughout. P is a scaled-integer matrix (integer
-rows over one denominator), and each coefficient gathers in a sparse map
-from exponents to integers over one running denominator per relator. The
-relation matrix keeps that integer form: L, the least common denominator of
-all its coefficients, and L times each entry as a zpoly value. The divisor
-layer reads the form as it is held, specialization evaluates it on the
-integers (zpoly.value_at), and each LaurentPoly entry, when read, wraps its
-row's zpoly value over L with no Fraction per coefficient.
+rows over one denominator), and each entry gathers in a list of integers
+over one running denominator per relator, indexed by exponent from the
+word's least prefix degree to its greatest. The relation matrix keeps that
+integer form: L, the least common denominator of all its coefficients, and
+L times each entry as a zpoly value. The divisor layer reads the form as it
+is held, specialization evaluates it on the integers (zpoly.value_at), and
+each LaurentPoly entry, when read, wraps its row's zpoly value over L with
+no Fraction per coefficient.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from .matrices import (
 )
 from .presentation import Presentation, Word, validate_presentation
 from .scalars import MAX_MATRIX_SPAN, Rational, parse_int, parse_rational
-from .zpoly import ZERO, value_at
+from .zpoly import trim, value_at
 
 
 @dataclass(frozen=True)
@@ -98,9 +99,6 @@ class Representation:
         """The inverses of the images as scaled matrices, by the integer
         elimination; NotInvertible when an image is singular."""
         return tuple(map(scaled_inverse, self.scaled))
-
-    def is_trivial(self) -> bool:
-        return self.dim == 1 and all(M[0][0] == 1 for M in self.images)
 
 
 def parse_representation(text: str, pres: Presentation) -> Representation:
@@ -214,12 +212,13 @@ def evaluate_word(rep, word: Word):
     return from_scaled(scaled_image(rep, word))
 
 
-def _fox_pass(exps, rep: Representation, word: Word) -> tuple[int, list]:
+def _fox_pass(exps, rep: Representation, word: Word, lo: int, n: int) -> tuple[int, list]:
     """The derivatives of the word by every generator, in one walk over its
-    letters, as (D, rows): dim rows of n_generators * dim maps from int
-    exponents to int coefficients, some of them zero sums, all over the one
-    denominator D, column block i holding the derivative by g_i. Generator
-    g_i maps to g^exps[i] (x) rep.images[i]; the walk reads the images and
+    letters, as (D, rows): dim rows of n_generators * dim lists of n int
+    coefficients, all over the one denominator D, column block i holding
+    the derivative by g_i, and index t holding exponent lo + t, for the
+    word's (lo, hi) from _check_span and n = hi - lo + 1. Generator g_i
+    maps to g^exps[i] (x) rep.images[i]; the walk reads the images and
     their inverses from rep.scaled and rep.scaled_invs, converted once per
     representation.
 
@@ -228,7 +227,7 @@ def _fox_pass(exps, rep: Representation, word: Word) -> tuple[int, list]:
     g_j contributes +P at g^k to block j and then steps the pair to
     g^(k + exps[j]) (x) P images[j]; a letter g_j^-1 first steps the pair
     by the inverse image and then contributes -P. When the denominator of P
-    does not divide D, every map is first brought to their lcm.
+    does not divide D, every list is first brought to their lcm.
 
     The walk reads the word's runs (Word.runs): blocks of at most
     presentation._RUN_BLOCK syllables, each repeated count times, where a
@@ -241,23 +240,24 @@ def _fox_pass(exps, rep: Representation, word: Word) -> tuple[int, list]:
     count when s = 0. Any other run is walked copy by copy."""
     ell = rep.dim
     mats, invs = rep.scaled, rep.scaled_invs
-    rows = [[{} for _ in range(len(exps) * ell)] for _ in range(ell)]
+    rows = [[[0] * n for _ in range(len(exps) * ell)] for _ in range(ell)]
     cols = [[row[j * ell:(j + 1) * ell] for row in rows] for j in range(len(exps))]
     one = scaled_identity(ell)
     fixed = [M == one for M in mats]
-    P, D, k = one, 1, 0
+    P, D, k = one, 1, -lo  # k indexes the prefix degree: the degree minus lo
     for block, count in word.runs:
         if len(block) == 1:
             [(j, e)] = block
             block, count = ((j, 1 if e > 0 else -1),), abs(e)
-        walks, times, offs, rest = count, 1, range(1), 0
+        walks, times, offs, rest = count, 1, None, 0
         if count > 1 and (
             fixed[block[0][0]] if len(block) == 1 else is_scaled_identity(_product(mats, invs, block))
         ):
             s = sum(exps[j] * e for j, e in block)
             walks, rest = 1, s * (count - 1)
             if s:
-                offs = range(0, count * s, s)
+                # the offsets 0, s, ..., rest, lowest first
+                offs = range(min(0, rest), max(0, rest) + 1, abs(s))
             else:
                 times = count
         for _ in range(walks):
@@ -277,48 +277,40 @@ def _fox_pass(exps, rep: Representation, word: Word) -> tuple[int, list]:
 
 
 def _rescale(rows, D: int, den: int) -> int:
-    """lcm(D, den), with every map of rows brought from D to it."""
+    """lcm(D, den), with every list of rows brought from D to it."""
     if not D % den:
         return D
     m = den // gcd(D, den)
     for row in rows:
         for cell in row:
-            for t in cell:
-                cell[t] *= m
+            cell[:] = [x * m for x in cell]
     return D * m
 
 
-def _add_image(P, block, f: int, k: int, offs: range) -> None:
-    """Add f times each entry of the scaled matrix P at every exponent
-    k + o, for o in offs, to the matching map of block."""
-    ts = range(k + offs.start, k + offs.stop, offs.step)
+def _add_image(P, block, f: int, k: int, offs: range | None) -> None:
+    """Add f times each entry of the scaled matrix P to the matching list
+    of block, at index k or, through one slice, at k + o for each o in offs
+    (a positive step: a negative one whose stop is -1 would wrap round)."""
+    ts = None if offs is None else slice(k + offs.start, k + offs.stop, offs.step)
     for Pr, cells in zip(P[0], block):
         for x, cell in zip(Pr, cells):
             if x:
                 v = x * f
-                for t in ts:
-                    cell[t] = cell.get(t, 0) + v
+                if ts is None:
+                    cell[k] += v
+                else:
+                    cell[ts] = [y + v for y in cell[ts]]
 
 
-def _least_denominator(D: int, rows) -> tuple[int, int]:
-    """(D', g): the maps over D hold the same values as their coefficients
-    divided by g over D' = D / g, with g the gcd of D and every
-    coefficient, so D' is their least common denominator."""
-    g = gcd(D, *(x for row in rows for cell in row for x in cell.values()))
-    return D // g, g
-
-
-def _dense(cell: dict, div: int, m: int) -> tuple:
-    """The map as a zpoly value, each coefficient divided by div (exactly)
-    and multiplied by m."""
-    live = [t for t, x in cell.items() if x]
-    if not live:
-        return ZERO
-    low = min(live)
-    c = [0] * (max(live) - low + 1)
-    for t in live:
-        c[t - low] = cell[t] // div * m
-    return low, tuple(c)
+def _least_denominator(D: int, rows) -> int:
+    """The least common denominator D / g of the lists over D, for g the
+    gcd of D and every coefficient, with every list divided by g."""
+    g = gcd(D, *(gcd(*cell) for row in rows for cell in row))
+    if g > 1:
+        for row in rows:
+            for cell in row:
+                cell[:] = [x // g for x in cell]
+    return D // g
 
 
 def _check_shape(pres: Presentation, phi: Representation) -> None:
@@ -342,17 +334,18 @@ def _degree_range(alpha, word: Word) -> tuple[int, int]:
     return lo, hi
 
 
-def _check_span(alpha, words, n_generators: int, dim: int) -> None:
-    """Refuse a Fox pass whose derivatives could hold more than
-    MAX_MATRIX_SPAN coefficients: each word's entries lie between its least
-    and greatest prefix degree, and there are n_generators * dim^2 of them."""
-    degrees = sum(hi - lo + 1 for lo, hi in (_degree_range(alpha, w) for w in words))
-    span = n_generators * dim * dim * degrees
+def _check_span(alpha, words, n_generators: int, dim: int) -> list[tuple[int, int]]:
+    """Each word's (lo, hi), its least and greatest prefix degree: its
+    derivatives are n_generators * dim^2 lists of hi - lo + 1 coefficients.
+    Refuse the pass when all of them would hold more than MAX_MATRIX_SPAN."""
+    ranges = [_degree_range(alpha, w) for w in words]
+    span = n_generators * dim * dim * sum(hi - lo + 1 for lo, hi in ranges)
     if span > MAX_MATRIX_SPAN:
         raise InputTooLarge(
             f"the relation matrix spans {span} coefficients: "
             f"the limit is {MAX_MATRIX_SPAN} (scalars.MAX_MATRIX_SPAN)"
         )
+    return ranges
 
 
 def fox_derivative_matrix(pres: Presentation, phi: Representation, word: Word, gen: int):
@@ -361,11 +354,11 @@ def fox_derivative_matrix(pres: Presentation, phi: Representation, word: Word, g
     _check_shape(pres, phi)
     if not 0 <= gen < pres.n_generators:
         raise ValueError(f"no generator {gen}: the presentation has {pres.n_generators}")
-    _check_span(pres.alpha, (word,), pres.n_generators, phi.dim)
+    [(lo, hi)] = _check_span(pres.alpha, (word,), pres.n_generators, phi.dim)
     ell = phi.dim
-    D, rows = _fox_pass(pres.alpha, phi, word)
+    D, rows = _fox_pass(pres.alpha, phi, word, lo, hi - lo + 1)
     return tuple(
-        tuple(LaurentPoly.from_form(_dense(cell, 1, 1), D) for cell in row[gen * ell:(gen + 1) * ell])
+        tuple(LaurentPoly.from_form(trim(lo, cell), D) for cell in row[gen * ell:(gen + 1) * ell])
         for row in rows
     )
 
@@ -472,20 +465,19 @@ def _relation_matrix(pres: Presentation, rep: Representation) -> AlexanderMatrix
 
     Each relator's pass is reduced to its least denominator D_j; the least
     common denominator of the whole matrix is then L = lcm(D_j), and
-    relator j's maps are scaled by L / D_j. Nothing is built when the
+    relator j's lists are scaled by L / D_j. Nothing is built when the
     matrix would span more than MAX_MATRIX_SPAN coefficients."""
     _check_shape(pres, rep)
     words = tuple(rel.flatten() for rel in pres.relators)
-    _check_span(pres.alpha, words, pres.n_generators, rep.dim)
     passes = []
-    for word in words:
-        D, rows = _fox_pass(pres.alpha, rep, word)
-        passes.append((*_least_denominator(D, rows), rows))
-    L = lcm(1, *(D for D, _, _ in passes))
+    for word, (lo, hi) in zip(words, _check_span(pres.alpha, words, pres.n_generators, rep.dim)):
+        D, rows = _fox_pass(pres.alpha, rep, word, lo, hi - lo + 1)
+        passes.append((lo, _least_denominator(D, rows), rows))
+    L = lcm(1, *(D for _, D, _ in passes))
     return AlexanderMatrix(
         scale=L,
         rows=tuple(
-            tuple(_dense(cell, g, L // D) for cell in row) for D, g, rows in passes for row in rows
+            tuple(zpoly.scale(trim(lo, cell), L // D) for cell in row) for lo, D, rows in passes for row in rows
         ),
         n_relators=len(pres.relators),
         n_generators=pres.n_generators,

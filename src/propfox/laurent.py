@@ -217,14 +217,6 @@ def laurent_divmod(f: LaurentPoly, d: LaurentPoly) -> tuple[LaurentPoly, Laurent
     )
 
 
-def div_exact(f: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
-    """f / d when d divides f in the Laurent ring; raises ValueError if not."""
-    q, r = laurent_divmod(f, d)
-    if not r.is_zero():
-        raise ValueError("does not divide exactly")
-    return q
-
-
 def laurent_divides(d: LaurentPoly, f: LaurentPoly) -> bool:
     if d.is_zero():
         return f.is_zero()

@@ -159,9 +159,6 @@ class Word:
         seam = s[t][0] == s[-1 - t][0]
         return 2 * t + (c - seam) * abs(n) + seam
 
-    def letter_length(self) -> int:
-        return sum(abs(e) for _, e in self.syllables)
-
     @cached_property
     def runs(self) -> tuple[tuple[tuple[tuple[int, int], ...], int], ...]:
         """The syllables as (block, count) pairs: each block repeated count

@@ -58,7 +58,7 @@ _CODES = {array(code).itemsize: code for code in "bhilq"}
 _SWAP = sys.byteorder == "big"
 
 
-def _trim(shift: int, c: list) -> tuple:
+def trim(shift: int, c: list) -> tuple:
     """(shift, c) as a value: zero coefficients stripped from both ends."""
     hi = len(c)
     while hi and not c[hi - 1]:
@@ -159,7 +159,7 @@ def _combine(a: tuple, b: tuple, sign: int) -> tuple:
     out[sa - low : sa - low + len(ca)] = ca
     i = sb - low
     out[i : i + len(cb)] = [x + sign * y for x, y in zip(out[i : i + len(cb)], cb)]
-    return _trim(low, out)
+    return trim(low, out)
 
 
 def add(a: tuple, b: tuple) -> tuple:
@@ -205,7 +205,7 @@ def pseudo_divmod(f: tuple, d: tuple) -> tuple[int, tuple, tuple]:
         if t:
             q[i] = t
             r[i : i + m + 1] = [x - t * y for x, y in zip(r[i : i + m + 1], b)]
-    return c, _trim(sf - sd, q), _trim(sf, r[:m])
+    return c, trim(sf - sd, q), trim(sf, r[:m])
 
 
 def divexact(f: tuple, d: tuple) -> tuple:

@@ -12,21 +12,35 @@ starts again from the original entries and runs exactly r - 1 steps, with no
 snapshot kept between calls. _fitting_by_enumeration checks everything,
 minor_count included, by folding every minor in lexicographic (row set,
 column set) order.
+
+div_exact is exact division of LaurentPoly values in the Laurent ring, on
+propfox.laurent.laurent_divmod, for the tests that divide one divisor by
+another.
 """
 
 from itertools import combinations
 
 from propfox import FittingResult, LaurentPoly
+from propfox.laurent import laurent_divmod as integer_divmod
 from laurent_oracle import (
     FractionLaurent,
     content_valuation,
-    div_exact,
+    div_exact as fraction_div_exact,
     gcd_many,
     laurent_divmod,
     normalize_associate,
     oracle,
     to_laurent,
 )
+
+
+def div_exact(f: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
+    """f / d when d divides f in the Laurent ring; raises ValueError if not.
+    The LaurentPoly counterpart of laurent_oracle.div_exact."""
+    q, r = integer_divmod(f, d)
+    if not r.is_zero():
+        raise ValueError("does not divide exactly")
+    return q
 
 
 def det_laurent(rows) -> FractionLaurent:
@@ -56,7 +70,7 @@ def det_laurent(rows) -> FractionLaurent:
             sign = -sign
         for i in range(c + 1, k):
             for j in range(c + 1, k):
-                M[i][j] = div_exact(M[c][c] * M[i][j] - M[i][c] * M[c][j], prev)
+                M[i][j] = fraction_div_exact(M[c][c] * M[i][j] - M[i][c] * M[c][j], prev)
             M[i][c] = FractionLaurent.zero()
         prev = M[c][c]
     det = M[k - 1][k - 1]
@@ -169,7 +183,7 @@ def _least_content(entries, r: int, p: int) -> int | None:
         piv = M[k][k]
         for i in range(k + 1, n_rows):
             for j in range(k + 1, n_cols):
-                M[i][j] = div_exact(piv * M[i][j] - M[i][k] * M[k][j], prev)
+                M[i][j] = fraction_div_exact(piv * M[i][j] - M[i][k] * M[k][j], prev)
         prev = piv
     return min(
         (valuation(f) for row in M[r - 1 :] for f in row[r - 1 :] if not f.is_zero()),

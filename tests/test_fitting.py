@@ -19,9 +19,9 @@ from propfox import (
 )
 from propfox import fitting
 from propfox.fox import AlexanderMatrix
-from propfox.laurent import LaurentPoly, div_exact
+from propfox.laurent import LaurentPoly
 
-from fitting_oracle import _fitting_by_enumeration, oneshot_divisor_and_content
+from fitting_oracle import _fitting_by_enumeration, div_exact, oneshot_divisor_and_content
 
 
 def L(text):

@@ -61,7 +61,7 @@ def test_parse_representation_errors(eg41):
 def test_trivial_representation():
     t = Representation.trivial(3)
     assert t.dim == 1
-    assert t.is_trivial()
+    assert t.dim == 1 and all(M[0][0] == 1 for M in t.images)
     assert t.images == ((( Fraction(1),),),) * 3
 
 

@@ -15,7 +15,9 @@ from propfox import (
     normalize_associate,
     parse_laurent,
 )
-from propfox.laurent import div_exact, laurent_divmod
+from propfox.laurent import laurent_divmod
+
+from fitting_oracle import div_exact
 
 g = LaurentPoly.gamma()
 

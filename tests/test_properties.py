@@ -1166,12 +1166,32 @@ def _powered_block_case(B, alpha, n):
     return Presentation(3, ("a", "b", "c"), (Relator(word),), alpha), rep
 
 
+def _inverse_pair_case(alpha, text):
+    """The relator text under a = [[2, 1], [0, 1]], b = a^-1 and c = I, so
+    that the blocks a*b, a^-1*b^-1 and a*c^2*b have the identity image."""
+    A = freeze([[Fraction(2), Fraction(1)], [Fraction(0), Fraction(1)]])
+    rep = Representation(2, (A, oracle_inverse(A), oracle_identity(2)))
+    word = parse_word(text, ("a", "b", "c"))
+    return Presentation(3, ("a", "b", "c"), (Relator(word),), alpha), rep
+
+
 @SUITE
 @given(powered_block_presentations())
 @example(_powered_block_case([[2, 1], [0, 1]], (1, 1, 1), 5))
 @example(_powered_block_case([[2, 1], [0, 1]], (1, 2, -1), -4))
 @example(_powered_block_case([[1, 1], [1, 2]], (1, 1, 1), 5))
+# the least prefix degree is -3, and c is absent from the relator
+@example(_inverse_pair_case((1, 1, 1), "b^-3*(a*b)^3"))
+# a block of degree -2 whose lowest copy lands at index 0
+@example(_inverse_pair_case((1, 1, 1), "(a^-1*b^-1)^4"))
+# block degrees 1 and -1, the second with its lowest copy at index 0
+@example(_inverse_pair_case((2, -1, 1), "(a*b)^5*c"))
+@example(_inverse_pair_case((-1, 2, 1), "(a^-1*b^-1)^5"))
+# weights other than 1, with the identity syllable c^2 inside the block
+@example(_inverse_pair_case((3, -1, -2), "b^2*(a*c^2*b)^6*c^-1"))
 def test_relation_matrix_with_powered_blocks_matches_the_fraction_pass(case):
+    """The relation matrix matches the Fraction pass, and so does every
+    block fox_derivative_matrix gives, the other caller of the walk."""
     pres, rep = case
     Q = _relation_matrix.__wrapped__(pres, rep)
     assert Q.entries == tuple(
@@ -1179,6 +1199,9 @@ def test_relation_matrix_with_powered_blocks_matches_the_fraction_pass(case):
         for rel in pres.relators
         for row in fraction_fox_pass(pres.alpha, rep.images, tuple(map(oracle_inverse, rep.images)), rel.flatten())
     )
+    for j, rel in enumerate(pres.relators):
+        for i in range(pres.n_generators):
+            assert fox_derivative_matrix(pres, rep, rel.flatten(), i) == Q.block(j, i)
 
 
 @SUITE

@@ -19,7 +19,7 @@ coefficients = st.one_of(
     st.integers(min_value=-(2**70), max_value=2**70),
 )
 values = st.builds(
-    lambda shift, c: zpoly._trim(shift, c),
+    lambda shift, c: zpoly.trim(shift, c),
     st.integers(min_value=-4, max_value=4),
     st.lists(coefficients, max_size=7),
 )
@@ -51,7 +51,7 @@ def evaluation_problems(draw):
     6, at n / d with d = 1 or d > 1 (n != 0 when a has a negative
     exponent)."""
     c = draw(st.lists(coefficients, max_size=40))
-    a = zpoly._trim(draw(st.integers(min_value=-6, max_value=6)), c)
+    a = zpoly.trim(draw(st.integers(min_value=-6, max_value=6)), c)
     d = draw(st.one_of(st.just(1), st.integers(min_value=2, max_value=10**6)))
     n = draw(st.integers(min_value=-(10**6), max_value=10**6).filter(lambda n: n or a[0] >= 0))
     return a, n, d
