@@ -7,9 +7,9 @@ form prints the same data as key: value lines.
 
 Exit codes: 0 success, 1 usage, 2 unreadable or unparsable input, 3 failed
 presentation hypotheses, 4 domain errors in the requested computation
-(division by zero, non-unit, missing inverse, identically zero divisor),
-5 corpus mismatch, 6 out of memory or past the recursion limit (one stderr
-line naming the subcommand), 141 standard output closed by its reader.
+(a zero evaluation point, a singular matrix in a representation), 5 corpus
+mismatch, 6 out of memory or past the recursion limit (one stderr line
+naming the subcommand), 141 standard output closed by its reader.
 Internal consistency failures are deliberately not caught: they are bugs and
 should produce a traceback.
 """
@@ -33,7 +33,6 @@ from .errors import (
     IdenticallyZero,
     InputTooLarge,
     NotACocycle,
-    NotAUnit,
     NotInvertible,
     ParseError,
     UsageError,
@@ -485,7 +484,7 @@ def main(argv=None) -> int:
     except HypothesisViolated as exc:
         print(f"hypothesis violated: {exc}", file=sys.stderr)
         return 3
-    except (DivisionByZero, NotAUnit, NotInvertible, IdenticallyZero, NotACocycle) as exc:
+    except (DivisionByZero, NotInvertible, IdenticallyZero, NotACocycle) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 4
     except GoldenMismatch as exc:

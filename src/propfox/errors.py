@@ -40,10 +40,6 @@ class DuplicateGenerator(ParseError):
     """The same generator name was declared twice."""
 
 
-class NotAUnit(PropfoxError):
-    """Inversion was requested for a Laurent polynomial that is not c*g^k."""
-
-
 class NotInvertible(PropfoxError):
     """A matrix inverse was needed but does not exist (or is not available
     in the ring at hand)."""

@@ -73,8 +73,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, lcm, prod
-from math import gcd as igcd
+from math import comb, gcd as igcd
 
 from .errors import DivisionByZero, InternalInconsistency
 from .fox import AlexanderMatrix, alexander_matrix
@@ -96,17 +95,6 @@ from .zpoly import (
     scale,
     sub,
 )
-
-
-def det_laurent(rows) -> LaurentPoly:
-    """Exact determinant of a square Laurent matrix, by fraction-free
-    elimination on the integer forms with each row brought to the common
-    denominator of its entries, divided by their product at the end."""
-    if not rows:
-        return LaurentPoly.one()
-    dens = [lcm(*(f.den for f in row)) for row in rows]
-    M = [[scale(f.form, L // f.den) for f in row] for row, L in zip(rows, dens)]
-    return LaurentPoly.from_form(_det(M), prod(dens))
 
 
 def _det(M) -> tuple:

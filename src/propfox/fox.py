@@ -58,7 +58,7 @@ from .matrices import (
     to_scaled,
 )
 from .presentation import Presentation, Word, validate_presentation
-from .scalars import MAX_MATRIX_SPAN, Rational, parse_int, parse_rational
+from .scalars import MAX_MATRIX_SPAN, Rational, format_rational, parse_int, parse_rational
 from .zpoly import trim, value_at
 
 
@@ -175,7 +175,7 @@ def format_representation(rep: Representation, pres: Presentation) -> str:
     for name, M in zip(pres.generators, rep.images):
         lines.append(f"matrix {name}")
         for row in M:
-            lines.append(" ".join(str(c) for c in row))
+            lines.append(" ".join(map(format_rational, row)))
     return "\n".join(lines) + "\n"
 
 

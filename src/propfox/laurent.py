@@ -27,8 +27,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import zpoly
-from .errors import DivisionByZero, NotAUnit
-from .scalars import parse_rational, valuation
+from .errors import DivisionByZero
+from .scalars import _int_str, parse_rational, valuation
 
 SYMBOL = "g"
 
@@ -84,14 +84,6 @@ class LaurentPoly:
         return LaurentPoly.from_form(zpoly.ONE)
 
     @staticmethod
-    def const(c) -> "LaurentPoly":
-        return LaurentPoly({0: c})
-
-    @staticmethod
-    def monomial(exp: int, coeff=1) -> "LaurentPoly":
-        return LaurentPoly({exp: coeff})
-
-    @staticmethod
     def gamma(exp: int = 1) -> "LaurentPoly":
         """The distinguished unit g^exp."""
         return LaurentPoly.from_form((exp, (1,)))
@@ -126,9 +118,6 @@ class LaurentPoly:
     def coeff(self, exp: int) -> Fraction:
         low, c = self.form
         return Fraction(c[exp - low], self.den) if 0 <= exp - low < len(c) else Fraction(0)
-
-    def is_unit(self) -> bool:
-        return len(self.form[1]) == 1
 
     def is_one(self) -> bool:
         return self.den == 1 and self.form == zpoly.ONE
@@ -181,12 +170,6 @@ class LaurentPoly:
         low, c = self.form
         return LaurentPoly.from_form((low + k, c), self.den) if c else self
 
-    def invert_unit(self) -> "LaurentPoly":
-        low, c = self.form
-        if len(c) != 1:
-            raise NotAUnit(f"not a monomial, cannot invert: {self}")
-        return LaurentPoly.from_form((-low, (self.den,)), c[0])
-
     def eval_at(self, a) -> Fraction:
         a = Fraction(a)
         if not a and self.form[0] < 0:
@@ -199,22 +182,6 @@ class LaurentPoly:
 
 
 # -- polynomial division and GCD -------------------------------------------
-
-
-def laurent_divmod(f: LaurentPoly, d: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
-    """Euclidean division in the Laurent ring: f = q*d + r with the span
-    (max_exp - min_exp) of r below that of d, or r = 0, where q is the
-    quotient of the division that shifts f and d to lowest exponent 0.
-
-    With f = F / a and d = D / b, the pseudo-division c*F = Q*D + R gives
-    q = Q*b / (c*a) and r = R / (c*a)."""
-    if d.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    c, q, r = zpoly.pseudo_divmod(f.form, d.form)
-    return (
-        LaurentPoly.from_form(zpoly.scale(q, d.den), c * f.den),
-        LaurentPoly.from_form(r, c * f.den),
-    )
 
 
 def laurent_divides(d: LaurentPoly, f: LaurentPoly) -> bool:
@@ -259,16 +226,17 @@ def content_valuation(f: LaurentPoly, p: int) -> int | None:
 def coefficient_texts(f: LaurentPoly) -> list[tuple[int, str]]:
     """(exponent, coefficient as "n" or "n/d" in lowest terms) for each
     nonzero term, in ascending order: format_rational of each coefficient,
-    read off the integer form."""
+    read off the integer form, so it prints past the int-to-str limit."""
     low, c = f.form
     den = f.den
     if den == 1:
-        return [(low + i, str(x)) for i, x in enumerate(c) if x]
+        return [(low + i, _int_str(x)) for i, x in enumerate(c) if x]
     out = []
     for i, x in enumerate(c):
         if x:
             g = gcd(x, den)
-            out.append((low + i, str(x // g) if g == den else f"{x // g}/{den // g}"))
+            num = _int_str(x // g)
+            out.append((low + i, num if g == den else f"{num}/{_int_str(den // g)}"))
     return out
 
 

@@ -4,18 +4,19 @@ p-adic integers.
 Both kinds of zero are read off the primitive part of the integer form that
 the LaurentPoly holds, as an ascending list of int coefficients: the unit
 c*g^k drops out, so the constant term is nonzero. Rational zeros come from
-the classical divisor test, at a cost that grows as the square roots of the
-constant and leading coefficients; each candidate s/q is tested by exact
-division by q*x - s on the integers. p-adic zeros are residues mod p^N
-produced by lifting. The residues mod p are the roots of
-gcd(f mod p, x^p - x), split apart by further gcds (modp.roots), at a cost
-polynomial in the degree and in log p rather than linear in p. Simple
-residues lift uniquely by Newton iteration, while residues that are multiple
-mod p are resolved by the substitution x = r + p*y, read off the Taylor
-shift F(r + x), and a recursion on the precision budget. A residue whose
-lifted zero count falls short of its multiplicity mod p is reported as an
-obstruction: the missing zeros live in a ramified extension (or need more
-precision), not in Z_p.
+the classical divisor test, with the divisors of the constant and leading
+coefficients read off their factorisations by trial division, at a cost that
+grows with the second largest prime factor of each, or the square root of
+the largest; each candidate s/q is tested by exact division by q*x - s on
+the integers. p-adic zeros are residues mod p^N produced by lifting. The
+residues mod p are the roots of gcd(f mod p, x^p - x), split apart by
+further gcds (modp.roots), at a cost polynomial in the degree and in log p
+rather than linear in p. Simple residues lift uniquely by Newton iteration,
+while residues that are multiple mod p are resolved by the substitution
+x = r + p*y, read off the Taylor shift F(r + x), and a recursion on the
+precision budget. A residue whose lifted zero count falls short of its
+multiplicity mod p is reported as an obstruction: the missing zeros live in
+a ramified extension (or need more precision), not in Z_p.
 """
 
 from __future__ import annotations
@@ -30,15 +31,20 @@ from .scalars import unit_ball_check, valuation
 
 
 def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = []
-    i = 1
+    """The positive divisors of n != 0, in no particular order, built from
+    its factorisation by trial division: each prime found is divided out,
+    so the trial stops at the square root of what is left, and the list
+    grows only by the multiples of a prime that divides."""
+    n, out, i = abs(n), [1], 2
     while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
+        new = out
+        while n % i == 0:
+            n //= i
+            new = [d * i for d in new]
+            out += new
         i += 1
+    if n > 1:
+        out += [d * n for d in out]
     return out
 
 

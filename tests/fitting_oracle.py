@@ -1,11 +1,12 @@
 """The reference routes that fitting_delta and the integer divisor layer
 are checked against, all on the dict-of-Fraction ring of laurent_oracle,
 with its gcd by Euclid's algorithm over the rationals, the gcd route the
-integer heuristic gcd replaced. _smith_step, _pivot_to and det_laurent are
-the rational Smith step, its pivot choice and the fraction-free determinant
-that propfox.fitting ran before it moved to integer forms. The routes that
-take a relation matrix read its entries through laurent_oracle.oracle and
-return their divisors as LaurentPoly values.
+integer heuristic gcd replaced. _smith_step, _pivot_to and
+fraction_det_laurent are the rational Smith step, its pivot choice and the
+fraction-free determinant that propfox.fitting ran before it moved to
+integer forms. The routes that take a relation matrix read its entries
+through laurent_oracle.oracle and return their divisors as LaurentPoly
+values.
 
 _smith_divisor and _least_content are the one-shot eliminations: each call
 starts again from the original entries and runs exactly r - 1 steps, with no
@@ -13,15 +14,19 @@ snapshot kept between calls. _fitting_by_enumeration checks everything,
 minor_count included, by folding every minor in lexicographic (row set,
 column set) order.
 
-div_exact is exact division of LaurentPoly values in the Laurent ring, on
-propfox.laurent.laurent_divmod, for the tests that divide one divisor by
-another.
+det_laurent and div_exact work on LaurentPoly values, for the tests that
+take a determinant or divide one divisor by another: det_laurent is
+propfox.fitting._det, the fraction-free elimination of the divisor layer,
+on the integer forms, and div_exact is exact division in the Laurent ring
+by propfox.zpoly.pseudo_divmod.
 """
 
 from itertools import combinations
+from math import lcm, prod
 
 from propfox import FittingResult, LaurentPoly
-from propfox.laurent import laurent_divmod as integer_divmod
+from propfox.fitting import _det
+from propfox.zpoly import pseudo_divmod, scale
 from laurent_oracle import (
     FractionLaurent,
     content_valuation,
@@ -36,14 +41,27 @@ from laurent_oracle import (
 
 def div_exact(f: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
     """f / d when d divides f in the Laurent ring; raises ValueError if not.
-    The LaurentPoly counterpart of laurent_oracle.div_exact."""
-    q, r = integer_divmod(f, d)
-    if not r.is_zero():
+    The LaurentPoly counterpart of laurent_oracle.div_exact: with f = F / a
+    and d = D / b, the pseudo-division c*F = Q*D + R gives f / d = Q*b / (c*a)
+    when R = 0."""
+    c, q, r = pseudo_divmod(f.form, d.form)
+    if r[1]:
         raise ValueError("does not divide exactly")
-    return q
+    return LaurentPoly.from_form(scale(q, d.den), c * f.den)
 
 
-def det_laurent(rows) -> FractionLaurent:
+def det_laurent(rows) -> LaurentPoly:
+    """Exact determinant of a square Laurent matrix, by fraction-free
+    elimination on the integer forms with each row brought to the common
+    denominator of its entries, divided by their product at the end."""
+    if not rows:
+        return LaurentPoly.one()
+    dens = [lcm(*(f.den for f in row)) for row in rows]
+    M = [[scale(f.form, L // f.den) for f in row] for row, L in zip(rows, dens)]
+    return LaurentPoly.from_form(_det(M), prod(dens))
+
+
+def fraction_det_laurent(rows) -> FractionLaurent:
     """Exact determinant of a square Laurent matrix. Pulls the lowest
     variable power out of each row first, then runs fraction-free
     elimination, so intermediate entries never leave the polynomial ring."""
@@ -225,7 +243,7 @@ def _fitting_by_enumeration(Q, d):
     for rs in combinations(range(Q.n_rows), r):
         for cs in combinations(range(Q.n_cols), r):
             count += 1
-            det = det_laurent(tuple(tuple(entries[i][j] for j in cs) for i in rs))
+            det = fraction_det_laurent(tuple(tuple(entries[i][j] for j in cs) for i in rs))
             if det.is_zero():
                 continue
             g = gcd_many([g, det])

@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 
 from propfox import LaurentPoly
-from propfox.errors import DivisionByZero, NotAUnit
+from propfox.errors import DivisionByZero
 from propfox.scalars import format_rational, valuation
 
 SYMBOL = "g"
@@ -64,9 +64,6 @@ class FractionLaurent:
     def coeff(self, exp: int) -> Fraction:
         return self.terms.get(exp, Fraction(0))
 
-    def is_unit(self) -> bool:
-        return len(self.terms) == 1
-
     def is_one(self) -> bool:
         return self.terms == {0: 1}
 
@@ -99,12 +96,6 @@ class FractionLaurent:
 
     def shift(self, k: int):
         return FractionLaurent({e + k: c for e, c in self.terms.items()})
-
-    def invert_unit(self):
-        if len(self.terms) != 1:
-            raise NotAUnit("not a monomial")
-        ((k, c),) = self.terms.items()
-        return FractionLaurent({-k: 1 / c})
 
     def eval_at(self, a) -> Fraction:
         a = Fraction(a)

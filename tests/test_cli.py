@@ -219,6 +219,28 @@ def test_exit_codes(capsys, tmp_path):
     assert code == 1
 
 
+def test_a_singular_representation_is_a_domain_error(tmp_path, capsys):
+    singular = tmp_path / "singular.rep"
+    singular.write_text("dim 1\nmatrix g1\n0\nmatrix g2\n1\nmatrix g3\n1\n")
+    code, out, err = run_cli(capsys, "delta", EG41, "--d", "1", "--rep", str(singular))
+    assert code == 4
+    assert out == ""
+    assert err == "domain error: matrix is singular\n"
+
+
+def test_rational_zeros_of_a_divisor_with_a_large_leading_coefficient(tmp_path):
+    """delta_1 of a^2*b^-2 with both images 10^30 is g + 10^-30: the
+    candidate denominators are the 961 divisors of 10^30, read off its
+    factorisation, where trial division up to 10^15 did not end."""
+    pres = tmp_path / "square.pres"
+    pres.write_text("prime 3\ngenerators a b\nrelator a^2*b^-2\n")
+    rep = tmp_path / "big.rep"
+    rep.write_text(f"dim 1\nmatrix a\n{10**30}\nmatrix b\n{10**30}\n")
+    proc = run_cli_process("zeros", str(pres), "--d", "1", "--rep", str(rep), timeout=10)
+    assert proc.returncode == 0
+    assert f"rational zeros: -1/{10**30} (x1)\n".encode() in proc.stdout
+
+
 def test_a_relation_matrix_past_the_span_bound_is_refused(tmp_path):
     """a^10^7 * b^-10^7, a 54-byte file, spans 2 * (10^7 + 1) coefficients:
     an input error naming the bound, before any of them is built, where

@@ -9,7 +9,6 @@ import pytest
 from propfox import (
     DivisionByZero,
     alexander_matrix,
-    det_laurent,
     fitting_delta,
     is_zero_of_delta,
     iwasawa_delta,
@@ -21,7 +20,12 @@ from propfox import fitting
 from propfox.fox import AlexanderMatrix
 from propfox.laurent import LaurentPoly
 
-from fitting_oracle import _fitting_by_enumeration, div_exact, oneshot_divisor_and_content
+from fitting_oracle import (
+    _fitting_by_enumeration,
+    det_laurent,
+    div_exact,
+    oneshot_divisor_and_content,
+)
 
 
 def L(text):
@@ -145,8 +149,8 @@ def test_fitting_planted_beyond_enumeration():
     d1 = fitting_delta(Q, 1)
     d2 = fitting_delta(Q, 2)
     elapsed = time.perf_counter() - start
-    factors = [L("g") - LaurentPoly.const(r) for r in PLANTED_ROOTS]
-    distinct = [L("g") - LaurentPoly.const(r) for r in set(PLANTED_ROOTS)]
+    factors = [L("g") - LaurentPoly({0: r}) for r in PLANTED_ROOTS]
+    distinct = [L("g") - LaurentPoly({0: r}) for r in set(PLANTED_ROOTS)]
     assert d1.delta == prod(factors, start=LaurentPoly.one())
     assert d2.delta == div_exact(d1.delta, prod(distinct, start=LaurentPoly.one()))
     assert d2.delta == L("g^5 - 8*g^4 + 17*g^3 + 14*g^2 - 84*g + 72")

@@ -1,5 +1,6 @@
 """Free derivatives, geometric sums, and the relation matrix."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,23 @@ def test_parse_representation(eg41, eg44rep):
     assert eg44rep.images == (expected, expected, expected)
     again = parse_representation(format_representation(eg44rep, eg41), eg41)
     assert again == eg44rep
+
+
+def test_format_representation_prints_past_the_int_to_str_limit(eg41):
+    """At Python's default limit of 4,300 digits, a 5,000-digit entry and a
+    5,000-digit denominator print in full."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("no int-to-str digit limit in this interpreter")
+    big = 10**5000
+    rep = Representation(1, (((Fraction(big),),), ((Fraction(1, big + 1),),), ((Fraction(-2, 3),),)))
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        expected = f"dim 1\nmatrix g1\n{big}\nmatrix g2\n1/{big + 1}\nmatrix g3\n-2/3\n"
+        sys.set_int_max_str_digits(4300)
+        assert format_representation(rep, eg41) == expected
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_parse_representation_errors(eg41):

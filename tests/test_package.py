@@ -18,7 +18,6 @@ EXPORTED = [
     "InternalInconsistency",
     "LaurentPoly",
     "NotACocycle",
-    "NotAUnit",
     "NotInvertible",
     "ParseError",
     "Presentation",
@@ -43,7 +42,6 @@ EXPORTED = [
     "coboundary_matrix",
     "cocycle_space",
     "content_valuation",
-    "det_laurent",
     "evaluate_cocycle",
     "evaluate_word",
     "extension_count_criterion",
@@ -85,19 +83,15 @@ EXPORTED = [
 # den and form hold the value; terms and coeff are its Fraction views.
 LAURENT_ATTRIBUTES = [
     "coeff",
-    "const",
     "den",
     "eval_at",
     "form",
     "from_form",
     "gamma",
-    "invert_unit",
     "is_one",
-    "is_unit",
     "is_zero",
     "max_exp",
     "min_exp",
-    "monomial",
     "one",
     "scale",
     "shift",

@@ -1,5 +1,6 @@
 """Rational zeros, Hensel lifting, and the unit-ball filter."""
 
+import math
 import random
 import signal
 from contextlib import contextmanager
@@ -17,6 +18,7 @@ from propfox import (
     zero_report,
 )
 from propfox import modp
+from propfox.zeros import _divisors
 
 
 def L(text):
@@ -37,6 +39,21 @@ def test_rational_roots_laurent_shift():
     # multiplying by a unit must not change the zero set
     f = L("g^2 - 5*g + 4") * L("3*g^-5")
     assert rational_roots(f) == [(Fraction(1), 1), (Fraction(4), 1)]
+
+
+def test_divisors_match_brute_force():
+    for n in range(1, 2001):
+        assert sorted(_divisors(n)) == [d for d in range(1, n + 1) if n % d == 0], n
+    rng = random.Random(2408)
+    for _ in range(100):
+        n = rng.randrange(2001, 10**8)
+        pairs = [(d, n // d) for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+        assert sorted(_divisors(-n)) == sorted({x for pair in pairs for x in pair}), n
+    for _ in range(100):
+        a, b, c = rng.randrange(60), rng.randrange(30), rng.randrange(3)
+        n = 2**a * 3**b * 10007**c
+        expected = [2**i * 3**j * 10007**k for i in range(a + 1) for j in range(b + 1) for k in range(c + 1)]
+        assert sorted(_divisors(n)) == sorted(expected), n
 
 
 def test_rational_roots_identically_zero():
@@ -182,7 +199,7 @@ def test_planted_roots_lift_at_large_prime():
     planted = [3, 5, 10**12 + 39, -(10**15) - 7]
     f = LaurentPoly.one()
     for r in planted:
-        f = f * (LaurentPoly.gamma() - LaurentPoly.const(r))
+        f = f * (LaurentPoly.gamma() - LaurentPoly({0: r}))
     with time_limit(10):
         roots, obstructions = hensel_roots(f, p, 4)
     assert roots == sorted(r % p**4 for r in planted)
