@@ -30,9 +30,7 @@ from .errors import (
     DivisionByZero,
     GoldenMismatch,
     HypothesisViolated,
-    IdenticallyZero,
     InputTooLarge,
-    NotACocycle,
     NotInvertible,
     ParseError,
     UsageError,
@@ -484,7 +482,7 @@ def main(argv=None) -> int:
     except HypothesisViolated as exc:
         print(f"hypothesis violated: {exc}", file=sys.stderr)
         return 3
-    except (DivisionByZero, NotInvertible, IdenticallyZero, NotACocycle) as exc:
+    except (DivisionByZero, NotInvertible) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 4
     except GoldenMismatch as exc:

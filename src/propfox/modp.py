@@ -110,13 +110,16 @@ def roots(f: list[int], p: int) -> list[int]:
     """The distinct roots in [0, p) of an integer polynomial f (lowest degree
     first) reduced mod p, sorted."""
     fbar = _trim([c % p for c in f])
+    if len(fbar) > p:
+        # f mod x^p - x has the same roots: x^i = x^(1 + (i - 1) mod (p - 1)) for i >= 1
+        fbar = _trim([fbar[0]] + [sum(fbar[i :: p - 1]) % p for i in range(1, p)])
+        if not fbar:
+            return list(range(p))
     if len(fbar) < 2:
         return []
     fbar = _monic(fbar, p)
     # a linear polynomial divides x^p - x
     g = fbar if len(fbar) == 2 else gcd(fbar, _sub(Modulus(fbar, p).linear_pow(0, p), [0, 1], p), p)
-    if p == 2 and len(g) == 3:
-        return [0, 1]
     found = []
     todo = [(g, 1)] if len(g) > 1 else []
     while todo:

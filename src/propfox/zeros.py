@@ -1,51 +1,46 @@
 """Zero sets of determinant divisors, over the rationals and over the
-p-adic integers.
+p-adic integers, both read off one lifting engine.
 
-Both kinds of zero are read off the primitive part of the integer form that
-the LaurentPoly holds, as an ascending list of int coefficients: the unit
-c*g^k drops out, so the constant term is nonzero. Rational zeros come from
-the classical divisor test, with the divisors of the constant and leading
-coefficients read off their factorisations by trial division, at a cost that
-grows with the second largest prime factor of each, or the square root of
-the largest; each candidate s/q is tested by exact division by q*x - s on
-the integers. p-adic zeros are residues mod p^N produced by lifting. The
-residues mod p are the roots of gcd(f mod p, x^p - x), split apart by
-further gcds (modp.roots), at a cost polynomial in the degree and in log p
-rather than linear in p. Simple residues lift uniquely by Newton iteration,
-while residues that are multiple mod p are resolved by the substitution
-x = r + p*y, read off the Taylor shift F(r + x), and a recursion on the
-precision budget. A residue whose lifted zero count falls short of its
-multiplicity mod p is reported as an obstruction: the missing zeros live in
-a ramified extension (or need more precision), not in Z_p.
+Both are zeros of the squarefree part S = F / gcd(F, F') of the primitive
+integer form F that the LaurentPoly holds, as ascending int coefficients
+(the unit c*g^k drops out, so the constant term is nonzero). Residues mod a
+prime p are the roots of gcd(S mod p, x^p - x), split apart by further gcds
+(modp.roots), at a cost polynomial in the degree and in log p rather than
+linear in p. Simple residues lift uniquely by Newton iteration.
+
+p-adic zeros are residues mod p^N. A residue that is multiple mod p is
+resolved by the substitution x = r + p*y, read off the Taylor shift
+F(r + x), and a recursion on the precision budget. A residue whose lifted
+zero count falls short of its multiplicity mod p is reported as an
+obstruction: the missing zeros live in a ramified extension (or need more
+precision), not in Z_p.
+
+Rational zeros are read off an l-adic lift (Loos, 1983). A zero s/q in
+lowest terms has q | lc(S) and s | S(0), so m = lc(S) * s/q is an integer
+with |m| <= |lc(S) S(0)|. Take the least prime l that does not divide lc(S)
+and at which every root r of S mod l is simple, S'(r) != 0 mod l. Then q is
+a unit mod l, s/q reduces to one of those roots, and s/q is the unique
+l-adic zero over it. Newton iteration gives that zero mod l^k for
+l^k > 2 |lc(S) S(0)|, and m is the balanced residue of lc(S) times it. Each
+candidate m / lc(S) is confirmed, and its multiplicity in F counted, by
+exact division by q*x - s on the integers. Such an l exists: S is
+squarefree, so its discriminant is nonzero, and at a prime dividing neither
+lc(S) nor disc(S) the reduction keeps its degree and stays squarefree. So
+every prime passed over divides lc(S) disc(S), and the search ends within
+log2 |lc(S) disc(S)| + 1 primes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import count
 
 from . import modp, zpoly
 from .errors import IdenticallyZero
 from .laurent import LaurentPoly
+from .presentation import _is_prime
 from .scalars import unit_ball_check, valuation
-
-
-def _divisors(n: int) -> list[int]:
-    """The positive divisors of n != 0, in no particular order, built from
-    its factorisation by trial division: each prime found is divided out,
-    so the trial stops at the square root of what is left, and the list
-    grows only by the multiples of a prime that divides."""
-    n, out, i = abs(n), [1], 2
-    while i * i <= n:
-        new = out
-        while n % i == 0:
-            n //= i
-            new = [d * i for d in new]
-            out += new
-        i += 1
-    if n > 1:
-        out += [d * n for d in out]
-    return out
 
 
 def _divide_root(coeffs: list, s: int, q: int) -> list | None:
@@ -63,34 +58,6 @@ def _divide_root(coeffs: list, s: int, q: int) -> list | None:
             return None
         quot.append(b)
     return quot[::-1] if coeffs[0] + s * b == 0 else None
-
-
-def rational_roots(f: LaurentPoly) -> list[tuple[Fraction, int]]:
-    """All rational zeros of f with multiplicities, sorted by value. The
-    gamma-power unit is stripped first, so 0 is never a zero. Each
-    candidate s / q divides the primitive integer form as often as it is a
-    zero; each quotient is again primitive (Gauss)."""
-    if f.is_zero():
-        raise IdenticallyZero("the zero polynomial vanishes everywhere")
-    coeffs = list(zpoly.primitive(f.form)[1])
-    if len(coeffs) == 1:
-        return []
-    candidates = {
-        Fraction(sign * s, q)
-        for s in _divisors(coeffs[0])
-        for q in _divisors(coeffs[-1])
-        for sign in (1, -1)
-    }
-    roots = []
-    for a in sorted(candidates):
-        mult = 0
-        quot = _divide_root(coeffs, a.numerator, a.denominator)
-        while quot is not None:
-            mult += 1
-            quot = _divide_root(quot, a.numerator, a.denominator)
-        if mult:
-            roots.append((a, mult))
-    return roots
 
 
 def _poly_mod(coeffs: list[int], x: int, mod: int) -> int:
@@ -134,6 +101,8 @@ def _zp_roots(coeffs: list[int], p: int, budget: int) -> tuple[list[int], list[i
     At a residue r that is multiple mod p, F(r + x) = sum c_i x^i gives both
     its multiplicity k_r mod p, the least i with p not dividing c_i, and
     F(r + p*y) = sum c_i p^i y^i, divided by the power p^v of p dividing it."""
+    if budget < 1:
+        raise ValueError(f"precision budget must be at least 1, got {budget}")
     roots: list[int] = []
     obstructions: list[int] = []
     deriv = _derivative(coeffs)
@@ -155,26 +124,55 @@ def _zp_roots(coeffs: list[int], p: int, budget: int) -> tuple[list[int], list[i
     return sorted(set(roots)), sorted(set(obstructions))
 
 
-def _squarefree_part(coeffs: list[int]) -> list[int]:
-    """The primitive ascending coefficients F divided by gcd(F, F'); F
-    itself when that gcd is 1. The quotient is primitive (Gauss)."""
+def _squarefree(f: LaurentPoly) -> tuple[list[int], list[int]]:
+    """The primitive ascending coefficients F of a nonzero f, and F divided
+    by gcd(F, F'): F itself when that gcd is 1. The quotient is primitive
+    (Gauss)."""
+    if f.is_zero():
+        raise IdenticallyZero("the zero polynomial vanishes everywhere")
+    coeffs = list(zpoly.primitive(f.form)[1])
     F = (0, tuple(coeffs))
     g = zpoly.gcd_all([F, (0, tuple(_derivative(coeffs)))])
-    return coeffs if g == zpoly.ONE else list(zpoly.divexact(F, g)[1])
+    return coeffs, coeffs if g == zpoly.ONE else list(zpoly.divexact(F, g)[1])
+
+
+def _rational_roots(coeffs: list[int], sqf: list[int]) -> list[tuple[Fraction, int]]:
+    """The rational zeros of F with multiplicities, read off the l-adic
+    lifts of the roots of its squarefree part S (see the module docstring)."""
+    if len(sqf) == 1:
+        return []
+    deriv = _derivative(sqf)
+    for ell in count(2):
+        if sqf[-1] % ell and _is_prime(ell):
+            residues = modp.roots(sqf, ell)
+            if all(_poly_mod(deriv, r, ell) for r in residues):
+                break
+    lc, mod, k = sqf[-1], ell, 1
+    while mod <= 2 * abs(lc * sqf[0]):
+        mod, k = mod * ell, k + 1
+    roots = []
+    for r in residues:
+        m = lc * _newton_lift(sqf, deriv, r, ell, k) % mod
+        a = Fraction(m - mod if 2 * m > mod else m, lc)
+        quot, mult = coeffs, 0
+        while (quot := _divide_root(quot, a.numerator, a.denominator)) is not None:
+            mult += 1
+        if mult:
+            roots.append((a, mult))
+    return sorted(roots)
+
+
+def rational_roots(f: LaurentPoly) -> list[tuple[Fraction, int]]:
+    """All rational zeros of f with multiplicities, sorted by value. The
+    gamma-power unit is stripped first, so 0 is never a zero."""
+    return _rational_roots(*_squarefree(f))
 
 
 def hensel_roots(f: LaurentPoly, p: int, budget: int) -> tuple[list[int], list[int]]:
     """Zeros of f in Z_p as residues mod p^budget, and the obstructed mod-p
     residues, computed on the squarefree part of the primitive integer form
-    of f (_squarefree_part, one rational gcd with the derivative)."""
-    if f.is_zero():
-        raise IdenticallyZero("the zero polynomial vanishes everywhere")
-    if budget < 1:
-        raise ValueError(f"precision budget must be at least 1, got {budget}")
-    coeffs = list(zpoly.primitive(f.form)[1])
-    if len(coeffs) == 1:
-        return [], []
-    return _zp_roots(_squarefree_part(coeffs), p, budget)
+    of f."""
+    return _zp_roots(_squarefree(f)[1], p, budget)
 
 
 @dataclass(frozen=True)
@@ -191,8 +189,9 @@ def zero_report(delta: LaurentPoly, p: int, precision: int = 8) -> ZeroReport:
     """Rational and p-adic zero data for a divisor polynomial."""
     if delta.is_zero():
         return ZeroReport(p, precision, True, (), (), ())
-    rational = tuple(rational_roots(delta))
-    residues, obstructions = hensel_roots(delta, p, precision)
+    coeffs, sqf = _squarefree(delta)
+    residues, obstructions = _zp_roots(sqf, p, precision)
+    rational = tuple(_rational_roots(coeffs, sqf))
     return ZeroReport(
         prime=p,
         precision=precision,

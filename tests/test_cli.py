@@ -229,16 +229,18 @@ def test_a_singular_representation_is_a_domain_error(tmp_path, capsys):
 
 
 def test_rational_zeros_of_a_divisor_with_a_large_leading_coefficient(tmp_path):
-    """delta_1 of a^2*b^-2 with both images 10^30 is g + 10^-30: the
-    candidate denominators are the 961 divisors of 10^30, read off its
-    factorisation, where trial division up to 10^15 did not end."""
+    """delta_1 of a^2*b^-2 with both images N is g + 1/N. Trial division for
+    the divisors of N did not end at N = 10^30 until it divided out each
+    prime found, and gave no answer within 60 s at the product of two
+    13-digit primes."""
     pres = tmp_path / "square.pres"
     pres.write_text("prime 3\ngenerators a b\nrelator a^2*b^-2\n")
     rep = tmp_path / "big.rep"
-    rep.write_text(f"dim 1\nmatrix a\n{10**30}\nmatrix b\n{10**30}\n")
-    proc = run_cli_process("zeros", str(pres), "--d", "1", "--rep", str(rep), timeout=10)
-    assert proc.returncode == 0
-    assert f"rational zeros: -1/{10**30} (x1)\n".encode() in proc.stdout
+    for image in (10**30, (10**12 + 39) * (10**12 + 61)):
+        rep.write_text(f"dim 1\nmatrix a\n{image}\nmatrix b\n{image}\n")
+        proc = run_cli_process("zeros", str(pres), "--d", "1", "--rep", str(rep), timeout=10)
+        assert proc.returncode == 0
+        assert f"rational zeros: -1/{image} (x1)\n".encode() in proc.stdout
 
 
 def test_a_relation_matrix_past_the_span_bound_is_refused(tmp_path):

@@ -45,12 +45,12 @@ from propfox import (
     valuation,
     verify_factors,
 )
-from propfox import corpus, fitting, modp, zpoly
+from propfox import corpus, fitting, modp
 from propfox.extensions import mat_vec
 from propfox.fox import AlexanderMatrix, _degree_range, _relation_matrix, scaled_image
 from propfox.matrices import freeze, rank_nullspace
 from propfox.presentation import _RUN_BLOCK, _is_prime, reduce_syllables
-from propfox.zeros import _squarefree_part, _taylor_shift, _zp_roots
+from propfox.zeros import _squarefree, _taylor_shift, _zp_roots
 
 import fitting_oracle
 import laurent_oracle
@@ -768,14 +768,14 @@ def test_hensel_roots_match_the_residue_scan(case):
 @given(zp_root_problems())
 def test_squarefree_certificate_matches_the_gcd_route(case):
     f, p, budget = case
-    coeffs = list(zpoly.primitive(f.form)[1])
+    coeffs, sqf = _squarefree(f)
     if len(coeffs) == 1:
         return
     fbar = [c % p for c in coeffs]
     dbar = modp._trim([i * c % p for i, c in enumerate(fbar)][1:])
     if coeffs[-1] % p and len(modp.gcd(fbar, dbar, p)) == 1:
-        assert _squarefree_part(coeffs) == coeffs
-    expected = _zp_roots(_squarefree_part(coeffs), p, budget)
+        assert sqf == coeffs
+    expected = _zp_roots(sqf, p, budget)
     assert hensel_roots(f, p, budget) == expected
 
 
@@ -862,10 +862,16 @@ def planted_products(draw):
 @example((LaurentPoly.from_form((0, (-6, 1, 1))), {Fraction(2): 1, Fraction(-3): 1}))
 @example((LaurentPoly.from_form((2, (4, -12, 9)), 7), {Fraction(2, 3): 2}))
 @example((LaurentPoly.from_form((0, (5,))), {}))
+@example((LaurentPoly.from_form((0, (30031, -30032, 1))), {Fraction(1): 1, Fraction(30031): 1}))
+@example((LaurentPoly.from_form((0, (-7, 23, 30))), {Fraction(7, 30): 1, Fraction(-1): 1}))
+@example((LaurentPoly.from_form((0, (-7, 15, -9, 1))), {Fraction(1): 2, Fraction(7): 1}))
 def test_rational_roots_match_the_fraction_route(case):
-    """Exact division by q*x - s finds the roots and multiplicities that
-    synthetic division over Fraction finds, every planted root among them
-    with at least its planted multiplicity."""
+    """The l-adic lift finds the roots and multiplicities that synthetic
+    division over Fraction finds, every planted root among them with at
+    least its planted multiplicity. The last three examples need a larger
+    l: 30031 = 1 + 2*3*5*7*11*13 is congruent to 1 modulo every prime up to
+    13, so l = 17; the leading coefficient 30 rules out 2, 3 and 5; and the
+    double root 1 meets 7 modulo 2 and 3."""
     f, planted = case
     roots = rational_roots(f)
     assert roots == scan_rational_roots(f)

@@ -1,6 +1,5 @@
 """Rational zeros, Hensel lifting, and the unit-ball filter."""
 
-import math
 import random
 import signal
 from contextlib import contextmanager
@@ -18,7 +17,6 @@ from propfox import (
     zero_report,
 )
 from propfox import modp
-from propfox.zeros import _divisors
 
 
 def L(text):
@@ -39,21 +37,6 @@ def test_rational_roots_laurent_shift():
     # multiplying by a unit must not change the zero set
     f = L("g^2 - 5*g + 4") * L("3*g^-5")
     assert rational_roots(f) == [(Fraction(1), 1), (Fraction(4), 1)]
-
-
-def test_divisors_match_brute_force():
-    for n in range(1, 2001):
-        assert sorted(_divisors(n)) == [d for d in range(1, n + 1) if n % d == 0], n
-    rng = random.Random(2408)
-    for _ in range(100):
-        n = rng.randrange(2001, 10**8)
-        pairs = [(d, n // d) for d in range(1, math.isqrt(n) + 1) if n % d == 0]
-        assert sorted(_divisors(-n)) == sorted({x for pair in pairs for x in pair}), n
-    for _ in range(100):
-        a, b, c = rng.randrange(60), rng.randrange(30), rng.randrange(3)
-        n = 2**a * 3**b * 10007**c
-        expected = [2**i * 3**j * 10007**k for i in range(a + 1) for j in range(b + 1) for k in range(c + 1)]
-        assert sorted(_divisors(n)) == sorted(expected), n
 
 
 def test_rational_roots_identically_zero():
@@ -212,3 +195,28 @@ def test_roots_at_two_are_read_off():
     assert modp.roots([1, 0, 1], 2) == [1]
     assert modp.roots([0, 0, 1], 2) == [0]
     assert modp.roots([3], 2) == []
+
+
+def test_roots_below_the_degree_match_a_residue_scan():
+    """At p no larger than the degree, f is folded mod x^p - x first; a
+    multiple of x^p - x folds to zero and has every residue as a root."""
+    rng = random.Random(13)
+    for _ in range(1000):
+        p = rng.choice([2, 3, 5, 7, 11, 13])
+        f = [rng.randrange(p) for _ in range(rng.randrange(p, 3 * p + 4))] + [rng.randrange(1, p)]
+        assert modp.roots(f, p) == [r for r in range(p) if sum(c * r**i for i, c in enumerate(f)) % p == 0], (f, p)
+    for p in (2, 3, 5):
+        assert modp.roots(from_roots(range(p), p, [1, 1]), p) == list(range(p))
+
+
+def test_rational_roots_with_large_coefficients_answer_in_bounded_time():
+    """Two short inputs that were slow by divisor pairs: 40 zeros k/6,
+    where the constant term 40! alone has about 10^8 divisors (no answer
+    within 120 s), and no zero for 10^30 (g^2 + 1) + g, 961 * 961 * 2
+    candidates (about 10 s)."""
+    f = LaurentPoly.one()
+    for k in range(1, 41):
+        f = f * L(f"6*g - {k}")
+    with time_limit(10):
+        assert rational_roots(f) == [(Fraction(k, 6), 1) for k in range(1, 41)]
+        assert rational_roots(LaurentPoly({0: 10**30, 1: 1, 2: 10**30})) == []

@@ -10,10 +10,11 @@ rule in the polynomial ring. So the two routes differ in how the residues
 mod p, the squarefree part, the multiplicity and the substitution are found;
 they share only the primitive integer form and the rational squarefree part.
 _horner and _deflate are the synthetic division that rational_roots used on
-descending lists. _divide_linear and scan_rational_roots are the Fraction
-route of rational_roots, which tests each candidate zero by synthetic
-division by x - a over Fraction; rational_roots divides the integer form by
-q*x - s exactly.
+descending lists. _divide_linear and scan_rational_roots are the divisor
+route that rational_roots replaced: every candidate +-s/q from the divisors
+of the end coefficients, tested by synthetic division by x - a over
+Fraction; rational_roots reads its candidates off an l-adic lift and
+divides the integer form by q*x - s exactly.
 """
 
 from fractions import Fraction
@@ -21,7 +22,7 @@ from fractions import Fraction
 from propfox import zpoly
 from propfox.errors import IdenticallyZero
 from propfox.scalars import valuation
-from propfox.zeros import _squarefree_part
+from propfox.zeros import _squarefree
 
 
 def _horner(coeffs: list, x: Fraction) -> Fraction:
@@ -178,7 +179,7 @@ def scan_hensel_roots(f, p, budget):
     """hensel_roots by the scan, on the squarefree part from the rational gcd."""
     if f.is_zero():
         raise IdenticallyZero("the zero polynomial vanishes everywhere")
-    coeffs = _squarefree_part(list(zpoly.primitive(f.form)[1]))[::-1]
+    coeffs = _squarefree(f)[1][::-1]
     if len(coeffs) == 1:
         return [], []
     return scan_zp_roots(coeffs, p, budget)
