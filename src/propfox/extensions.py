@@ -104,7 +104,7 @@ class SpecializedRep:
         """Whether every relator maps to the identity, i.e. the images define
         a representation of the presented group and not just of the free
         group."""
-        return verify_factors(self, self.pres).ok
+        return all(is_scaled_identity(scaled_image(self, rel.flatten())) for rel in self.pres.relators)
 
 
 def _power_times(S, e: int, n: int, d: int):

@@ -7,7 +7,8 @@ with a finite-dimensional rational representation of the generators. Every
 generator image is g^alpha_i (x) phi(g_i), so the image of any prefix is one
 graded pair g^k (x) P with P rational: one walk over a word's letters gives
 its derivatives by every generator, with one matrix product per letter and
-no Laurent multiplication.
+no Laurent multiplication. Only the relation matrix runs that walk:
+fox_derivative_matrix is one block of a one-relator presentation's.
 
 The walk and every word image read the word's runs (Word.runs): blocks of
 at most 8 syllables, each repeated count times. A word image raises each
@@ -57,7 +58,7 @@ from .matrices import (
     scaled_pow,
     to_scaled,
 )
-from .presentation import Presentation, Word, validate_presentation
+from .presentation import Presentation, Relator, Word, validate_presentation
 from .scalars import MAX_MATRIX_SPAN, Rational, format_rational, parse_int, parse_rational
 from .zpoly import trim, value_at
 
@@ -350,17 +351,13 @@ def _check_span(alpha, words, n_generators: int, dim: int) -> list[tuple[int, in
 
 def fox_derivative_matrix(pres: Presentation, phi: Representation, word: Word, gen: int):
     """Derivative of the word with respect to generator `gen`, pushed through
-    g^alpha (x) phi: a dim x dim matrix over the Laurent ring."""
+    g^alpha (x) phi: a dim x dim matrix over the Laurent ring, block
+    (0, gen) of the unmemoized relation matrix of the word as one relator."""
     _check_shape(pres, phi)
     if not 0 <= gen < pres.n_generators:
         raise ValueError(f"no generator {gen}: the presentation has {pres.n_generators}")
-    [(lo, hi)] = _check_span(pres.alpha, (word,), pres.n_generators, phi.dim)
-    ell = phi.dim
-    D, rows = _fox_pass(pres.alpha, phi, word, lo, hi - lo + 1)
-    return tuple(
-        tuple(LaurentPoly.from_form(trim(lo, cell), D) for cell in row[gen * ell:(gen + 1) * ell])
-        for row in rows
-    )
+    one = Presentation(pres.prime, pres.generators, (Relator(word),), pres.alpha)
+    return _relation_matrix.__wrapped__(one, phi).block(0, gen)
 
 
 @dataclass(frozen=True)

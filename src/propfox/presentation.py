@@ -82,8 +82,8 @@ def reduce_syllables(sylls) -> tuple[tuple[int, int], ...]:
 
 @dataclass(frozen=True)
 class Word:
-    """A reduced word: products and powers assume their operands are, and
-    Word.of reduces any sequence of syllables.
+    """A reduced word: products and powers assume their operands are and
+    are read off one _junction; Word.of reduces any sequence of syllables.
 
     runs, computed once per word, compresses the syllables into repeated
     blocks of at most _RUN_BLOCK syllables; the Fox walk and every word
@@ -98,66 +98,53 @@ class Word:
     def is_identity(self) -> bool:
         return not self.syllables
 
-    def __mul__(self, other: "Word") -> "Word":
-        """The reduced product. Both words are reduced, so only the
-        junction can merge or cancel: walk back from it while the facing
-        syllables share a generator."""
-        a, b = self.syllables, other.syllables
+    @staticmethod
+    def _junction(a, b) -> tuple[int, int, tuple]:
+        """(i, j, m) with a * b == a[:i] + m + b[j:], for reduced a and b:
+        only the junction can merge or cancel, so walk back from it while
+        the facing syllables share a generator. m is the one merged
+        syllable when the walk stops on a nonzero sum, else empty."""
         i, j = len(a), 0
         while i and j < len(b) and a[i - 1][0] == b[j][0]:
             e = a[i - 1][1] + b[j][1]
             if e:
-                return Word(a[:i - 1] + ((b[j][0], e),) + b[j + 1:])
+                return i - 1, j + 1, ((b[j][0], e),)
             i, j = i - 1, j + 1
-        return Word(a[:i] + b[j:])
+        return i, j, ()
+
+    def __mul__(self, other: "Word") -> "Word":
+        """The reduced product, read off the junction."""
+        a, b = self.syllables, other.syllables
+        i, j, m = self._junction(a, b)
+        return Word(a[:i] + m + b[j:])
 
     def inverse(self) -> "Word":
         return Word(tuple((g, -e) for g, e in reversed(self.syllables)))
 
-    def _conjugator_length(self) -> int:
-        """t with w = u * c * u^-1, u the first t syllables and the core c
-        cyclically reduced: its ends are not inverse syllables."""
-        s = self.syllables
-        t = 0
-        while len(s) - 2 * t > 1 and s[t] == (s[-1 - t][0], -s[-1 - t][1]):
-            t += 1
-        return t
-
     def __pow__(self, n: int) -> "Word":
         """w^n in time linear in the length of the result, never reducing
-        it again. Split w = u * c * u^-1 (_conjugator_length); then
-        w^n = u * c^n * u^-1, and the only merge left is at the seam
-        between copies of c. c^n is one syllable when c is, and n copies of
-        c when the ends of c have different generators. Otherwise the ends
-        merge into one syllable m = c[-1] * c[0], nonzero because c is
-        cyclically reduced, and c^n is c[:-1], then n - 1 copies of
-        m * c[1:-1], then c[-1]."""
+        it again, from the junction (i, j, m) of w with itself. Each copy
+        of w meets the next at the same junction, so w^n is w[:i], then
+        n - 1 copies of m + w[j:i], then w[i:]. j > i only when
+        w = u * g^e * u^-1, whose copies merge into u * g^(e*n) * u^-1;
+        j == 0 when copies meet without a merge, and w^n is n copies."""
         if n == 0 or not self.syllables:
             return Word()
         s = (self if n > 0 else self.inverse()).syllables
         n = abs(n)
-        t = self._conjugator_length()
-        core = s[t:len(s) - t]
-        if len(core) == 1:
-            body = ((core[0][0], core[0][1] * n),)
-        elif core[0][0] != core[-1][0]:
-            body = core * n
-        else:
-            m = (core[0][0], core[-1][1] + core[0][1])
-            body = core[:-1] + ((m,) + core[1:-1]) * (n - 1) + core[-1:]
-        return Word(s[:t] + body + s[len(s) - t:])
+        i, j, m = self._junction(s, s)
+        if j > i:
+            return Word(s[:i] + ((s[i][0], s[i][1] * n),) + s[j:])
+        if j == 0:
+            return Word(s * n)
+        return Word(s[:i] + (m + s[j:i]) * (n - 1) + s[i:])
 
     def _power_length(self, n: int) -> int:
         """The number of syllables of w^n, without building it."""
         if n == 0 or not self.syllables:
             return 0
-        s = self.syllables
-        t = self._conjugator_length()
-        c = len(s) - 2 * t
-        if c == 1:
-            return len(s)
-        seam = s[t][0] == s[-1 - t][0]
-        return 2 * t + (c - seam) * abs(n) + seam
+        i, j, m = self._junction(self.syllables, self.syllables)
+        return len(self.syllables) + (abs(n) - 1) * (i - j + len(m))
 
     @cached_property
     def runs(self) -> tuple[tuple[tuple[tuple[int, int], ...], int], ...]:

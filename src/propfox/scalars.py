@@ -37,7 +37,7 @@ MAX_MATRIX_SPAN = 2**22
 # syllables as its exponent, so the parser refuses a word before it is built
 # once the relator words of a presentation would hold more syllables than
 # this. At the bound, validate on [a^2,(b*a^-1)^524287] (2,097,150
-# syllables) takes 0.97 s and 113 MB in one CLI process (x86-64, CPython 3.11)
+# syllables) takes 0.76-0.82 s and 113 MB in one CLI process (2-core x86-64)
 MAX_WORD_SYLLABLES = 2**21
 
 

@@ -260,6 +260,25 @@ def test_fox_derivative_matrix_rejects_a_generator_out_of_range(eg41, gen):
         fox_derivative_matrix(eg41, Representation.trivial(3), word, gen)
 
 
+def test_fox_derivative_matrix_leaves_the_relation_memo_alone(relation_memo, eg41, eg44rep):
+    alexander_matrix(eg41, eg44rep)
+    assert relation_memo.cache_info().currsize == 1
+    for i in range(eg41.n_generators):
+        fox_derivative_matrix(eg41, eg44rep, eg41.relators[0].flatten(), i)
+    assert relation_memo.cache_info().currsize == 1
+
+
+def test_fox_derivative_matrix_checks_shape_then_generator_then_span():
+    pres = parse_presentation("prime 3\ngenerators a b\nrelator a^10000000*b^-10000000\n")
+    word = pres.relators[0].flatten()
+    with pytest.raises(ValueError, match="does not match the generator count"):
+        fox_derivative_matrix(pres, Representation.trivial(3), word, 5)
+    with pytest.raises(ValueError, match="no generator 5"):
+        fox_derivative_matrix(pres, Representation.trivial(2), word, 5)
+    with pytest.raises(InputTooLarge):
+        fox_derivative_matrix(pres, Representation.trivial(2), word, 0)
+
+
 def test_relation_matrix_entries_match_the_checked_constructor():
     # The relation matrix is built by the integer Fox pass; on every corpus
     # matrix its entries must equal the checked constructor's on the sums of

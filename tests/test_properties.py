@@ -157,8 +157,23 @@ def test_word_power_consistency(w, n):
     assert w**n == direct
 
 
+def junction_examples(test):
+    """(u, c, n) with n = 1, -1 and 1000 for a word u * c * u^-1 on each
+    branch of the junction rule: a*b (no junction), c*a^2 * b^3 * a^-2*c^-1
+    (a one-syllable core, merged) and a^2*b*a^3 (a core whose ends merge)."""
+    for u, c in (
+        (Word(), Word.of([(0, 1), (1, 1)])),
+        (Word.of([(2, 1), (0, 2)]), Word.of([(1, 3)])),
+        (Word(), Word.of([(0, 2), (1, 1), (0, 3)])),
+    ):
+        for n in (1, -1, 1000):
+            test = example(u, c, n)(test)
+    return test
+
+
 @SUITE
 @given(words, words, st.integers(min_value=-6, max_value=6))
+@junction_examples
 def test_power_of_conjugate_matches_iterated_product(u, c, n):
     w = u * c * u.inverse()
     direct = Word.of([])
@@ -169,6 +184,7 @@ def test_power_of_conjugate_matches_iterated_product(u, c, n):
 
 @SUITE
 @given(words, words, st.integers(min_value=-6, max_value=6))
+@junction_examples
 def test_power_length_is_the_length_of_the_power(u, c, n):
     """The parser bounds a power by _power_length before building it."""
     for w in (c, u * c * u.inverse()):
