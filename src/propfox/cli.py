@@ -12,6 +12,10 @@ mismatch, 6 out of memory or past the recursion limit (one stderr line
 naming the subcommand), 141 standard output closed by its reader.
 Internal consistency failures are deliberately not caught: they are bugs and
 should produce a traceback.
+
+main(argv) may be called any number of times in one process. The parser is
+built on the first call and reused; each handler _cmd_<subcommand> is looked
+up by name when it runs.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from . import corpus
@@ -372,10 +377,9 @@ def _cmd_cohomology(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
-    try:
-        results = corpus.run(args.id)
-    except KeyError:
+    if args.id is not None and all(e.entry_id != args.id for e in corpus.ENTRIES):
         raise UsageError(f"unknown corpus entry: {args.id}")
+    results = corpus.run(args.id)
     ok_count = sum(1 for r in results if r.ok)
 
     def payload():
@@ -403,38 +407,36 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func, help_text: str, needs_file=True):
+    def add(name: str, help_text: str):
         p = sub.add_parser(name, help=help_text)
-        if needs_file:
-            p.add_argument("file", help="presentation file")
+        p.add_argument("file", help="presentation file")
         p.add_argument("--json", action="store_true", help="JSON output")
-        p.set_defaults(func=func)
         return p
 
-    add("validate", _cmd_validate, "check the presentation hypotheses")
+    add("validate", "check the presentation hypotheses")
 
-    p = add("matrix", _cmd_matrix, "print the relation matrix")
+    p = add("matrix", "print the relation matrix")
     p.add_argument("--rep", help="representation file (default: trivial)")
 
-    p = add("delta", _cmd_delta, "d-th determinant divisor")
+    p = add("delta", "d-th determinant divisor")
     p.add_argument("--d", type=_int_at_least(0), required=True)
     p.add_argument("--rep", help="representation file (default: trivial)")
 
-    p = add("iwasawa-delta", _cmd_iwasawa_delta, "divisor in the classical indexing")
+    p = add("iwasawa-delta", "divisor in the classical indexing")
     p.add_argument("--d", type=_int_at_least(0), required=True)
 
-    p = add("zeros", _cmd_zeros, "rational and p-adic zeros of a divisor")
+    p = add("zeros", "rational and p-adic zeros of a divisor")
     p.add_argument("--d", type=_int_at_least(0), required=True)
     p.add_argument("--rep", help="representation file (default: trivial)")
     p.add_argument(
         "--prec", type=_int_at_least(1), default=8, help="p-adic precision exponent"
     )
 
-    p = add("extend", _cmd_extend, "crossed homomorphisms and a sample extension")
+    p = add("extend", "crossed homomorphisms and a sample extension")
     p.add_argument("--at", type=_rational_arg, required=True, help="evaluation point")
     p.add_argument("--rep", help="representation file (default: trivial)")
 
-    p = add("cohomology", _cmd_cohomology, "quotient cohomology and the audit")
+    p = add("cohomology", "quotient cohomology and the audit")
     p.add_argument("--at", type=_rational_arg, required=True, help="evaluation point")
     p.add_argument("--rep", help="representation file (default: trivial)")
 
@@ -442,9 +444,13 @@ def build_parser() -> _Parser:
     p.add_argument("action", choices=["run"])
     p.add_argument("--id", help="run a single corpus entry")
     p.add_argument("--json", action="store_true", help="JSON output")
-    p.set_defaults(func=_cmd_corpus)
 
     return parser
+
+
+@cache
+def _parser() -> _Parser:
+    return build_parser()
 
 
 def main(argv=None) -> int:
@@ -453,12 +459,11 @@ def main(argv=None) -> int:
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     if limit:
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
     command = None
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         command = args.command
-        code = args.func(args)
+        code = globals()["_cmd_" + command.replace("-", "_")](args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

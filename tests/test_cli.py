@@ -488,6 +488,68 @@ def test_exhausted_resources_exit_6_with_one_line(capsys, monkeypatch, handler, 
     assert err == f"resources exhausted: {argv[0]} {what}\n"
 
 
+def test_a_handler_patched_after_the_first_call_is_the_one_called(capsys, monkeypatch):
+    """Handlers are looked up by subcommand name when they run, so the
+    parser that main keeps across calls binds none of them."""
+    assert run_cli(capsys, "validate", EG41)[0] == 0
+
+    def exhausted(args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "_cmd_delta", exhausted)
+    code, out, err = run_cli(capsys, "delta", EG41, "--d", "1")
+    assert code == cli.EXIT_EXHAUSTED
+    assert out == ""
+    assert err == "resources exhausted: delta ran out of memory\n"
+
+
+def test_main_builds_one_parser_per_process(capsys, monkeypatch):
+    run_cli(capsys, "validate", EG41)
+    calls = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+    assert run_cli(capsys, "delta", EG41, "--d", "1")[0] == 0
+    assert calls == []
+
+
+def test_no_state_carries_between_calls(capsys):
+    run_cli(capsys, "zeros", EG43, "--d", "1", "--prec", "3", "--json")
+    code, out, _ = run_cli(capsys, "zeros", EG43, "--d", "1", "--json")
+    assert code == 0
+    assert json.loads(out)["results"]["precision"] == 8
+
+    run_cli(capsys, "delta", EG41, "--d", "2", "--rep", EG44, "--json")
+    code, out, _ = run_cli(capsys, "delta", EG41, "--d", "1", "--json")
+    assert code == 0
+    assert json.loads(out)["inputs"] == {"presentation": EG41}
+    code, out, _ = run_cli(capsys, "corpus", "run", "--id", "eg-4.1-p3", "--json")
+    assert code == 0
+    assert json.loads(out)["inputs"] == {"id": "eg-4.1-p3"}
+
+    argv = ("delta", EG41, "--d", "1", "--rep", EG44, "--json")
+    first = run_cli(capsys, *argv)
+    assert first[0] == 0
+    assert run_cli(capsys, "delta", EG41, "--d", "-1")[0] == 1
+    assert run_cli(capsys, *argv) == first
+
+
+def test_a_key_error_inside_a_check_is_not_a_usage_error(capsys, monkeypatch):
+    """Only an --id outside corpus.ENTRIES is a usage error; a KeyError from
+    a check is a bug and propagates."""
+
+    def broken(name):
+        raise KeyError(name)
+
+    monkeypatch.setattr(propfox.corpus, "load_presentation", broken)
+    with pytest.raises(KeyError):
+        cli.main(["corpus", "run", "--id", "eg-4.1-p3"])
+
+
 @pytest.mark.parametrize(
     "argv",
     [
