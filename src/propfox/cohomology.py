@@ -27,7 +27,6 @@ from .extensions import (
     _extend,
     cocycle_space,
     specialize,
-    verify_factors,
 )
 from .fitting import fitting_delta, zero_by_both_routes
 from .fox import Representation, alexander_matrix
@@ -154,7 +153,7 @@ def symmetric_square_cocycle(ext2: SpecializedRep) -> SymSquareReport:
     doubled coefficient system; report whether that class is principal."""
     if ext2.dim != 2:
         raise HypothesisViolated("the squares construction expects 2x2 images")
-    if not verify_factors(ext2, ext2.pres).ok:
+    if not ext2.factors_through():
         raise HypothesisViolated("the candidate does not kill the relators")
     images = tuple(_sym_square_2x2(M) for M in ext2.mats)
     a = ext2.a

@@ -38,15 +38,13 @@ over the leading coefficient, with no Fraction built per coefficient.
 
 No step of either elimination depends on r: each one picks its pivot from
 the whole block that is left. So the state after k steps is the same for
-every r > k, and one elimination per matrix serves every d. Its states are
-kept as immutable snapshots keyed by (integer rows, steps done), which
-is all that they depend on: step k runs on a fresh copy of the snapshot
-after k - 1 steps and is stored only once it returns, so an exception
-inside a step leaves nothing half built. The
-snapshot after 0 steps is the integer form of the matrix itself, so
-1-minors cost no step, and snapshots hold integer forms only.
-Snapshots, like fitting_delta's results, are kept for the life of the
-process.
+every r > k, and one elimination per matrix serves every d. Each matrix
+keeps one list of immutable states per elimination, entry k the state after
+k steps: step k runs on a copy of entry k - 1 and is appended only once it
+returns, so an exception inside a step leaves nothing half built. Entry 0
+is the integer form of the matrix itself, so 1-minors cost no step, and the
+states hold integer forms only. Like fitting_delta's results, the lists
+sit in a memo of fox.MEMO_SIZE entries that drops the least recently used.
 
 minor_count keeps the meaning it had when the divisor was computed by
 enumeration: the number of minors the lexicographic (row set, column set)
@@ -76,7 +74,7 @@ from itertools import combinations
 from math import comb, gcd as igcd
 
 from .errors import DivisionByZero, InternalInconsistency
-from .fox import AlexanderMatrix, alexander_matrix
+from .fox import MEMO_SIZE, AlexanderMatrix, alexander_matrix
 from .laurent import LaurentPoly, normalize_associate
 from .matrices import rank_nullspace
 from .presentation import Presentation
@@ -120,27 +118,28 @@ class FittingResult:
     minor_count: int
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MEMO_SIZE)
 def fitting_delta(Q: AlexanderMatrix, d: int) -> FittingResult:
     """Normalized gcd of the (n_cols - d)-minors of Q, the minimum content
     valuation over the nonzero ones, and how many minors the lexicographic
     enumeration would expand before its early exit (see the module
-    docstring). Results, like the elimination snapshots they are read off,
-    are kept for the life of the process."""
+    docstring). The MEMO_SIZE results used last are kept, and every d of one
+    matrix reads the same elimination states (_eliminations)."""
     r = Q.n_cols - d
     if r <= 0:
         return FittingResult(d, LaurentPoly.one(), 0, 0)
     if r > Q.n_rows:
         return FittingResult(d, LaurentPoly.zero(), None, 0)
-    p, L, M = Q.prime, Q.scale, Q.rows
-    delta = normalize_associate(LaurentPoly.from_form(_divisor(M, r, _SMITH_SNAPSHOTS, M)))
-    mu = _content_minimum(M, r, p, _BAREISS_SNAPSHOTS, M)
+    p, L = Q.prime, Q.scale
+    smith, bareiss = _eliminations(Q)
+    delta = normalize_associate(LaurentPoly.from_form(_divisor(smith, r)))
+    mu = _content_minimum(bareiss, r, p)
     if mu is not None:
         mu -= r * valuation(L, p)
     # Every entry is p-integral exactly when p does not divide L.
     if not (mu == 0 and delta.is_one() and L % p):
         return FittingResult(d, delta, mu, comb(Q.n_rows, r) * comb(Q.n_cols, r))
-    fold = _scan_by_row_sets(M, d, r, p)
+    fold = _scan_by_row_sets(Q.rows, d, r, p)
     if (fold.delta, fold.mu_content) != (delta, mu):
         raise InternalInconsistency(
             f"row-set fold and elimination disagree for d={d}: "
@@ -161,8 +160,8 @@ def _scan_by_row_sets(M, d: int, r: int, p: int) -> FittingResult:
     g, mu, count = ZERO, None, comb(len(M), r) * per_row_set
     for i, rs in enumerate(combinations(range(len(M)), r)):
         rows = tuple(M[k] for k in rs)
-        g_next = g if g == ONE else gcd_all([g, _divisor(rows, r, {}, None)])
-        v = None if mu == 0 else _content_minimum(rows, r, p, {}, None)
+        g_next = g if g == ONE else gcd_all([g, _divisor([(rows, ONE)], r)])
+        v = None if mu == 0 else _content_minimum([(rows, ONE)], r, p)
         mu_next = mu if v is None else v if mu is None else min(mu, v)
         if g_next == ONE and mu_next == 0:
             dets = (
@@ -194,27 +193,27 @@ def _fold_minors(p: int, dets, g: tuple, mu: int | None):
     return g, mu, count
 
 
-# The whole-matrix eliminations' snapshots, keyed by (Q.rows, steps done)
-# and, for Bareiss, the prime; they hold only integer forms. Like
-# fitting_delta's cache they are kept for the life of the process.
-_SMITH_SNAPSHOTS: dict = {}
-_BAREISS_SNAPSHOTS: dict = {}
+@lru_cache(maxsize=MEMO_SIZE)
+def _eliminations(Q: AlexanderMatrix) -> tuple[list, list]:
+    """The Smith and the Bareiss states of Q's integer form that every d
+    shares: entry k of each list is the state after k steps (see _state)."""
+    return [(Q.rows, ONE)], [(Q.rows, ONE)]
 
 
-def _snapshot(advance, memo: dict, key, start, steps: int, *args):
-    """The state after `steps` steps of `advance` from (start, ONE), or None
-    once a step finds its block zero. Each step's result is stored in memo
-    under (key, steps done, *args) when the step returns, and read back from
-    it on later calls."""
-    state = (start, ONE)
-    for k in range(steps):
-        memo_key = (key, k + 1, *args)
-        if memo_key not in memo:
-            memo[memo_key] = advance(state, k, *args)
-        state = memo[memo_key]
-        if state is None:
-            break
-    return state
+def _state(states: list, advance, steps: int, *args):
+    """The state after `steps` steps of `advance`, or None once a step
+    finds its block zero. states[k] is the (matrix, extra) state after k
+    steps; each missing step runs advance(M, k, extra, *args) in place on a
+    copy of the last kept matrix, and its state is appended only once the
+    step returns."""
+    while len(states) <= steps:
+        if states[-1] is None:
+            return None
+        entries, extra = states[-1]
+        M = [list(row) for row in entries]
+        extra = advance(M, len(states) - 1, extra, *args)
+        states.append(None if extra is None else (tuple(map(tuple, M)), extra))
+    return states[steps]
 
 
 def _span(f: tuple) -> int:
@@ -249,10 +248,10 @@ def _primitive_row(row: list[tuple]) -> list[tuple]:
     return row if c <= 1 else [(s, tuple(x // c for x in a)) for s, a in row]
 
 
-def _divisor(M, r: int, memo: dict, key) -> tuple:
-    """Product of the first r Smith invariant factors, as a normal zpoly
-    value; ZERO when the rank is below r."""
-    state = _snapshot(_smith_advance, memo, key, M, r - 1)
+def _divisor(states: list, r: int) -> tuple:
+    """Product of the first r Smith invariant factors of the matrix of the
+    Smith states, as a normal zpoly value; ZERO when the rank is below r."""
+    state = _state(states, _smith_advance, r - 1)
     if state is None:
         return ZERO
     M, product = state
@@ -260,18 +259,13 @@ def _divisor(M, r: int, memo: dict, key) -> tuple:
     return rest if product == ONE or not rest[1] else mul(product, rest)
 
 
-def _smith_advance(state, k: int):
-    """Smith step k on a fresh copy of the state's matrix: the new matrix
-    and the product of the normal pivots so far, or None when the block
-    from (k, k) on is zero."""
-    entries, product = state
-    M = [list(row) for row in entries]
+def _smith_advance(M: list[list[tuple]], k: int, product: tuple) -> tuple | None:
+    """Smith step k in place: the product of the normal pivots so far, or
+    None when the block from (k, k) on is zero."""
     pivot = _smith_step(M, k)
     if pivot is None:
         return None
-    if _span(pivot):
-        product = mul(product, normal(pivot))
-    return tuple(map(tuple, M)), product
+    return mul(product, normal(pivot)) if _span(pivot) else product
 
 
 def _smith_step(M: list[list[tuple]], k: int) -> tuple | None:
@@ -327,11 +321,11 @@ def _smith_step(M: list[list[tuple]], k: int) -> tuple | None:
     return None
 
 
-def _content_minimum(M, r: int, p: int, memo: dict, key) -> int | None:
-    """Least content valuation over the nonzero r-minors of M; None when
-    the rank is below r. The block left after r - 1 Bareiss steps holds
-    r-minors."""
-    state = _snapshot(_bareiss_advance, memo, key, M, r - 1, p)
+def _content_minimum(states: list, r: int, p: int) -> int | None:
+    """Least content valuation over the nonzero r-minors of the matrix of
+    the Bareiss states; None when the rank is below r. The block left after
+    r - 1 Bareiss steps holds r-minors."""
+    state = _state(states, _bareiss_advance, r - 1, p)
     if state is None:
         return None
     M = state[0]
@@ -341,15 +335,13 @@ def _content_minimum(M, r: int, p: int, memo: dict, key) -> int | None:
     )
 
 
-def _bareiss_advance(state, k: int, p: int):
-    """Fraction-free step k on a fresh copy of the state's matrix, pivoting
-    on an entry of least content valuation: the new matrix and its pivot, or
-    None when the block from (k, k) on is zero."""
-    entries, prev = state
-    M = [list(row) for row in entries]
+def _bareiss_advance(M: list[list[tuple]], k: int, prev: tuple, p: int) -> tuple | None:
+    """Fraction-free step k in place after the pivot prev, pivoting on an
+    entry of least content valuation: its pivot, or None when the block
+    from (k, k) on is zero."""
     if not _bareiss_step(M, k, prev, lambda f: content_valuation(f, p)):
         return None
-    return tuple(map(tuple, M)), M[k][k]
+    return M[k][k]
 
 
 def _bareiss_step(M: list[list[tuple]], k: int, prev: tuple, key) -> int:

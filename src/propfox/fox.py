@@ -455,10 +455,15 @@ def alexander_matrix(pres: Presentation, rep: Representation | None = None) -> A
     return _relation_matrix(pres, rep)
 
 
-@lru_cache(maxsize=None)
+# How many entries each memo keeps, the least recently used dropped first:
+# relation matrices here, divisor results and elimination states in fitting.
+MEMO_SIZE = 64
+
+
+@lru_cache(maxsize=MEMO_SIZE)
 def _relation_matrix(pres: Presentation, rep: Representation) -> AlexanderMatrix:
-    """alexander_matrix without the hypothesis check. Like fitting_delta,
-    the memo keeps every matrix it builds for the life of the process.
+    """alexander_matrix without the hypothesis check. The memo keeps the
+    MEMO_SIZE matrices used last; an equal pair asked again shares one.
 
     Each relator's pass is reduced to its least denominator D_j; the least
     common denominator of the whole matrix is then L = lcm(D_j), and

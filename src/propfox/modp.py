@@ -120,6 +120,7 @@ def roots(f: list[int], p: int) -> list[int]:
     fbar = _monic(fbar, p)
     # a linear polynomial divides x^p - x
     g = fbar if len(fbar) == 2 else gcd(fbar, _sub(Modulus(fbar, p).linear_pow(0, p), [0, 1], p), p)
+    # p = 2 never splits below (exponent 0): fbar, at most p long, is linear.
     found = []
     todo = [(g, 1)] if len(g) > 1 else []
     while todo:

@@ -16,7 +16,7 @@ from propfox import (
     parse_presentation,
     rank_at,
 )
-from propfox import fitting
+from propfox import fitting, fox
 from propfox.fox import AlexanderMatrix
 from propfox.laurent import LaurentPoly
 
@@ -191,3 +191,43 @@ def test_interrupted_elimination_leaves_the_snapshots_sound(monkeypatch, name, s
         fit = fitting_delta(Q, d)
         assert (fit.delta, fit.mu_content) == oneshot_divisor_and_content(Q, d), d
         assert fit == _fitting_by_enumeration(Q, d), d
+
+
+def test_every_memo_keeps_at_most_memo_size_entries():
+    for k in range(1, fox.MEMO_SIZE + 11):
+        pres = parse_presentation(f"prime 3\ngenerators a b\nrelator a^{k}*b^-{k}\n")
+        fitting_delta(alexander_matrix(pres), 1)
+    for memo in (fitting_delta, fitting._eliminations, fox._relation_matrix):
+        assert memo.cache_info().currsize <= fox.MEMO_SIZE, memo
+
+
+# A matrix of the 7 x 6 divisor-chain class: five relators
+# x0*y_i*x0^-1 = y_i^(r_i) (times later y_j), y_i = x_i*x0^-1, and two
+# conjugate products of them.
+SEVEN_BY_SIX = """prime 7
+generators x0 x1 x2 x3 x4 x5
+relator x0*(x1*x0^-1)*x0^-1 = (x1*x0^-1)^3
+relator x0*(x2*x0^-1)*x0^-1 = (x2*x0^-1)^-2*(x5*x0^-1)^-1
+relator x0*(x3*x0^-1)*x0^-1 = (x3*x0^-1)^3
+relator x0*(x4*x0^-1)*x0^-1 = (x4*x0^-1)^5*(x5*x0^-1)^2
+relator x0*(x5*x0^-1)*x0^-1 = (x5*x0^-1)^-3
+relator (x1*x2^-1)*(x0*(x2*x0^-1)*x0^-1)*((x2*x0^-1)^-2*(x5*x0^-1)^-1)^-1*(x1*x2^-1)^-1*((x0*(x3*x0^-1)*x0^-1)*((x3*x0^-1)^3)^-1)^-1
+relator (x1^-1*x4^-1)*(x0*(x2*x0^-1)*x0^-1)*((x2*x0^-1)^-2*(x5*x0^-1)^-1)^-1*(x1^-1*x4^-1)^-1*((x0*(x3*x0^-1)*x0^-1)*((x3*x0^-1)^3)^-1)
+"""
+
+
+def test_every_d_of_one_matrix_shares_its_elimination_states():
+    Q = alexander_matrix(parse_presentation(SEVEN_BY_SIX))
+    assert (Q.n_rows, Q.n_cols) == (7, 6)
+    # d = 0 takes the most steps, so every later d reads states it left.
+    fitting_delta.__wrapped__(Q, 0)
+    smith, bareiss = fitting._eliminations(Q)
+    assert len(smith) == len(bareiss) == Q.n_cols
+    kept = [list(smith), list(bareiss)]
+    for d in range(1, Q.n_cols + 1):
+        fitting_delta.__wrapped__(Q, d)
+        states = fitting._eliminations(Q)
+        assert states[0] is smith and states[1] is bareiss, d
+        for now, before in zip(states, kept):
+            assert len(now) == len(before), d
+            assert all(a is b for a, b in zip(now, before)), d

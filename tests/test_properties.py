@@ -51,6 +51,7 @@ from propfox.fox import AlexanderMatrix, _degree_range, _relation_matrix, scaled
 from propfox.matrices import freeze, rank_nullspace
 from propfox.presentation import _RUN_BLOCK, _is_prime, reduce_syllables
 from propfox.zeros import _squarefree, _taylor_shift, _zp_roots
+from propfox.zpoly import ONE
 
 import fitting_oracle
 import laurent_oracle
@@ -663,9 +664,9 @@ def test_integer_smith_and_bareiss_match_the_rational_oracles(case):
     L, M = integer_matrix(rows)
     fraction_rows = tuple(tuple(oracle(f) for f in row) for row in rows)
     for r in range(1, min(len(rows), len(rows[0])) + 1):
-        delta = normalize_associate(LaurentPoly.from_form(fitting._divisor(M, r, {}, None)))
+        delta = normalize_associate(LaurentPoly.from_form(fitting._divisor([(M, ONE)], r)))
         assert oracle(delta) == fitting_oracle._smith_divisor(fraction_rows, r), r
-        mu = fitting._content_minimum(M, r, p, {}, None)
+        mu = fitting._content_minimum([(M, ONE)], r, p)
         mu = None if mu is None else mu - r * valuation(L, p)
         assert mu == fitting_oracle._least_content(fraction_rows, r, p), r
     if len(rows) == len(rows[0]):

@@ -197,6 +197,22 @@ def test_roots_at_two_are_read_off():
     assert modp.roots([3], 2) == []
 
 
+def test_roots_at_two_never_ask_linear_pow_for_a_zeroth_power(monkeypatch):
+    # linear_pow is defined for exponents >= 1; the split loop's exponent
+    # (p - 1) // 2 is 0 at p = 2, so p = 2 must never reach that loop.
+    real = modp.Modulus.linear_pow
+
+    def checked(self, delta, e):
+        if e < 1:
+            raise AssertionError(f"linear_pow called with exponent {e}")
+        return real(self, delta, e)
+
+    monkeypatch.setattr(modp.Modulus, "linear_pow", checked)
+    assert modp.roots([0, 1, 1], 2) == [0, 1]
+    assert modp.roots([0, 1, 0, 1], 2) == [0, 1]
+    assert modp.roots([0, 3, 5, 1, 1, 7, 2], 2) == [0]
+
+
 def test_roots_below_the_degree_match_a_residue_scan():
     """At p no larger than the degree, f is folded mod x^p - x first; a
     multiple of x^p - x folds to zero and has every residue as a root."""
