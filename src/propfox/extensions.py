@@ -7,19 +7,26 @@ stacked vector of its values, so the space of crossed homomorphisms is a
 nullspace computation. Each crossed homomorphism yields a representation one
 dimension up, with the old one in the corner and beta in the new column, and
 the relator images of that candidate are checked explicitly.
+
+Each point is computed once. specialize keeps the specialized
+representations of the fox.MEMO_SIZE (presentation, representation, point)
+triples used last, so equal inputs share one SpecializedRep; nothing
+mutates one, and its relator check is made once per object. cocycle_space
+reads the nullspace of the specialized relation matrix from the memo that
+fitting.rank_at shares (fitting._nullspace_at).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import lcm
 
 from .errors import DivisionByZero
-from .fitting import fitting_delta, zero_by_both_routes
-from .fox import Representation, _check_shape, alexander_matrix, scaled_image
-from .matrices import from_scaled, is_scaled_identity, lowest_terms, rank_nullspace
+from .fitting import _nullspace_at, fitting_delta, zero_by_both_routes
+from .fox import MEMO_SIZE, Representation, _check_shape, alexander_matrix, scaled_image
+from .matrices import from_scaled, is_scaled_identity, lowest_terms
 from .presentation import Presentation, Word
 from .scalars import Rational
 
@@ -83,7 +90,8 @@ class SpecializedRep:
     over one positive denominator in lowest terms (scaled and scaled_invs),
     which is what word products, relator checks and the point eliminations
     read. mats and invs are the same images as Fraction matrices, built on
-    first use."""
+    first use. Nothing mutates an instance after it is built, so one from
+    specialize may be shared."""
 
     def __init__(self, pres: Presentation, a: Fraction, scaled: tuple, scaled_invs: tuple):
         self.pres = pres
@@ -103,7 +111,11 @@ class SpecializedRep:
     def factors_through(self) -> bool:
         """Whether every relator maps to the identity, i.e. the images define
         a representation of the presented group and not just of the free
-        group."""
+        group. The relators are multiplied out on the first call only."""
+        return self._kills_relators
+
+    @cached_property
+    def _kills_relators(self) -> bool:
         return all(is_scaled_identity(scaled_image(self, rel.flatten())) for rel in self.pres.relators)
 
 
@@ -116,7 +128,11 @@ def _power_times(S, e: int, n: int, d: int):
     return lowest_terms([[x * top for x in row] for row in rows], den * bottom)
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def specialize(pres: Presentation, phi: Representation, a: Rational) -> SpecializedRep:
+    """The images a^{alpha_i} phi(g_i) and their inverses. The MEMO_SIZE
+    triples used last are kept; the key is the point's value, so 4 and
+    Fraction(4) share one entry."""
     a = _nonzero_point(a)
     _check_shape(pres, phi)
     n, d = a.numerator, a.denominator
@@ -141,7 +157,7 @@ def cocycle_space(pres: Presentation, phi: Representation, a: Rational) -> Cocyc
     matrix, reshaped to one vector per generator."""
     a = _nonzero_point(a)
     Q = alexander_matrix(pres, phi)
-    _, basis = rank_nullspace(Q.rows_at(a), Q.n_cols)
+    _, basis = _nullspace_at(Q, a)
     hom_basis = tuple(CrossedHom.from_flat(vec, Q.block_dim) for vec in basis)
     return CocycleSpace(a=a, ell=Q.block_dim, dim=len(hom_basis), basis=hom_basis)
 

@@ -45,6 +45,9 @@ returns, so an exception inside a step leaves nothing half built. Entry 0
 is the integer form of the matrix itself, so 1-minors cost no step, and the
 states hold integer forms only. Like fitting_delta's results, the lists
 sit in a memo of fox.MEMO_SIZE entries that drops the least recently used.
+At a point a, rank_at and extensions.cocycle_space read one elimination of
+the specialized matrix per (matrix, point), _nullspace_at, kept in a memo
+of the same size; its rank and nullspace basis are immutable tuples.
 
 minor_count keeps the meaning it had when the divisor was computed by
 enumeration: the number of minors the lexicographic (row set, column set)
@@ -361,8 +364,16 @@ def _bareiss_step(M: list[list[tuple]], k: int, prev: tuple, key) -> int:
     return sign
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def _nullspace_at(Q: AlexanderMatrix, a: Fraction) -> tuple[int, tuple]:
+    """Rank and nullspace basis of Q specialized at a, from one elimination
+    of Q.rows_at(a) per (matrix, point) that rank_at and cocycle_space
+    share; the MEMO_SIZE points used last are kept."""
+    return rank_nullspace(Q.rows_at(a), Q.n_cols)
+
+
 def rank_at(Q: AlexanderMatrix, a: Rational) -> int:
-    rank, _ = rank_nullspace(Q.rows_at(a), Q.n_cols)
+    rank, _ = _nullspace_at(Q, Fraction(a))
     return rank
 
 

@@ -1,11 +1,12 @@
 """Shared fixtures: the bundled example presentations and representations,
-and a fresh relation-matrix memo that counts real builds."""
+a fresh relation-matrix memo that counts real builds, and empty point
+memos before every test."""
 
 from functools import lru_cache
 
 import pytest
 
-from propfox import corpus, fox
+from propfox import corpus, extensions, fitting, fox
 
 
 @pytest.fixture(scope="session")
@@ -50,3 +51,12 @@ def relation_memo(monkeypatch):
     memo = lru_cache(maxsize=None)(fox._relation_matrix.__wrapped__)
     monkeypatch.setattr(fox, "_relation_matrix", memo)
     return memo
+
+
+@pytest.fixture(autouse=True)
+def empty_point_memos():
+    """Empty the per-point memos (the specialized nullspace and the
+    specialized representation) before each test, so that no test reads
+    points an earlier one computed."""
+    fitting._nullspace_at.cache_clear()
+    extensions.specialize.cache_clear()

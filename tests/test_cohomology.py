@@ -201,7 +201,7 @@ def point_counts(monkeypatch):
             AlexanderMatrix, name, counted("specialize", getattr(AlexanderMatrix, name))
         )
     nullspace = counted("nullspace", matrices.rank_nullspace)
-    for module in (cohomology, extensions, fitting):
+    for module in (cohomology, fitting):
         monkeypatch.setattr(module, "rank_nullspace", nullspace)
     return counts
 

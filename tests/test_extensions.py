@@ -1,5 +1,6 @@
 """Crossed homomorphisms, block-triangular extensions, and the count criterion."""
 
+import copy
 import time
 from fractions import Fraction
 
@@ -15,12 +16,13 @@ from propfox import (
     cocycle_space,
     evaluate_cocycle,
     extension_count_criterion,
+    format_presentation,
     parse_presentation,
     parse_word,
     specialize,
     verify_factors,
 )
-from propfox import fox, matrices
+from propfox import corpus, extensions, fox, matrices
 from propfox.extensions import mat_vec
 
 from matrices_oracle import mat_mul, oracle_identity
@@ -41,6 +43,36 @@ def test_specialize_and_factoring(eg41, eg44rep):
     assert rho4.factors_through()
     with pytest.raises(DivisionByZero):
         specialize(eg41, eg44rep, Fraction(0))
+
+
+def test_equal_inputs_share_one_specialized_rep(monkeypatch, eg41, eg44rep):
+    """specialize hands out one object per equal (presentation,
+    representation, point); extending it leaves its images as they were,
+    and its relator check runs once."""
+    rho = specialize(eg41, eg44rep, 4)
+    again = specialize(
+        parse_presentation(format_presentation(eg41)),
+        corpus.load_representation("eg44.rep", eg41),
+        Fraction(4),
+    )
+    assert again is rho
+    scaled, scaled_invs = rho.scaled, rho.scaled_invs
+    kept = copy.deepcopy((scaled, scaled_invs))
+    beta = cocycle_space(eg41, eg44rep, 4).basis[0]
+    assert verify_factors(build_extension(eg41, eg44rep, 4, beta), eg41).ok
+    extensions._extend(rho, beta.scale(3))
+    assert rho.scaled is scaled and rho.scaled_invs is scaled_invs
+    assert (rho.scaled, rho.scaled_invs) == kept
+    assert rho.factors_through()
+    products = []
+
+    def counted(*args):
+        products.append(args)
+        return fox.scaled_image(*args)
+
+    monkeypatch.setattr(extensions, "scaled_image", counted)
+    assert specialize(eg41, eg44rep, 4).factors_through()
+    assert products == []
 
 
 def test_specialize_scales_by_weight():

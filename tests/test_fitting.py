@@ -8,6 +8,7 @@ import pytest
 
 from propfox import (
     DivisionByZero,
+    Representation,
     alexander_matrix,
     fitting_delta,
     is_zero_of_delta,
@@ -15,8 +16,9 @@ from propfox import (
     parse_laurent,
     parse_presentation,
     rank_at,
+    specialize,
 )
-from propfox import fitting, fox
+from propfox import extensions, fitting, fox
 from propfox.fox import AlexanderMatrix
 from propfox.laurent import LaurentPoly
 
@@ -197,7 +199,18 @@ def test_every_memo_keeps_at_most_memo_size_entries():
     for k in range(1, fox.MEMO_SIZE + 11):
         pres = parse_presentation(f"prime 3\ngenerators a b\nrelator a^{k}*b^-{k}\n")
         fitting_delta(alexander_matrix(pres), 1)
-    for memo in (fitting_delta, fitting._eliminations, fox._relation_matrix):
+    Q, trivial = alexander_matrix(pres), Representation.trivial(2)
+    for a in range(1, fox.MEMO_SIZE + 11):
+        rank_at(Q, a)
+        specialize(pres, trivial, a)
+    memos = (
+        fitting_delta,
+        fitting._eliminations,
+        fox._relation_matrix,
+        fitting._nullspace_at,
+        extensions.specialize,
+    )
+    for memo in memos:
         assert memo.cache_info().currsize <= fox.MEMO_SIZE, memo
 
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from propfox import (
     CrossedHom,
     DivisionByZero,
+    HypothesisViolated,
     LaurentPoly,
     Presentation,
     Relator,
@@ -22,6 +23,7 @@ from propfox import (
     alexander_matrix,
     build_extension,
     coboundary_matrix,
+    cocycle_space,
     evaluate_cocycle,
     evaluate_word,
     extension_count_criterion,
@@ -32,6 +34,7 @@ from propfox import (
     format_word,
     fox_derivative_matrix,
     gcd_many,
+    h1_report,
     hensel_roots,
     is_zero_of_delta,
     laurent_divides,
@@ -40,12 +43,14 @@ from propfox import (
     parse_presentation,
     parse_rational,
     parse_word,
+    rank_at,
     rational_roots,
     specialize,
+    theorem_audit,
     valuation,
     verify_factors,
 )
-from propfox import corpus, fitting, modp
+from propfox import corpus, extensions, fitting, modp
 from propfox.extensions import mat_vec
 from propfox.fox import AlexanderMatrix, _degree_range, _relation_matrix, scaled_image
 from propfox.matrices import freeze, rank_nullspace
@@ -1090,6 +1095,93 @@ def test_relator_checks_match_fraction_products(case):
         assert check.ok == (expected == ident)
         expected_ok.append(check.ok)
     assert report.ok == all(expected_ok)
+
+
+# -- per-point memos -------------------------------------------------------------
+
+NON_FACTORING = Representation(1, (((Fraction(2),),), ((Fraction(1),),), ((Fraction(1),),)))
+POINT_PAIRS = [
+    (EG41, TRIVIAL3),
+    (EG41, EG44),
+    (EG41, corpus.load_representation("eg45.rep", EG41)),
+    (EG41, corpus.load_representation("eg55.rep", EG41)),
+    (EG41, NON_FACTORING),
+] + [
+    (pres, Representation.trivial(pres.n_generators))
+    for pres in map(corpus.load_presentation, ("eg42.pres", "eg43.pres", "eg43split.pres"))
+]
+# zeros of the pairs' divisors (1, 4, -3, 3, 6, 11, 1/4), points off them,
+# and 0; integral points come in both spellings, 4 and Fraction(4)
+MEMO_POINTS = (0, 1, 4, -2, -3, 3, 6, 11, Fraction(1, 4), Fraction(-1, 2))
+memo_points = st.tuples(st.sampled_from(MEMO_POINTS), st.booleans()).map(
+    lambda t: Fraction(t[0]) if t[1] else t[0]
+)
+
+
+def _extension_verified(pres, phi, a):
+    space = cocycle_space(pres, phi, a)
+    beta = space.basis[0] if space.basis else CrossedHom(
+        space.ell, ((Fraction(0),) * space.ell,) * pres.n_generators
+    )
+    cand = build_extension(pres, phi, a, beta)
+    return cand.scaled, cand.scaled_invs, verify_factors(cand, pres)
+
+
+def _specialized(pres, phi, a):
+    rho = specialize(pres, phi, a)
+    return rho.a, rho.dim, rho.scaled, rho.scaled_invs, rho.factors_through()
+
+
+POINT_CALLS = {
+    "is_zero_of_delta": lambda pres, phi, a, d: is_zero_of_delta(alexander_matrix(pres, phi), d, a),
+    "rank_at": lambda pres, phi, a, d: rank_at(alexander_matrix(pres, phi), a),
+    "cocycle_space": lambda pres, phi, a, d: cocycle_space(pres, phi, a),
+    "specialize": lambda pres, phi, a, d: _specialized(pres, phi, a),
+    "extension": lambda pres, phi, a, d: _extension_verified(pres, phi, a),
+    "h1_report": lambda pres, phi, a, d: h1_report(pres, phi, a),
+    "theorem_audit": lambda pres, phi, a, d: theorem_audit(pres, phi, a),
+    "extension_count_criterion": lambda pres, phi, a, d: extension_count_criterion(
+        pres, phi, a, d + 1
+    ),
+}
+point_steps = st.tuples(
+    st.sampled_from(sorted(POINT_CALLS)),
+    st.sampled_from(range(len(POINT_PAIRS))),
+    memo_points,
+    st.integers(min_value=0, max_value=3),
+)
+
+
+def _empty_point_memos():
+    fitting._nullspace_at.cache_clear()
+    extensions.specialize.cache_clear()
+
+
+def _outcome(name, pair, a, d):
+    pres, phi = POINT_PAIRS[pair]
+    try:
+        return "value", POINT_CALLS[name](pres, phi, a, d)
+    except (DivisionByZero, HypothesisViolated) as exc:
+        return type(exc), str(exc)
+
+
+@SUITE
+@given(st.lists(point_steps, min_size=1, max_size=8))
+@example([("rank_at", 0, 4, 1), ("rank_at", 0, Fraction(-2), 1)])
+@example([("specialize", 0, 4, 0), ("h1_report", 4, Fraction(4), 0)])
+def test_point_memos_answer_as_an_empty_memo_does(steps):
+    """Every call in a sequence that reuses points gives what the same call
+    gives with both per-point memos emptied before it, errors included."""
+    _empty_point_memos()
+    warm = [_outcome(*step) for step in steps]
+    for step, seen in zip(steps, warm):
+        name, pair, a, d = step
+        if a == 0 and name not in ("rank_at", "theorem_audit"):
+            assert seen[0] is DivisionByZero, step
+        elif POINT_PAIRS[pair][1] is NON_FACTORING and name == "h1_report":
+            assert seen[0] is HypothesisViolated, step
+        _empty_point_memos()
+        assert _outcome(*step) == seen, step
 
 
 # -- words by runs of a repeated block ---------------------------------------
