@@ -6,7 +6,8 @@ integer form F that the LaurentPoly holds, as ascending int coefficients
 (the unit c*g^k drops out, so the constant term is nonzero). Residues mod a
 prime p are the roots of gcd(S mod p, x^p - x), split apart by further gcds
 (modp.roots), at a cost polynomial in the degree and in log p rather than
-linear in p. Simple residues lift uniquely by Newton iteration.
+linear in p. Simple residues lift uniquely by Newton iteration, which
+inverts F' at each step only to the precision the step starts from.
 
 p-adic zeros are residues mod p^N. A residue that is multiple mod p is
 resolved by the substitution x = r + p*y, read off the Taylor shift
@@ -72,14 +73,19 @@ def _derivative(coeffs: list[int]) -> list[int]:
 
 
 def _newton_lift(coeffs: list[int], deriv: list[int], r: int, p: int, budget: int) -> int:
+    """The zero of F mod p^budget over a simple root r of F mod p. Each step
+    takes a zero x mod p^m to x - F(x) s mod p^(2m), with s = F'(x)^-1 taken
+    only mod p^m: F(x) = 0 and 1 - F'(x) s = 0 mod p^m, so
+    F(x - F(x) s) = F(x) (1 - F'(x) s) = 0 mod p^(2m), the Taylor terms of
+    order 2 and up carrying F(x)^2."""
     x = r % p
     prec = 1
     while prec < budget:
+        low = p**prec
+        s = pow(_poly_mod(deriv, x, low), -1, low)
         prec = min(2 * prec, budget)
-        mod = p ** prec
-        fx = _poly_mod(coeffs, x, mod)
-        dfx = _poly_mod(deriv, x, mod)
-        x = (x - fx * pow(dfx, -1, mod)) % mod
+        mod = p**prec
+        x = (x - _poly_mod(coeffs, x, mod) * s) % mod
     return x
 
 

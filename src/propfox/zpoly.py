@@ -8,7 +8,9 @@ polynomial is ZERO = (0, ()). Units of Z[g^(+-1)] are +-g^k; over the
 rationals every c*g^k with c != 0 is one, so callers that work up to
 rational units use primitive parts.
 
-Products go through Kronecker substitution with signed slots: a coefficient
+A product of at most _SCHOOLBOOK_TERMS terms len(a) * len(b) is taken by
+schoolbook, where the packing below would cost more than the terms. Longer
+products go through Kronecker substitution with signed slots: a coefficient
 list is evaluated at g = 2^w by packing the coefficients' w-bit two's
 complements and correcting for the borrows, and an integer is read back as
 its balanced base-2^w digits, in [-2^(w-1), 2^(w-1)). With 2^(w-1) above
@@ -50,6 +52,11 @@ _HEU_TRIES = 6
 
 # The longest coefficient run value_at evaluates by Horner's rule.
 _HORNER_RUN = 256
+
+# The largest len(a) * len(b) that mul_coeffs multiplies by schoolbook. At
+# 8x8 schoolbook took 8-16 us per product and Kronecker 12-29 us; the two
+# were even at 8x9 (4- to 64-bit coefficients, x86-64, Python 3.11).
+_SCHOOLBOOK_TERMS = 64
 
 # The signed array typecode of each item size in bytes, read off the host.
 _CODES = {array(code).itemsize: code for code in "bhilq"}
@@ -126,12 +133,20 @@ def _slot(bound: int) -> int:
 
 
 def mul_coeffs(a, b) -> list[int]:
-    """The product of two nonempty coefficient lists, by Kronecker
-    substitution."""
+    """The product of two nonempty coefficient lists: by schoolbook when it
+    has at most _SCHOOLBOOK_TERMS terms len(a) * len(b), by Kronecker
+    substitution past that. Zero top coefficients in a or b may be kept as
+    zeros on top of the product."""
     if len(a) == 1:
         return [a[0] * y for y in b]
     if len(b) == 1:
         return [x * b[0] for x in a]
+    if len(a) * len(b) <= _SCHOOLBOOK_TERMS:
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+        return out
     w = _slot(min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b)))
     pa = _pack(a, w)
     return _digits(pa * (pa if b is a else _pack(b, w)), w)

@@ -6,6 +6,8 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from propfox import (
     IdenticallyZero,
@@ -17,6 +19,8 @@ from propfox import (
     zero_report,
 )
 from propfox import modp
+
+SUITE = settings(max_examples=500, derandomize=True, deadline=None)
 
 
 def L(text):
@@ -132,6 +136,23 @@ def _schoolbook(a, b, p):
     return out
 
 
+def _schoolbook_divmod(a, b, p):
+    """Quotient and remainder of a by a nonzero b mod p, one quotient digit
+    at a time: the reference for modp._divmod, whose short quotients and
+    low-degree divisors take this route."""
+    rem = a[:]
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    quot = [0] * max(len(a) - db, 0)
+    while len(rem) > db:
+        c = rem[-1] * inv % p
+        shift = len(rem) - 1 - db
+        quot[shift] = c
+        rem[shift:] = [(x - c * y) % p for x, y in zip(rem[shift:], b)]
+        modp._trim(rem)
+    return quot, rem
+
+
 @contextmanager
 def time_limit(seconds):
     """Fail the test instead of hanging when the block runs too long."""
@@ -236,3 +257,81 @@ def test_rational_roots_with_large_coefficients_answer_in_bounded_time():
     with time_limit(10):
         assert rational_roots(f) == [(Fraction(k, 6), 1) for k in range(1, 41)]
         assert rational_roots(LaurentPoly({0: 10**30, 1: 1, 2: 10**30})) == []
+
+
+@st.composite
+def division_problems(draw):
+    """(a, b, p): a divisor b of degree 0 to 200 and a dividend a whose
+    quotient has 1 to 300 digits, both with a nonzero top coefficient, so
+    that quotient and divisor fall on both sides of modp._NEWTON_DIVISION.
+    About a third of the coefficients sit at 0 or p - 1."""
+    p = draw(st.sampled_from([2, 3, 101, 10007, 2**61 - 1]))
+    db = draw(st.integers(min_value=0, max_value=200))
+    k = draw(st.integers(min_value=1, max_value=300))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+
+    def poly(n):
+        c = [rng.choice((0, p - 1)) if rng.random() < 0.3 else rng.randrange(p) for _ in range(n - 1)]
+        return c + [rng.randrange(1, p)]
+
+    return poly(db + k), poly(db + 1), p
+
+
+@SUITE
+@given(division_problems())
+@example(([1] * 64, [1] * 33, 2))
+@example(([5] * 63, [7] * 33, 101))
+@example((list(range(1, 500)), [3, 0, 1], 10007))
+@example(([2**61 - 2] * 400, [1] + [0] * 199 + [2**61 - 2], 2**61 - 1))
+def test_division_matches_schoolbook(case):
+    """Newton division (quotient and divisor degree both at least
+    _NEWTON_DIVISION) and schoolbook division give the schoolbook quotient
+    and remainder."""
+    a, b, p = case
+    assert modp._divmod(a, b, p) == _schoolbook_divmod(a, b, p)
+
+
+def _roots_by_scan(f, p):
+    return [r for r in range(p) if sum(c * r**i for i, c in enumerate(f)) % p == 0]
+
+
+def _counting_sqrt(monkeypatch):
+    calls = []
+    real = modp._sqrt
+
+    def counted(n, p):
+        calls.append(p)
+        return real(n, p)
+
+    monkeypatch.setattr(modp, "_sqrt", counted)
+    return calls
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_quadratics_match_a_residue_scan(p, monkeypatch):
+    """Every monic x^2 + bx + c with two distinct roots mod p is split by
+    the quadratic formula. At p = 2 no quadratic reaches it: the fold mod
+    x^2 - x leaves a polynomial of degree at most 1."""
+    calls = _counting_sqrt(monkeypatch)
+    split = 0
+    for b in range(p):
+        for c in range(p):
+            found = _roots_by_scan([c, b, 1], p)
+            if len(found) == 2:
+                assert modp.roots([c, b, 1], p) == found, (b, c)
+                split += 1
+    assert split == p * (p - 1) // 2
+    assert len(calls) == (0 if p == 2 else split)
+
+
+@pytest.mark.parametrize("p", [65537, 998244353] + LARGE_PRIMES)
+def test_planted_quadratics_split_at_large_primes(p):
+    """p - 1 is 2^16 and 2^23 * 119 at the first two primes, so the square
+    roots run Tonelli-Shanks' inner loop; at LARGE_PRIMES, p = 3 mod 4,
+    they are one power."""
+    rng = random.Random(p)
+    for _ in range(200):
+        r, s = rng.sample(range(p), 2)
+        assert modp.roots([r * s % p, -(r + s) % p, 1], p) == sorted((r, s))
+        n = rng.randrange(1, p) ** 2 % p
+        assert modp._sqrt(n, p) ** 2 % p == n

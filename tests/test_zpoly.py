@@ -167,9 +167,14 @@ def slot_problems(draw):
 @given(slot_problems())
 @example((24, [2**23 - 1, -(2**23), 1 - 2**23], -(2**70), [-(2**23)] * 300, [2**23 - 1] * 300))
 @example((64, [-(2**63)] * 5 + [2**63 - 1], 2**400 - 1, [-(2**39)] * 2, [1]))
+# 8x8 and 1x64 terms go by schoolbook, 8x9 by Kronecker with slots past 64 bits
+@example((72, [-(2**71), 2**71 - 1], -(2**100), [(-1) ** i * (2**70 - 3 * i) for i in range(8)], [5 - 2**66] * 8))
+@example((8, [-128, 127, 0], 2**20, [(-1) ** i * (2**70 - 3 * i) for i in range(8)], [5 - 2**66] * 9))
+@example((16, [-(2**15)], -1, [-(2**80)], [(-1) ** i * (i + 2**64) for i in range(64)]))
 def test_kronecker_kernel_matches_the_definitions(case):
     """_pack is evaluation at 2^w, _digits the balanced base-2^w digits and
-    mul_coeffs the convolution, at slot widths on both sides of 64 bits."""
+    mul_coeffs the convolution, at slot widths on both sides of 64 bits and
+    product sizes on both sides of _SCHOOLBOOK_TERMS."""
     w, c, v, a, b = case
     packed = zpoly._pack(c, w)
     assert packed == sum(x << (w * i) for i, x in enumerate(c))
