@@ -54,18 +54,34 @@ enumeration: the number of minors the lexicographic (row set, column set)
 scan expands before its early exit. That exit can fire only when the
 divisor is 1, the content minimum is 0 and every entry is p-integral;
 otherwise the count is the number of all r-minors. When it can fire, the
-count comes from row sets. Over the column sets of one row set, the gcd and
-the least content of the minors are the Smith divisor and the Bareiss
-least content of the r x n_cols submatrix on those rows, by the theorems
-above applied to the submatrix. Folding the row sets in order therefore
-gives the scan's state after each row set's last minor. Both outputs only
-move one way, so the scan exits inside the first row set at which the fold
-reaches divisor 1 and content 0. Only that row set's column sets are
-expanded, starting from the state folded so far, and the count is the
-minors of the row sets before it plus the position inside it. The fold is
-checked against the whole-matrix eliminations. Since L is the least common
-denominator, every entry is p-integral exactly when p does not divide L; a
-larger multiple of it could carry a factor p that no denominator has.
+count comes from row sets, found with no elimination per row set. The row
+sets in lexicographic order are the leaves, in depth-first order, of the
+tree of their prefixes; the subtree of a prefix that ends at row x and
+needs s more rows holds C(n_rows - 1 - x, s) row sets. Both outputs only
+move one way, so a search that folds each earlier sibling's subtree whole
+and descends into the first subtree at which the fold reaches divisor 1
+and content 0 ends at the row set in which the scan exits. Column
+operations change neither side of one row set: the gcd and the least
+content of its r-minors over all column sets (Cauchy-Binet). So one
+elimination on the rows below a node folds a whole subtree:
+- gcd side: column Euclid (Kannan and Bachem, SIAM J. Comput. 8, 1979)
+  brings the prefix to [H | 0] with H lower triangular, and the subtree's
+  gcd is det H * h * delta of the rows below, h the last row's entry
+  (_gcd_subtree);
+- content side: before the exit only whether the content minimum is 0
+  decides anything. One fraction-free column step pivots on the row's
+  entry of least valuation, and Sylvester's identity leaves the question
+  to the minors of the rows below (_content_subtree).
+A zero row passes its subtree with no work, a side that has reached 1 or 0
+is not computed again, and the last sibling, whose subtree is one row set,
+is entered without a fold. So the search runs at most n_rows * r
+eliminations, not C(n_rows, r), and a matrix of exactly r rows runs none.
+Only the exit row set's column sets are expanded, starting from the state
+folded so far, and the count is the minors of the row sets before it plus
+the position inside it. The fold is checked against the whole-matrix
+eliminations. Since L is the least common denominator, every entry is
+p-integral exactly when p does not divide L; a larger multiple of it could
+carry a factor p that no denominator has.
 """
 
 from __future__ import annotations
@@ -154,28 +170,109 @@ def fitting_delta(Q: AlexanderMatrix, d: int) -> FittingResult:
 
 def _scan_by_row_sets(M, d: int, r: int, p: int) -> FittingResult:
     """What the early-exit scan of every r-minor of the p-integral matrix M
-    returns, with whole row sets folded in by elimination up to the one in
-    which the scan exits; only that row set's minors are expanded. When the
-    exit never fires, the fold's divisor and content with the count of all
-    r-minors."""
-    n_cols = len(M[0])
-    per_row_set = comb(n_cols, r)
-    g, mu, count = ZERO, None, comb(len(M), r) * per_row_set
-    for i, rs in enumerate(combinations(range(len(M)), r)):
-        rows = tuple(M[k] for k in rs)
-        g_next = g if g == ONE else gcd_all([g, _divisor([(rows, ONE)], r)])
-        v = None if mu == 0 else _content_minimum([(rows, ONE)], r, p)
-        mu_next = mu if v is None else v if mu is None else min(mu, v)
-        if g_next == ONE and mu_next == 0:
-            dets = (
-                _det([[row[c] for c in cs] for row in rows])
-                for cs in combinations(range(n_cols), r)
-            )
-            g, mu, count = _fold_minors(p, dets, g, mu)
-            count += i * per_row_set
-            break
-        g, mu = g_next, mu_next
+    returns, for an M whose r-minors have divisor 1 and content minimum 0,
+    so that the scan exits. A depth-first search over the lexicographic
+    prefixes of the row sets folds each earlier sibling's subtree whole
+    (_gcd_subtree, _content_subtree) and descends into the first one at
+    which the fold reaches divisor 1 and content 0. Only the row set it
+    ends at has its minors expanded. A side that is already forced is
+    neither folded nor carried down."""
+    n, n_cols = len(M), len(M[0])
+    # unit: a minor of content 0 has been folded.
+    g, unit, before = ZERO, False, 0
+    smith = bareiss = M
+    prefix, lo, s = [], 0, r
+    # A node's prefix takes s more rows from rows lo, ..., n - 1. The last
+    # child's subtree is one row set, the exit's when no earlier sibling's
+    # subtree holds it.
+    while 0 < s < n - lo:
+        for x in range(lo, n - s):
+            # Every minor of the subtree is zero when row x is.
+            if any(f[1] for f in (smith if g != ONE else bareiss)[x - lo]):
+                g_next, smith_next = g, None
+                if g != ONE:
+                    g_sub, smith_next = _gcd_subtree(smith, x - lo, s)
+                    g_next = gcd_all([g, g_sub])
+                unit_next, bareiss_next = unit, None
+                if not unit:
+                    unit_next, bareiss_next = _content_subtree(bareiss, x - lo, s, p)
+                if g_next == ONE and unit_next:
+                    smith, bareiss = smith_next, bareiss_next
+                    break
+                g, unit = g_next, unit_next
+            before += comb(n - 1 - x, s - 1)
+        else:
+            x = n - s
+        prefix.append(x)
+        lo, s = x + 1, s - 1
+    rows = [M[i] for i in prefix + list(range(n - s, n))]
+    dets = (_det([[row[c] for c in cs] for row in rows]) for cs in combinations(range(n_cols), r))
+    g, mu, count = _fold_minors(p, dets, g, 0 if unit else None)
+    count += before * comb(n_cols, r)
     return FittingResult(d, normalize_associate(LaurentPoly.from_form(g)), mu, count)
+
+
+def _gcd_subtree(A, i: int, s: int) -> tuple[tuple, tuple | None]:
+    """The gcd of the r-minors of the subtree under row i of a node that
+    takes s more rows, up to a factor prime to the gcd folded before the
+    node, and the node below row i. A node is A, the rows after the prefix
+    P without P's pivot columns, once column operations invertible over the
+    rational Laurent ring have brought P to [H | 0], H lower triangular.
+    Column Euclid by pseudo-division brings row i to one entry h. A minor
+    on P, row i and later rows is then zero unless it holds the pivot
+    columns, and otherwise det H * h times a minor of Y, the later rows
+    without h's column: the subtree's gcd is det H * h * delta_(s-1)(Y).
+    The search descends only into a subtree whose gcd folds the gcd so far,
+    g, to 1, so below it g is prime to det H, or is 0 with det H a unit,
+    and gcd(g, det H * x) = gcd(g, x). The node therefore keeps no det H,
+    and h * delta_(s-1)(Y) is returned."""
+    a = list(A[i])
+    if s == 1:
+        return gcd_all(a), None
+    below = [list(row) for row in A[i + 1 :]]
+    live = [j for j, f in enumerate(a) if f[1]]
+    while len(live) > 1:
+        k = min(live, key=lambda j: _span(a[j]))
+        for j in live:
+            if j != k:
+                c, q, a[j] = pseudo_divmod(a[j], a[k])
+                for row in below:
+                    row[j] = sub(scale(row[j], c), mul(q, row[k]))
+        live = [j for j in live if a[j][1]]
+    k = live[0]
+    Y = tuple(tuple(_primitive_row(row[:k] + row[k + 1 :])) for row in below)
+    return mul(a[k], _divisor([(Y, ONE)], s - 1)), Y
+
+
+def _content_subtree(A, i: int, s: int, p: int) -> tuple[bool, tuple | None]:
+    """Whether an r-minor of the subtree under row i of a node that takes s
+    more rows has content 0, and the node below row i. A node is A, the rows
+    after the prefix: an r-minor on the prefix and a set T of s of its rows
+    has content 0 exactly when an s-minor of A on T has. An s-minor that
+    takes row i has at least the least valuation of row i's entries, so
+    there is none unless that entry, piv = a_k, has valuation 0. One
+    fraction-free column step, col_j <- piv * col_j - a_j * col_k, then
+    multiplies each s-minor that holds column k by piv^(s - 1) and makes it
+    piv times an (s - 1)-minor of Y, the later rows without column k.
+    Expanding a minor with row i repeated gives piv * m_C = sum +-a_j *
+    m_(C - j + k), so a minor without column k has content 0 only if one
+    with it has. So the subtree has a minor of content 0 exactly when Y has
+    an (s - 1)-minor of content 0, and Y is the node below."""
+    a = A[i]
+    k = min(
+        (j for j, f in enumerate(a) if f[1]),
+        key=lambda j: (content_valuation(a[j], p), _span(a[j])),
+    )
+    if content_valuation(a[k], p):
+        return False, None
+    if s == 1:
+        return True, None
+    piv = a[k]
+    Y = tuple(
+        tuple(sub(mul(piv, y[j]), mul(a[j], y[k])) for j in range(len(a)) if j != k)
+        for y in A[i + 1 :]
+    )
+    return _content_minimum([(Y, ONE)], s - 1, p) == 0, Y
 
 
 def _fold_minors(p: int, dets, g: tuple, mu: int | None):

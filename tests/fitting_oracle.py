@@ -12,7 +12,9 @@ _smith_divisor and _least_content are the one-shot eliminations: each call
 starts again from the original entries and runs exactly r - 1 steps, with no
 snapshot kept between calls. _fitting_by_enumeration checks everything,
 minor_count included, by folding every minor in lexicographic (row set,
-column set) order.
+column set) order. _scan_by_row_sets is the row-set fold that
+propfox.fitting ran before its search over row-set prefixes: one Smith and
+one Bareiss elimination of every row set before the one the scan exits in.
 
 det_laurent and div_exact work on LaurentPoly values, for the tests that
 take a determinant or divide one divisor by another: det_laurent is
@@ -22,18 +24,19 @@ by propfox.zpoly.pseudo_divmod.
 """
 
 from itertools import combinations
-from math import lcm, prod
+from math import comb, lcm, prod
 
 from propfox import FittingResult, LaurentPoly
-from propfox.fitting import _det
-from propfox.zpoly import pseudo_divmod, scale
+from propfox.fitting import _content_minimum, _det, _divisor, _fold_minors
+from propfox.laurent import normalize_associate
+from propfox.zpoly import ONE, ZERO, gcd_all, pseudo_divmod, scale
 from laurent_oracle import (
     FractionLaurent,
     content_valuation,
     div_exact as fraction_div_exact,
     gcd_many,
     laurent_divmod,
-    normalize_associate,
+    normalize_associate as fraction_normalize_associate,
     oracle,
     to_laurent,
 )
@@ -179,7 +182,7 @@ def _smith_divisor(entries, r: int) -> FractionLaurent:
             return FractionLaurent.zero()
         product = product * pivot
     rest = gcd_many(f for row in M[r - 1 :] for f in row[r - 1 :])
-    return normalize_associate(product * rest)
+    return fraction_normalize_associate(product * rest)
 
 
 def _least_content(entries, r: int, p: int) -> int | None:
@@ -252,3 +255,29 @@ def _fitting_by_enumeration(Q, d):
             if integral and mu == 0 and g.is_one():
                 return FittingResult(d, to_laurent(g), mu, count)
     return FittingResult(d, to_laurent(g), mu, count)
+
+
+def _scan_by_row_sets(M, d: int, r: int, p: int) -> FittingResult:
+    """What the early-exit scan of every r-minor of the p-integral matrix M
+    returns, with whole row sets folded in by elimination up to the one in
+    which the scan exits; only that row set's minors are expanded. When the
+    exit never fires, the fold's divisor and content with the count of all
+    r-minors."""
+    n_cols = len(M[0])
+    per_row_set = comb(n_cols, r)
+    g, mu, count = ZERO, None, comb(len(M), r) * per_row_set
+    for i, rs in enumerate(combinations(range(len(M)), r)):
+        rows = tuple(M[k] for k in rs)
+        g_next = g if g == ONE else gcd_all([g, _divisor([(rows, ONE)], r)])
+        v = None if mu == 0 else _content_minimum([(rows, ONE)], r, p)
+        mu_next = mu if v is None else v if mu is None else min(mu, v)
+        if g_next == ONE and mu_next == 0:
+            dets = (
+                _det([[row[c] for c in cs] for row in rows])
+                for cs in combinations(range(n_cols), r)
+            )
+            g, mu, count = _fold_minors(p, dets, g, mu)
+            count += i * per_row_set
+            break
+        g, mu = g_next, mu_next
+    return FittingResult(d, normalize_associate(LaurentPoly.from_form(g)), mu, count)

@@ -81,6 +81,22 @@ def test_delta_json_schema(capsys):
     assert payload["results"]["minor_count"] == 18
 
 
+# Hostile inputs to the row-set fold, whose scan passes C(rows, r) row sets
+# before its exit: no answer within 60 s when every row set before the
+# exit's was eliminated on its own.
+HOSTILE_FOLD_COUNTS = [("dup10.pres", 2_217_061), ("zr30.pres", 37_913_543_605), ("pw25.pres", 855_031)]
+
+
+@pytest.mark.parametrize("name, minor_count", HOSTILE_FOLD_COUNTS)
+def test_row_set_fold_probes_answer_in_bounded_time(name, minor_count):
+    path = Path(__file__).parent / "data" / name
+    proc = run_cli_process("delta", str(path), "--d", "1", "--json", timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)["results"]
+    assert (results["delta"]["text"], results["mu_content"]) == ("1", 0)
+    assert results["minor_count"] == minor_count
+
+
 def test_json_identical_under_optimize_flag():
     """python -O strips assert statements; the output must not depend on
     them."""

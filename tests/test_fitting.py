@@ -15,6 +15,7 @@ from propfox import (
     iwasawa_delta,
     parse_laurent,
     parse_presentation,
+    parse_representation,
     rank_at,
     specialize,
 )
@@ -244,3 +245,22 @@ def test_every_d_of_one_matrix_shares_its_elimination_states():
         for now, before in zip(states, kept):
             assert len(now) == len(before), d
             assert all(a is b for a, b in zip(now, before)), d
+
+
+def test_a_single_row_set_runs_no_elimination(monkeypatch):
+    # a^N*b^-N under phi(a) = [[2, 1], [1, 1]], phi(b) = I: a 2x4 relation
+    # matrix whose one row set of 2 rows is the matrix, with delta_2 = 1.
+    # Once its whole-matrix eliminations are kept, the fold only expands
+    # that row set's six 2-minors and runs no Smith step of its own.
+    pres = parse_presentation("prime 3\ngenerators a b\nrelator a^20*b^-20\n")
+    phi = parse_representation("dim 2\nmatrix a\n2 1\n1 1\nmatrix b\n1 0\n0 1\n", pres)
+    Q = alexander_matrix(pres, phi)
+    assert (Q.n_rows, Q.n_cols) == (2, 4)
+    warm = fitting_delta.__wrapped__(Q, 2)
+    steps = []
+    real = fitting._smith_step
+    monkeypatch.setattr(fitting, "_smith_step", lambda *args: steps.append(args) or real(*args))
+    fit = fitting_delta.__wrapped__(Q, 2)
+    assert steps == []
+    assert fit == warm
+    assert (fit.delta, fit.mu_content, fit.minor_count) == (LaurentPoly.one(), 0, 2)

@@ -6,6 +6,7 @@ toward short words and small numbers so each example stays exact and fast.
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -599,6 +600,60 @@ def late_exit_matrices(draw):
 def test_fitting_late_exits_match_minor_enumeration(Q):
     for d in range(-1, Q.n_cols + 2):
         assert fitting_delta(Q, d) == _fitting_by_enumeration(Q, d), d
+
+
+@st.composite
+def row_set_fold_matrices(draw):
+    """4 to 9 rows and 2 to 4 columns of integral entries, drawn row by row:
+    a fresh row, a zero row, a copy of an earlier row, p times one, or a
+    Laurent combination of two earlier ones. In some draws a run of first
+    rows shares one linear factor, times p in some of those, so that the
+    scan exits late or not at all."""
+    prime = draw(st.sampled_from([2, 3, 5]))
+    n_rows = draw(st.integers(min_value=4, max_value=9))
+    n_cols = draw(st.integers(min_value=2, max_value=4))
+    entry = st.sampled_from(
+        [parse_laurent(t) for t in ("0", "0", "1", "-1", "2", "g", "g^-1", "g - 1", "g + 2", "2*g - 1")]
+    )
+    multiplier = st.sampled_from([parse_laurent(t) for t in ("1", "-2", "g", "g^-1 - 1", "g + 2")])
+    kinds = st.sampled_from(["fresh", "fresh", "zero", "copy", "p", "combination"])
+    rows = []
+    for _ in range(n_rows):
+        kind = draw(kinds) if rows else "fresh"
+        if kind == "fresh":
+            row = [draw(entry) for _ in range(n_cols)]
+        elif kind == "zero":
+            row = [LaurentPoly.zero()] * n_cols
+        elif kind == "combination":
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            f, h = draw(multiplier), draw(multiplier)
+            row = [f * x + h * y for x, y in zip(a, b)]
+        else:
+            row = [f * (prime if kind == "p" else 1) for f in draw(st.sampled_from(rows))]
+        rows.append(row)
+    shared = draw(st.integers(min_value=0, max_value=n_rows - 1))
+    factor = LaurentPoly({1: 1, 0: -draw(st.integers(min_value=-3, max_value=3))})
+    if draw(st.booleans()):
+        factor = factor * prime
+    rows[:shared] = [[factor * f for f in row] for row in rows[:shared]]
+    return AlexanderMatrix.from_entries(
+        entries=tuple(tuple(row) for row in rows),
+        n_relators=n_rows,
+        n_generators=n_cols,
+        block_dim=1,
+        prime=prime,
+    )
+
+
+@SUITE
+@given(row_set_fold_matrices())
+def test_row_set_fold_matches_the_scan_oracle(Q):
+    # fitting_delta once with the subtree fold and once with the scan that
+    # eliminates every row set before the exit; whole results must agree.
+    for d in range(Q.n_cols + 1):
+        fit = fitting_delta.__wrapped__(Q, d)
+        with mock.patch.object(fitting, "_scan_by_row_sets", fitting_oracle._scan_by_row_sets):
+            assert fit == fitting_delta.__wrapped__(Q, d), d
 
 
 def _wide_rationals(p: int):
