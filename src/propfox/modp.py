@@ -19,6 +19,10 @@ square and (s + delta) not, or the other way round (the character sum of
 (r + d)(s + d) over d is -1, not p - 2), so the splitting ends. The cost is
 polynomial in the degree and in log p. There is no randomness: the square
 root searches for the least non-residue, and the roots are returned sorted.
+
+poly_mod evaluates an integer polynomial by Horner's rule modulo any
+modulus, a prime or a prime power, and rank is the rank over F_p of a
+matrix of residues, by Gaussian elimination.
 """
 
 from __future__ import annotations
@@ -195,3 +199,34 @@ def roots(f: list[int], p: int) -> list[int]:
                 todo += [(half, delta), (_divmod(g, half, p)[0], delta)]
                 break
     return sorted(found)
+
+
+def poly_mod(coeffs: list[int], x: int, mod: int) -> int:
+    """The value at x of integer coefficients, lowest degree first, modulo
+    mod, by Horner's rule with one reduction per coefficient."""
+    v = 0
+    for c in reversed(coeffs):
+        v = (v * x + c) % mod
+    return v
+
+
+def rank(M: list[list[int]], p: int) -> int:
+    """The rank over F_p of a matrix of ints in [0, p), by Gaussian
+    elimination on a copy of its nonzero rows."""
+    rows = [row for row in M if any(row)]
+    n_cols = len(rows[0]) if rows else 0
+    found = 0
+    for j in range(n_cols):
+        i = next((i for i in range(found, len(rows)) if rows[i][j]), None)
+        if i is None:
+            continue
+        rows[found], rows[i] = rows[i], rows[found]
+        piv = rows[found]
+        inv = pow(piv[j], -1, p)
+        for i in range(found + 1, len(rows)):
+            if c := rows[i][j] * inv % p:
+                rows[i] = [(x - c * y) % p for x, y in zip(rows[i], piv)]
+        found += 1
+        if found == len(rows):
+            break
+    return found

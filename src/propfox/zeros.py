@@ -61,13 +61,6 @@ def _divide_root(coeffs: list, s: int, q: int) -> list | None:
     return quot[::-1] if coeffs[0] + s * b == 0 else None
 
 
-def _poly_mod(coeffs: list[int], x: int, mod: int) -> int:
-    v = 0
-    for c in reversed(coeffs):
-        v = (v * x + c) % mod
-    return v
-
-
 def _derivative(coeffs: list[int]) -> list[int]:
     return [i * c for i, c in enumerate(coeffs)][1:]
 
@@ -82,10 +75,10 @@ def _newton_lift(coeffs: list[int], deriv: list[int], r: int, p: int, budget: in
     prec = 1
     while prec < budget:
         low = p**prec
-        s = pow(_poly_mod(deriv, x, low), -1, low)
+        s = pow(modp.poly_mod(deriv, x, low), -1, low)
         prec = min(2 * prec, budget)
         mod = p**prec
-        x = (x - _poly_mod(coeffs, x, mod) * s) % mod
+        x = (x - modp.poly_mod(coeffs, x, mod) * s) % mod
     return x
 
 
@@ -113,7 +106,7 @@ def _zp_roots(coeffs: list[int], p: int, budget: int) -> tuple[list[int], list[i
     obstructions: list[int] = []
     deriv = _derivative(coeffs)
     for r in modp.roots(coeffs, p):
-        if _poly_mod(deriv, r, p) != 0:
+        if modp.poly_mod(deriv, r, p) != 0:
             roots.append(_newton_lift(coeffs, deriv, r, p, budget))
             continue
         if budget <= 1:
@@ -151,7 +144,7 @@ def _rational_roots(coeffs: list[int], sqf: list[int]) -> list[tuple[Fraction, i
     for ell in count(2):
         if sqf[-1] % ell and _is_prime(ell):
             residues = modp.roots(sqf, ell)
-            if all(_poly_mod(deriv, r, ell) for r in residues):
+            if all(modp.poly_mod(deriv, r, ell) for r in residues):
                 break
     lc, mod, k = sqf[-1], ell, 1
     while mod <= 2 * abs(lc * sqf[0]):

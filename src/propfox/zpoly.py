@@ -42,7 +42,7 @@ import sys
 from array import array
 from math import gcd as igcd
 
-from .scalars import valuation
+from .scalars import _int_valuation
 
 ZERO = (0, ())
 ONE = (0, (1,))
@@ -339,4 +339,4 @@ def value_at(a: tuple, n: int, d: int) -> tuple[int, int]:
 
 def content_valuation(a: tuple, p: int) -> int | None:
     """v_p of the content of a; None for ZERO."""
-    return valuation(igcd(*a[1]), p) if a[1] else None
+    return _int_valuation(igcd(*a[1]), p) if a[1] else None

@@ -3,6 +3,7 @@
 import time
 from fractions import Fraction
 from math import comb, prod
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,7 @@ from propfox import (
 from propfox import extensions, fitting, fox
 from propfox.fox import AlexanderMatrix
 from propfox.laurent import LaurentPoly
+from propfox.zpoly import ONE
 
 from fitting_oracle import (
     _fitting_by_enumeration,
@@ -166,13 +168,18 @@ def test_fitting_planted_beyond_enumeration():
 
 @pytest.mark.parametrize("name, shift", [("pseudo_divmod", 0), ("divexact", 1)])
 def test_interrupted_elimination_leaves_the_snapshots_sound(monkeypatch, name, shift):
-    # A 5x4 matrix no other test builds, so its snapshots start cold; shift
-    # keeps the two cases' matrices apart. The third call of the patched
-    # integer helper raises partway through a Smith step (pseudo_divmod) or
-    # the second Bareiss step (divexact); every d asked afterwards must
-    # still get the one-shot eliminations' answers.
+    # A 5x4 matrix of rank 3 that no other test builds, so its snapshots
+    # start cold; shift keeps the two cases' matrices apart. Every entry is
+    # a multiple of g^2 - 1, which vanishes at both points of F_3^*, so no
+    # point settles a content minimum and the Bareiss states are built. The
+    # third call of the patched integer helper raises partway through a
+    # Smith step (pseudo_divmod) or the second Bareiss step (divexact); every
+    # d asked afterwards must still get the one-shot eliminations' answers.
     rows = tuple(
-        tuple(LaurentPoly({2: 1, 1: -(i + 2 * j + shift), 0: i * j - 3}) for j in range(4))
+        tuple(
+            LaurentPoly({2: 1, 1: -(i + 2 * j + shift), 0: i * j * (i + j) - 3}) * L("g^2 - 1")
+            for j in range(4)
+        )
         for i in range(5)
     )
     Q = AlexanderMatrix.from_entries(entries=rows, n_relators=5, n_generators=4, block_dim=1, prime=3)
@@ -233,18 +240,50 @@ relator (x1^-1*x4^-1)*(x0*(x2*x0^-1)*x0^-1)*((x2*x0^-1)^-2*(x5*x0^-1)^-1)^-1*(x1
 def test_every_d_of_one_matrix_shares_its_elimination_states():
     Q = alexander_matrix(parse_presentation(SEVEN_BY_SIX))
     assert (Q.n_rows, Q.n_cols) == (7, 6)
-    # d = 0 takes the most steps, so every later d reads states it left.
+    # d = 0 takes the most Smith steps and finds the divisor 0 (rank 5 <
+    # 6); d = 1 asks for the most rank mod 7, which t = 1 gives. Every later
+    # d reads what they left, and a point settles every content minimum, so
+    # the Bareiss states stay at the matrix itself.
     fitting_delta.__wrapped__(Q, 0)
-    smith, bareiss = fitting._eliminations(Q)
-    assert len(smith) == len(bareiss) == Q.n_cols
-    kept = [list(smith), list(bareiss)]
-    for d in range(1, Q.n_cols + 1):
+    fitting_delta.__wrapped__(Q, 1)
+    smith, bareiss, ranks = fitting._eliminations(Q)
+    assert len(smith) == Q.n_cols
+    assert bareiss == [(Q.rows, ONE)]
+    assert ranks == [5]
+    kept = [list(smith), list(bareiss), list(ranks)]
+    for d in range(2, Q.n_cols + 1):
         fitting_delta.__wrapped__(Q, d)
         states = fitting._eliminations(Q)
-        assert states[0] is smith and states[1] is bareiss, d
+        assert all(now is was for now, was in zip(states, (smith, bareiss, ranks))), d
         for now, before in zip(states, kept):
             assert len(now) == len(before), d
             assert all(a is b for a, b in zip(now, before)), d
+
+
+@pytest.mark.parametrize(
+    "text, ds, steps",
+    [
+        (SEVEN_BY_SIX, range(-1, 8), 0),
+        # rows 3 * (1, -1, 0) and 3 * (0, 1, -1): every 2-minor vanishes mod
+        # 3, so no point settles r = 2 and one Bareiss step finds mu = 2.
+        ((Path(__file__).parent / "data" / "pcontent.pres").read_text(), [1], 1),
+    ],
+    ids=["seven-by-six", "pcontent"],
+)
+def test_whole_matrix_bareiss_runs_only_where_no_point_settles(monkeypatch, text, ds, steps):
+    # Count the steps on a matrix of Q's own shape, the whole-matrix
+    # content elimination's. The row-set fold stays on Bareiss, but its
+    # r x r determinants have fewer rows than Q here, and its subtree steps
+    # drop rows.
+    Q = alexander_matrix(parse_presentation(text))
+    shapes = []
+    real = fitting._bareiss_step
+    monkeypatch.setattr(
+        fitting, "_bareiss_step", lambda M, *args: shapes.append((len(M), len(M[0]))) or real(M, *args)
+    )
+    fits = [fitting_delta.__wrapped__(Q, d) for d in ds]
+    assert shapes.count((Q.n_rows, Q.n_cols)) == steps
+    assert fits == [_fitting_by_enumeration(Q, d) for d in ds]
 
 
 def test_a_single_row_set_runs_no_elimination(monkeypatch):

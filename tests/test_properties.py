@@ -656,6 +656,65 @@ def test_row_set_fold_matches_the_scan_oracle(Q):
             assert fit == fitting_delta.__wrapped__(Q, d), d
 
 
+@st.composite
+def point_shortcut_matrices(draw):
+    """2 to 5 rows and 2 to 4 columns at p in {2, 3, 5, 7}, drawn row by
+    row: a fresh row, a Laurent combination of earlier rows (rank
+    deficient), or a fresh row times p or times g^(p - 1) - 1, which
+    vanishes at every point of F_p^*. In some draws every row is then
+    multiplied by g^(p - 1) - 1, so that no point settles a minimum of 0
+    and the Bareiss route has to answer, and in some one row is divided by
+    p, which shifts the minimum by -r * v_p(L)."""
+    prime = draw(st.sampled_from([2, 3, 5, 7]))
+    n_rows = draw(st.integers(min_value=2, max_value=5))
+    n_cols = draw(st.integers(min_value=2, max_value=4))
+    entry = st.sampled_from(
+        [parse_laurent(t) for t in ("0", "0", "1", "-1", "2", "g", "g^-1", "g - 1", "g + 2", "2*g - 1", "g^2 - 3")]
+    )
+    vanishing = LaurentPoly({prime - 1: 1, 0: -1})
+    factors = {"p": LaurentPoly({0: prime}), "vanishing": vanishing}
+    kinds = st.sampled_from(["fresh", "fresh", "combination", "p", "vanishing"])
+    rows = []
+    for _ in range(n_rows):
+        kind = draw(kinds) if rows else "fresh"
+        if kind == "combination":
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            f, h = draw(entry), draw(entry)
+            rows.append([f * x + h * y for x, y in zip(a, b)])
+            continue
+        row = [draw(entry) for _ in range(n_cols)]
+        rows.append([factors[kind] * f for f in row] if kind in factors else row)
+    if draw(st.booleans()):
+        rows = [[vanishing * f for f in row] for row in rows]
+    if draw(st.booleans()):
+        i = draw(st.integers(min_value=0, max_value=n_rows - 1))
+        rows[i] = [f.scale(Fraction(1, prime)) for f in rows[i]]
+    return AlexanderMatrix.from_entries(
+        entries=tuple(tuple(row) for row in rows),
+        n_relators=n_rows,
+        n_generators=n_cols,
+        block_dim=1,
+        prime=prime,
+    )
+
+
+@SUITE
+@given(point_shortcut_matrices())
+def test_point_shortcut_matches_bareiss_and_the_content_oracle(Q):
+    # fitting_delta once as it runs and once with no point ever settling
+    # (the rank at the points patched to 0), so that Bareiss answers every
+    # content minimum; both must agree, and with the one-shot rational
+    # Bareiss elimination.
+    fraction_rows = tuple(tuple(oracle(f) for f in row) for row in Q.entries)
+    for d in range(Q.n_cols + 1):
+        fit = fitting_delta.__wrapped__(Q, d)
+        with mock.patch.object(fitting, "_rank_at_points", lambda *args: 0):
+            assert fit == fitting_delta.__wrapped__(Q, d), d
+        if d < Q.n_cols:
+            r = Q.n_cols - d
+            assert fit.mu_content == fitting_oracle._least_content(fraction_rows, r, Q.prime), d
+
+
 def _wide_rationals(p: int):
     """Coefficients for the integer divisor layer: small and 40-digit
     numerators, over denominators with and without powers of p."""
