@@ -7,12 +7,20 @@ of the specialized relation matrix, the denominator is the image of
 v -> (rho(g_i) v - v)_i. The quotient dimension is compared against the
 divisor value at the evaluation point in both directions, each gated on its
 own hypotheses.
+
+h1_report keeps its report for the fox.MEMO_SIZE (presentation,
+representation, point) triples used last, with 4 and Fraction(4) one
+point, so its checks (the relator check and h1 >= 0) run once per point; a
+call that raises keeps nothing. theorem_audit is not kept: its hypothesis
+checks and its comparison of the two routes run on every call, on the
+kept report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (
     HypothesisViolated,
@@ -29,7 +37,7 @@ from .extensions import (
     specialize,
 )
 from .fitting import fitting_delta, zero_by_both_routes
-from .fox import Representation, alexander_matrix
+from .fox import MEMO_SIZE, Representation, alexander_matrix
 from .matrices import freeze, integral_row, rank_nullspace, scaled_inverse, solve, to_scaled
 from .presentation import Presentation, validate_presentation
 from .scalars import Rational, unit_ball_check
@@ -73,9 +81,11 @@ class CohomologyReport:
     fixed_basis: tuple
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def h1_report(pres: Presentation, phi: Representation, a: Rational) -> CohomologyReport:
     """Dimensions of crossed homomorphisms, principal ones, and the
-    quotient, for coefficients in the specialization of phi at a."""
+    quotient, for coefficients in the specialization of phi at a. The
+    MEMO_SIZE triples used last are kept (see the module docstring)."""
     rho = specialize(pres, phi, a)
     if not rho.factors_through():
         raise HypothesisViolated(

@@ -13,7 +13,9 @@ representations of the fox.MEMO_SIZE (presentation, representation, point)
 triples used last, so equal inputs share one SpecializedRep; nothing
 mutates one, and its relator check is made once per object. cocycle_space
 reads the nullspace of the specialized relation matrix from the memo that
-fitting.rank_at shares (fitting._nullspace_at).
+fitting.rank_at shares (fitting._nullspace_at), and keeps its own
+CocycleSpace for the same number of triples, so the extension step and the
+cohomology step at one point share one. A call that raises keeps nothing.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from math import lcm
 from .errors import DivisionByZero
 from .fitting import _nullspace_at, fitting_delta, zero_by_both_routes
 from .fox import MEMO_SIZE, Representation, _check_shape, alexander_matrix, scaled_image
-from .matrices import from_scaled, is_scaled_identity, lowest_terms
+from .matrices import from_scaled, is_scaled_identity, lowest_terms, scaled_identity
 from .presentation import Presentation, Word
 from .scalars import Rational
 
@@ -151,10 +153,13 @@ class CocycleSpace:
     basis: tuple
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def cocycle_space(pres: Presentation, phi: Representation, a: Rational) -> CocycleSpace:
     """Basis of the crossed homomorphisms of the presented group valued in
     the specialization at a: the nullspace of the specialized relation
-    matrix, reshaped to one vector per generator."""
+    matrix, reshaped to one vector per generator. The MEMO_SIZE triples
+    used last are kept, with 4 and Fraction(4) one point, as in
+    specialize."""
     a = _nonzero_point(a)
     Q = alexander_matrix(pres, phi)
     _, basis = _nullspace_at(Q, a)
@@ -221,15 +226,24 @@ class VerificationReport:
     relators: tuple
 
 
+@lru_cache(maxsize=MEMO_SIZE)
+def _identity(n: int) -> tuple:
+    """The n x n identity as a Fraction matrix, one shared per dimension."""
+    return from_scaled(scaled_identity(n))
+
+
 def verify_factors(candidate: SpecializedRep, pres: Presentation) -> VerificationReport:
     """Evaluate every flattened relator through the candidate; each must come
     out as the identity matrix. The check reads the scaled product: in
     lowest terms it is I exactly when its denominator is 1 and its rows are
-    those of I. The Fraction image is built only for the report."""
+    those of I. The Fraction image is built only for the report, and only
+    for a relator that fails: one that passes reports the shared identity."""
     checks = []
     for rel in pres.relators:
         image = scaled_image(candidate, rel.flatten())
-        checks.append(RelatorCheck(ok=is_scaled_identity(image), image=from_scaled(image)))
+        ok = is_scaled_identity(image)
+        shown = _identity(len(image[0])) if ok else from_scaled(image)
+        checks.append(RelatorCheck(ok=ok, image=shown))
     return VerificationReport(ok=all(c.ok for c in checks), relators=tuple(checks))
 
 

@@ -456,7 +456,10 @@ def alexander_matrix(pres: Presentation, rep: Representation | None = None) -> A
 
 
 # How many entries each memo keeps, the least recently used dropped first:
-# relation matrices here, divisor results and elimination states in fitting.
+# relation matrices here, divisor results, elimination states and
+# specialized nullspaces in fitting, specialized representations, cocycle
+# spaces and identity matrices in extensions, and cohomology reports in
+# cohomology.
 MEMO_SIZE = 64
 
 

@@ -19,6 +19,7 @@ through it, and Fraction matrices are built only as views of results
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 
@@ -55,13 +56,16 @@ def lowest_terms(rows, den: int):
 def scaled_mul(A, B):
     """Product of two scaled matrices, in lowest terms (as lowest_terms, in
     line: this is the inner loop of every word product), which keeps the
-    integers from growing past the size of the exact value."""
+    integers from growing past the size of the exact value. A product of
+    two integer matrices is in lowest terms already."""
     rows_a, den_a = A
     rows_b, den_b = B
     cols = tuple(zip(*rows_b))
     rows = [[sum(map(mul, ra, cb)) for cb in cols] for ra in rows_a]
     den = den_a * den_b
-    g = gcd(den, *(x for row in rows for x in row))
+    if den == 1:
+        return rows, 1
+    g = gcd(den, *chain.from_iterable(rows))
     if g > 1:
         rows = [[x // g for x in row] for row in rows]
         den //= g

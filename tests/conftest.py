@@ -6,7 +6,7 @@ from functools import lru_cache
 
 import pytest
 
-from propfox import corpus, extensions, fitting, fox
+from propfox import cohomology, corpus, extensions, fitting, fox
 
 
 @pytest.fixture(scope="session")
@@ -55,8 +55,11 @@ def relation_memo(monkeypatch):
 
 @pytest.fixture(autouse=True)
 def empty_point_memos():
-    """Empty the per-point memos (the specialized nullspace and the
-    specialized representation) before each test, so that no test reads
-    points an earlier one computed."""
+    """Empty the per-point memos (the specialized nullspace, the
+    specialized representation, the cocycle space and the cohomology
+    report) before each test, so that no test reads points an earlier one
+    computed."""
     fitting._nullspace_at.cache_clear()
     extensions.specialize.cache_clear()
+    extensions.cocycle_space.cache_clear()
+    cohomology.h1_report.cache_clear()

@@ -234,6 +234,24 @@ def test_cli_cohomology_runs_each_point_step_once(point_counts, capsys):
     assert dict(point_counts) == {"verify": 1, "specialize": 1, "nullspace": 2}
 
 
+def test_the_audit_reads_the_report_h1_report_kept(point_counts, eg41):
+    """h1_report then theorem_audit at one point cost one h1_report, 4 and
+    Fraction(4) share the report, and a call that raises keeps nothing."""
+    trivial = Representation.trivial(3)
+    report = h1_report(eg41, trivial, 4)
+    audit = theorem_audit(eg41, trivial, 4)
+    assert dict(point_counts) == {"verify": 1, "specialize": 1, "nullspace": 2}
+    assert audit.cohomology is report
+    assert h1_report(eg41, trivial, 4) is h1_report(eg41, trivial, Fraction(4))
+    non_factoring = Representation(
+        1, (((Fraction(2),),), ((Fraction(1),),), ((Fraction(1),),))
+    )
+    for _ in range(2):
+        with pytest.raises(HypothesisViolated):
+            h1_report(eg41, non_factoring, Fraction(1))
+    assert h1_report.cache_info().currsize == 1
+
+
 def test_audit_carries_the_report_exactly_when_h1_report_succeeds(eg41):
     trivial = Representation.trivial(3)
     non_factoring = Representation(
@@ -283,4 +301,6 @@ def test_equal_inputs_share_one_build(relation_memo, capsys):
     assert "audit forward: consistent" in capsys.readouterr().out
     info = relation_memo.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
-    assert info.hits >= 5
+    assert info.hits == 2
+    for memo in (cocycle_space, h1_report):
+        assert (memo.cache_info().misses, memo.cache_info().hits) == (1, 2)

@@ -135,6 +135,34 @@ def test_verify_factors_pass_and_fail(eg41):
     )
 
 
+def test_verify_factors_reports_the_images_from_scaled_builds(eg41, eg44rep):
+    """Each report equals the one built with from_scaled for every
+    relator, passing ones included, and passing relators of one dimension
+    share one identity matrix."""
+    for phi, beta in [
+        (Representation.trivial(3), hom1(1, 1, 0)),
+        (Representation.trivial(3), hom1(1, 0, 0)),
+        (eg44rep, cocycle_space(eg41, eg44rep, 4).basis[0]),
+    ]:
+        cand = build_extension(eg41, phi, Fraction(4), beta)
+        report = verify_factors(cand, eg41)
+        checks = []
+        for rel in eg41.relators:
+            image = fox.scaled_image(cand, rel.flatten())
+            checks.append(
+                extensions.RelatorCheck(
+                    ok=matrices.is_scaled_identity(image), image=matrices.from_scaled(image)
+                )
+            )
+        assert report == extensions.VerificationReport(
+            ok=all(c.ok for c in checks), relators=tuple(checks)
+        )
+    good = verify_factors(
+        build_extension(eg41, Representation.trivial(3), Fraction(4), hom1(1, 1, 0)), eg41
+    )
+    assert good.relators[0].image is good.relators[-1].image == oracle_identity(2)
+
+
 def test_evaluate_cocycle_vanishes_on_relators(eg41):
     rho = specialize(eg41, Representation.trivial(3), Fraction(4))
     for beta_vals in [(1, 1, 0), (0, 0, 1)]:

@@ -51,10 +51,10 @@ from propfox import (
     valuation,
     verify_factors,
 )
-from propfox import corpus, extensions, fitting, modp
+from propfox import cohomology, corpus, extensions, fitting, modp
 from propfox.extensions import mat_vec
 from propfox.fox import AlexanderMatrix, _degree_range, _relation_matrix, scaled_image
-from propfox.matrices import freeze, rank_nullspace
+from propfox.matrices import freeze, rank_nullspace, scaled_mul, to_scaled
 from propfox.presentation import _RUN_BLOCK, _is_prime, reduce_syllables
 from propfox.zeros import _squarefree, _taylor_shift, _zp_roots
 from propfox.zpoly import ONE
@@ -1211,6 +1211,32 @@ def test_relator_checks_match_fraction_products(case):
     assert report.ok == all(expected_ok)
 
 
+@st.composite
+def matrix_pairs(draw):
+    """Fraction matrices A (n x m) and B (m x k), 1 <= n, m, k <= 3, each
+    with integer entries (denominator 1) or small fractions."""
+    n, m, k = (draw(st.integers(min_value=1, max_value=3)) for _ in range(3))
+
+    def matrix(rows, cols):
+        entries = small_fractions if draw(st.booleans()) else st.integers(-9, 9).map(Fraction)
+        row = st.lists(entries, min_size=cols, max_size=cols)
+        return freeze(draw(st.lists(row, min_size=rows, max_size=rows)))
+
+    return matrix(n, m), matrix(m, k)
+
+
+@SUITE
+@given(matrix_pairs())
+@example((((Fraction(2), Fraction(-1)),), ((Fraction(1),), (Fraction(4),))))
+@example((((Fraction(1, 2), Fraction(1)),), ((Fraction(2),), (Fraction(2, 3),))))
+def test_scaled_product_matches_the_fraction_product(pair):
+    """scaled_mul of the scaled factors is the scaled Fraction product, in
+    lowest terms, over denominator 1 and over larger ones."""
+    A, B = pair
+    rows, den = scaled_mul(to_scaled(A), to_scaled(B))
+    assert (freeze(rows), den) == to_scaled(mat_mul(A, B))
+
+
 # -- per-point memos -------------------------------------------------------------
 
 NON_FACTORING = Representation(1, (((Fraction(2),),), ((Fraction(1),),), ((Fraction(1),),)))
@@ -1269,6 +1295,8 @@ point_steps = st.tuples(
 def _empty_point_memos():
     fitting._nullspace_at.cache_clear()
     extensions.specialize.cache_clear()
+    extensions.cocycle_space.cache_clear()
+    cohomology.h1_report.cache_clear()
 
 
 def _outcome(name, pair, a, d):
@@ -1285,7 +1313,7 @@ def _outcome(name, pair, a, d):
 @example([("specialize", 0, 4, 0), ("h1_report", 4, Fraction(4), 0)])
 def test_point_memos_answer_as_an_empty_memo_does(steps):
     """Every call in a sequence that reuses points gives what the same call
-    gives with both per-point memos emptied before it, errors included."""
+    gives with every per-point memo emptied before it, errors included."""
     _empty_point_memos()
     warm = [_outcome(*step) for step in steps]
     for step, seen in zip(steps, warm):
