@@ -333,9 +333,7 @@ def _cmd_cohomology(args) -> int:
     pres = _load_pres(args)
     rep = _load_rep(args, pres)
     audit = theorem_audit(pres, rep, args.at)
-    # The audit carries no report exactly when h1_report raises, so the call
-    # here only ever raises that error.
-    coh = audit.cohomology or h1_report(pres, rep, args.at)
+    coh = h1_report(pres, rep, args.at)
 
     def results():
         return {

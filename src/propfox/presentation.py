@@ -21,6 +21,10 @@ Integer literals have at most 4300 digits (scalars.MAX_LITERAL_DIGITS), and
 the relator words of a presentation hold at most 2^21 syllables together
 (scalars.MAX_WORD_SYLLABLES), so a short power such as (a*b)^1000000000000
 is refused before it is built.
+
+A word is read in one pass over its tokens on syllable tuples, through the
+module functions that Word's methods wrap (_product, _inverse, _power), and
+becomes one Word; token positions are found again only to report an error.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 from .errors import DuplicateGenerator, InputTooLarge, ParseError, UnknownGenerator, ZeroExponent
 from .scalars import MAX_WORD_SYLLABLES, parse_int
@@ -80,10 +85,67 @@ def reduce_syllables(sylls) -> tuple[tuple[int, int], ...]:
     return tuple((g, e) for g, e in out)
 
 
+def _junction(a, b) -> tuple[int, int, tuple]:
+    """(i, j, m) with a * b == a[:i] + m + b[j:], for reduced syllable
+    tuples a and b: only the junction can merge or cancel, so walk back
+    from it while the facing syllables share a generator. m is the one
+    merged syllable when the walk stops on a nonzero sum, else empty."""
+    i, j = len(a), 0
+    while i and j < len(b) and a[i - 1][0] == b[j][0]:
+        e = a[i - 1][1] + b[j][1]
+        if e:
+            return i - 1, j + 1, ((b[j][0], e),)
+        i, j = i - 1, j + 1
+    return i, j, ()
+
+
+def _product(a, b) -> tuple:
+    """The reduced product of reduced syllable tuples, read off the junction."""
+    i, j, m = _junction(a, b)
+    return a[:i] + m + b[j:]
+
+
+def _inverse(s) -> tuple:
+    return tuple((g, -e) for g, e in reversed(s))
+
+
+def _power_layout(s, n: int) -> tuple[tuple, tuple, int, tuple]:
+    """(head, body, count, tail) with s^n == head + body * count + tail,
+    for a reduced syllable tuple s, from the junction (i, j, m) of s (or
+    of its inverse, for n < 0) with itself. Each copy of s meets the next
+    at that junction, so s^n is s[:i], then n - 1 copies of m + s[j:i],
+    then s[i:]. j > i only when s = u * g^e * u^-1, whose copies merge
+    into u * g^(e*n) * u^-1; j == 0 when copies meet without a merge, and
+    s^n is n copies. The length is known before anything is repeated."""
+    if not n or not s:
+        return (), (), 0, ()
+    if n < 0:
+        s, n = _inverse(s), -n
+    i, j, m = _junction(s, s)
+    if j > i:
+        return s[:i] + ((s[i][0], s[i][1] * n),) + s[j:], (), 0, ()
+    if j == 0:
+        return (), s, n, ()
+    return s[:i], m + s[j:i], n - 1, s[i:]
+
+
+def _power(s, n: int) -> tuple:
+    """s^n in time linear in its length, never reducing it again."""
+    head, body, count, tail = _power_layout(s, n)
+    return head + body * count + tail
+
+
+def _power_length(s, n: int) -> int:
+    """The number of syllables of s^n, without building it."""
+    head, body, count, tail = _power_layout(s, n)
+    return len(head) + len(body) * count + len(tail)
+
+
 @dataclass(frozen=True)
 class Word:
-    """A reduced word: products and powers assume their operands are and
-    are read off one _junction; Word.of reduces any sequence of syllables.
+    """A reduced word. Products, inverses and powers assume their operands
+    are reduced and wrap the functions above on syllable tuples, which the
+    parser calls directly; Word.of reduces any sequence of syllables.
 
     runs, computed once per word, compresses the syllables into repeated
     blocks of at most _RUN_BLOCK syllables; the Fox walk and every word
@@ -98,53 +160,17 @@ class Word:
     def is_identity(self) -> bool:
         return not self.syllables
 
-    @staticmethod
-    def _junction(a, b) -> tuple[int, int, tuple]:
-        """(i, j, m) with a * b == a[:i] + m + b[j:], for reduced a and b:
-        only the junction can merge or cancel, so walk back from it while
-        the facing syllables share a generator. m is the one merged
-        syllable when the walk stops on a nonzero sum, else empty."""
-        i, j = len(a), 0
-        while i and j < len(b) and a[i - 1][0] == b[j][0]:
-            e = a[i - 1][1] + b[j][1]
-            if e:
-                return i - 1, j + 1, ((b[j][0], e),)
-            i, j = i - 1, j + 1
-        return i, j, ()
-
     def __mul__(self, other: "Word") -> "Word":
-        """The reduced product, read off the junction."""
-        a, b = self.syllables, other.syllables
-        i, j, m = self._junction(a, b)
-        return Word(a[:i] + m + b[j:])
+        return Word(_product(self.syllables, other.syllables))
 
     def inverse(self) -> "Word":
-        return Word(tuple((g, -e) for g, e in reversed(self.syllables)))
+        return Word(_inverse(self.syllables))
 
     def __pow__(self, n: int) -> "Word":
-        """w^n in time linear in the length of the result, never reducing
-        it again, from the junction (i, j, m) of w with itself. Each copy
-        of w meets the next at the same junction, so w^n is w[:i], then
-        n - 1 copies of m + w[j:i], then w[i:]. j > i only when
-        w = u * g^e * u^-1, whose copies merge into u * g^(e*n) * u^-1;
-        j == 0 when copies meet without a merge, and w^n is n copies."""
-        if n == 0 or not self.syllables:
-            return Word()
-        s = (self if n > 0 else self.inverse()).syllables
-        n = abs(n)
-        i, j, m = self._junction(s, s)
-        if j > i:
-            return Word(s[:i] + ((s[i][0], s[i][1] * n),) + s[j:])
-        if j == 0:
-            return Word(s * n)
-        return Word(s[:i] + (m + s[j:i]) * (n - 1) + s[i:])
+        return Word(_power(self.syllables, n))
 
     def _power_length(self, n: int) -> int:
-        """The number of syllables of w^n, without building it."""
-        if n == 0 or not self.syllables:
-            return 0
-        i, j, m = self._junction(self.syllables, self.syllables)
-        return len(self.syllables) + (abs(n) - 1) * (i - j + len(m))
+        return _power_length(self.syllables, n)
 
     @cached_property
     def runs(self) -> tuple[tuple[tuple[tuple[int, int], ...], int], ...]:
@@ -277,11 +303,14 @@ def _validate(pres: Presentation) -> ValidationReport:
 # -- parsing -----------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|-?\d+|[*^()\[\],]|\S")
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_INT_RE = re.compile(r"-?\d+")
 
 
 class _WordParser:
-    """Reads one word. Every word it builds, with the used syllables of the
-    words read before it, stays within MAX_WORD_SYLLABLES: a power is
+    """Reads one word in one pass over its tokens and the end sentinel ""
+    (no token is empty). Every word it builds, with the used syllables of
+    the words read before it, stays within MAX_WORD_SYLLABLES: a power is
     refused by its exact length and a commutator by its length before
     reduction, both before they are built, and a product and the whole
     word once built."""
@@ -292,102 +321,99 @@ class _WordParser:
         self.line = line
         self.col_offset = col_offset
         self.used = used
-        self.tokens: list[tuple[str, int]] = []
-        for m in _TOKEN_RE.finditer(text):
-            self.tokens.append((m.group(), m.start()))
-        self.pos = 0
+        self.toks = _TOKEN_RE.findall(text) + [""]
 
-    def _col(self, tok_pos: int) -> int:
-        return self.col_offset + tok_pos + 1
+    def _start(self, k: int) -> int:
+        """Where token k starts in the text; the sentinel, at its end."""
+        m = next(islice(_TOKEN_RE.finditer(self.text), k, None), None)
+        return len(self.text) if m is None else m.start()
 
-    def error(self, msg: str, tok_pos: int | None = None, cls=ParseError):
-        at = tok_pos if tok_pos is not None else (
-            self.tokens[self.pos][1] if self.pos < len(self.tokens) else len(self.text)
+    def _fail(self, k: int, msg: str, cls=ParseError):
+        if not self.toks[k]:
+            msg, cls = "unexpected end of word", ParseError
+        raise cls(msg, self.line, self.col_offset + self._start(k) + 1)
+
+    def _expect(self, k: int, sym: str) -> int:
+        if self.toks[k] != sym:
+            self._fail(k, f"expected {sym!r}, found {self.toks[k]!r}")
+        return k + 1
+
+    def _too_large(self, length: int, at: int):
+        raise InputTooLarge(
+            f"line {self.line}, col {self.col_offset + at + 1}: the words would hold "
+            f"{self.used + length} syllables: the limit is {MAX_WORD_SYLLABLES} "
+            "(scalars.MAX_WORD_SYLLABLES)"
         )
-        raise cls(msg, self.line, self._col(at))
-
-    def check_length(self, length: int, at: int) -> None:
-        if self.used + length > MAX_WORD_SYLLABLES:
-            raise InputTooLarge(
-                f"line {self.line}, col {self._col(at)}: the words would hold "
-                f"{self.used + length} syllables: the limit is {MAX_WORD_SYLLABLES} "
-                "(scalars.MAX_WORD_SYLLABLES)"
-            )
-
-    def peek(self) -> str | None:
-        return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
-
-    def take(self) -> tuple[str, int]:
-        if self.pos >= len(self.tokens):
-            self.error("unexpected end of word")
-        t = self.tokens[self.pos]
-        self.pos += 1
-        return t
-
-    def expect(self, sym: str):
-        tok, at = self.take()
-        if tok != sym:
-            self.error(f"expected {sym!r}, found {tok!r}", at)
 
     def parse(self) -> Word:
-        w = self.word()
-        if self.pos != len(self.tokens):
-            self.error(f"trailing input {self.peek()!r}")
-        self.check_length(len(w.syllables), 0)
-        return w
+        s, k = self._word(0)
+        if self.toks[k]:
+            self._fail(k, f"trailing input {self.toks[k]!r}")
+        if self.used + len(s) > MAX_WORD_SYLLABLES:
+            self._too_large(len(s), 0)
+        return Word(s)
 
-    def word(self) -> Word:
-        w = self.term()
-        while self.peek() == "*":
-            _, at = self.take()
-            w = w * self.term()
-            self.check_length(len(w.syllables), at)
-        return w
-
-    def term(self) -> Word:
-        w = self.atom()
-        if self.peek() == "^":
-            self.take()
-            tok, at = self.take()
-            if not re.fullmatch(r"-?\d+", tok):
-                self.error(f"expected an integer exponent, found {tok!r}", at)
-            # the length test keeps int() off literals far past the range
-            if len(tok) > 20 or not -_EXP_LIMIT < int(tok) < _EXP_LIMIT:
-                self.error("exponent out of 64-bit range", at)
-            e = int(tok)
-            if e == 0:
-                self.error("exponent 0 is not allowed", at, ZeroExponent)
-            self.check_length(w._power_length(e), at)
-            w = w ** e
-        return w
-
-    def atom(self) -> Word:
-        tok, at = self.take()
-        if tok == "(":
-            if self.peek() == ")":
-                self.take()
-                return Word(())
-            w = self.word()
-            self.expect(")")
-            return w
-        if tok == "[":
-            x = self.word()
-            self.expect(",")
-            y = self.word()
-            self.expect("]")
-            self.check_length(2 * (len(x.syllables) + len(y.syllables)), at)
-            return x.inverse() * y.inverse() * x * y
-        if re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok):
-            idx = self.gen_index.get(tok)
-            if idx is None:
-                self.error(f"unknown generator {tok!r}", at, UnknownGenerator)
-            return Word(((idx, 1),))
-        self.error(f"expected a generator, '(' or '[', found {tok!r}", at)
-        raise AssertionError("unreachable")
+    def _word(self, k: int) -> tuple[tuple, int]:
+        """The syllables of the word starting at token k, and the index of
+        the token after it. word := term {'*' term}; term := atom ['^' int]."""
+        toks, gen_index = self.toks, self.gen_index
+        room = MAX_WORD_SYLLABLES - self.used
+        acc = None
+        while True:
+            tok = toks[k]
+            g = gen_index.get(tok)
+            if g is not None:
+                s = ((g, 1),)
+                k += 1
+            elif tok == "(":
+                if toks[k + 1] == ")":
+                    s, k = (), k + 2
+                else:
+                    s, k = self._word(k + 1)
+                    k = self._expect(k, ")")
+            elif tok == "[":
+                x, j = self._word(k + 1)
+                y, j = self._word(self._expect(j, ","))
+                j = self._expect(j, "]")
+                if 2 * (len(x) + len(y)) > room:
+                    self._too_large(2 * (len(x) + len(y)), self._start(k))
+                s, k = _product(_product(_product(_inverse(x), _inverse(y)), x), y), j
+            elif _IDENT_RE.fullmatch(tok):
+                self._fail(k, f"unknown generator {tok!r}", UnknownGenerator)
+            else:
+                self._fail(k, f"expected a generator, '(' or '[', found {tok!r}")
+            if toks[k] == "^":
+                k += 1
+                tok = toks[k]
+                if not _INT_RE.fullmatch(tok):
+                    self._fail(k, f"expected an integer exponent, found {tok!r}")
+                # the length test keeps int() off literals far past the range
+                if len(tok) > 20 or not -_EXP_LIMIT < int(tok) < _EXP_LIMIT:
+                    self._fail(k, "exponent out of 64-bit range")
+                e = int(tok)
+                if e == 0:
+                    self._fail(k, "exponent 0 is not allowed", ZeroExponent)
+                head, body, count, tail = _power_layout(s, e)
+                n = len(head) + len(body) * count + len(tail)
+                if n > room:
+                    self._too_large(n, self._start(k))
+                s = head + body * count + tail
+                k += 1
+            if acc is None:
+                acc = s
+            else:
+                acc = _product(acc, s)
+                if len(acc) > room:
+                    self._too_large(len(acc), self._start(star))
+            if toks[k] != "*":
+                return acc, k
+            star = k
+            k += 1
 
 
 def parse_word(text: str, generators, line: int = 1, col_offset: int = 0) -> Word:
-    gen_index = {name: i for i, name in enumerate(generators)}
+    # only an identifier can be a generator token
+    gen_index = {name: i for i, name in enumerate(generators) if _IDENT_RE.fullmatch(name)}
     return _WordParser(text, gen_index, line, col_offset).parse()
 
 
@@ -428,7 +454,7 @@ def parse_presentation(text: str) -> Presentation:
             if generators:
                 raise ParseError("generators given twice", lineno, 1)
             for name in rest.split():
-                if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
+                if not _IDENT_RE.fullmatch(name):
                     raise ParseError(f"bad generator name {name!r}", lineno, 1)
                 if name in gen_index:
                     raise DuplicateGenerator(f"generator {name!r} declared twice", lineno, 1)

@@ -295,6 +295,17 @@ def test_a_relator_word_past_the_syllable_bound_is_refused(tmp_path, relator, sy
     ).encode()
 
 
+def test_a_relator_word_just_under_the_syllable_bound_is_accepted(tmp_path):
+    """[a^2,(b*a^-1)^524287] reduces to 2,097,150 syllables, two under
+    MAX_WORD_SYLLABLES: it is built and validated, not refused."""
+    path = tmp_path / "bound.pres"
+    path.write_text("prime 3\ngenerators a b\nrelator [a^2,(b*a^-1)^524287]\n")
+    proc = run_cli_process("validate", str(path), timeout=30)
+    assert proc.returncode == 0
+    assert proc.stdout == b"prime: 3\ngenerators: a b\nrelator degrees: 0\nok\n"
+    assert proc.stderr == b""
+
+
 @pytest.mark.parametrize(
     ("name", "argv"),
     [("bad.pres", ["validate", "{bad}"]), ("bad.rep", ["matrix", EG41, "--rep", "{bad}"])],

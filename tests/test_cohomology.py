@@ -302,5 +302,5 @@ def test_equal_inputs_share_one_build(relation_memo, capsys):
     info = relation_memo.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
     assert info.hits == 2
-    for memo in (cocycle_space, h1_report):
-        assert (memo.cache_info().misses, memo.cache_info().hits) == (1, 2)
+    for memo, hits in ((cocycle_space, 2), (h1_report, 3)):
+        assert (memo.cache_info().misses, memo.cache_info().hits) == (1, hits)

@@ -23,6 +23,8 @@ from propfox import (
 from propfox.errors import InputTooLarge
 from propfox.scalars import MAX_WORD_SYLLABLES
 
+from parser_oracle import COMMITTED, oracle_presentation
+
 GENS = ("a", "b", "c")
 
 
@@ -56,6 +58,11 @@ def test_parse_word_errors():
         W("a^b")
     with pytest.raises(ParseError):
         W("")
+    # only identifiers index generators, so no name can match "1" or the end
+    with pytest.raises(ParseError, match="expected a generator"):
+        parse_word("1", ("1",))
+    with pytest.raises(ParseError, match="unexpected end of word"):
+        parse_word("a*", ("a", ""))
 
 
 def test_word_algebra():
@@ -93,6 +100,14 @@ relator a^3*b^-1
     assert pres.relators[0].flatten() == parse_word("a*b*a^-1*b^-1", ("a", "b"))
     assert total_degree(pres.relators[0].flatten(), pres) == 0
     assert total_degree(pres.relators[1].flatten(), pres) == 1
+
+
+@pytest.mark.parametrize("path", COMMITTED, ids=[p.name for p in COMMITTED])
+def test_committed_presentations_parse_alike_by_both_routes(path):
+    """Every committed .pres reads to an equal Presentation by the one-pass
+    parser and by the token-list parser kept in tests/parser_oracle.py."""
+    text = path.read_text()
+    assert parse_presentation(text) == oracle_presentation(text)
 
 
 def test_parse_presentation_errors():

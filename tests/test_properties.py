@@ -55,12 +55,13 @@ from propfox import cohomology, corpus, extensions, fitting, modp
 from propfox.extensions import mat_vec
 from propfox.fox import AlexanderMatrix, _degree_range, _relation_matrix, scaled_image
 from propfox.matrices import freeze, rank_nullspace, scaled_mul, to_scaled
-from propfox.presentation import _RUN_BLOCK, _is_prime, reduce_syllables
+from propfox.presentation import _RUN_BLOCK, _WordParser, _is_prime, reduce_syllables
 from propfox.zeros import _squarefree, _taylor_shift, _zp_roots
 from propfox.zpoly import ONE
 
 import fitting_oracle
 import laurent_oracle
+import parser_oracle
 from fitting_oracle import _fitting_by_enumeration, det_laurent, oneshot_divisor_and_content
 from laurent_fox import (
     LaurentTensorRep,
@@ -206,6 +207,18 @@ def test_power_length_is_the_length_of_the_power(u, c, n):
 def test_word_round_trip(w):
     gens = EG41.generators
     assert parse_word(format_word(w, gens), gens) == w
+
+
+@SUITE
+@given(st.randoms(use_true_random=False))
+def test_one_pass_parser_matches_the_token_list_parser(rng):
+    """Valid and corrupted word texts (parser_oracle.random_case) read
+    alike by the one-pass parser and the token-list parser kept in
+    tests/parser_oracle.py: the same syllables, or the same error class,
+    message, line and column, with 0 or nearly MAX_WORD_SYLLABLES
+    syllables used by earlier words."""
+    case = parser_oracle.random_case(rng)
+    assert parser_oracle.outcome(_WordParser, *case) == parser_oracle.outcome(parser_oracle._WordParser, *case)
 
 
 @SUITE
